@@ -35,6 +35,7 @@ from .selection import (
     CrossoverTable,
     IterationError,
     KSelection,
+    ParetoFront,
     RelaxedSolution,
     SizeGuardError,
     best_k_single,
@@ -43,6 +44,7 @@ from .selection import (
     crossover_threshold,
     optimize_exact,
     optimize_relaxed,
+    pareto_front,
 )
 from .tails import (
     Side,

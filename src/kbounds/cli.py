@@ -16,6 +16,7 @@ output is byte-stable for fixed inputs and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -48,6 +49,7 @@ from .selection import (
     crossover_threshold,
     optimize_exact,
     optimize_relaxed,
+    pareto_front,
 )
 from .tails import (
     Side,
@@ -161,6 +163,8 @@ def _resolve_query(scenario: Scenario, args) -> Query:
     t_range = query.t_range
     if getattr(args, "t", None):
         ts, t_range = tuple(args.t), None
+        if any(not t > 0.0 for t in ts):
+            raise ValueError("--t values must be positive")
     if getattr(args, "t_range", None):
         lo, hi, count = args.t_range
         if not 0.0 < lo < hi or int(count) < 2:
@@ -169,19 +173,19 @@ def _resolve_query(scenario: Scenario, args) -> Query:
     side = query.side
     if getattr(args, "side", None):
         side = Side(args.side)
-    samples = args.samples if getattr(args, "samples", None) else query.samples
-    seed = args.seed if getattr(args, "seed", None) is not None else query.seed
-    return Query(ts=ts, t_range=t_range, side=side, samples=samples, seed=seed)
+    return dataclasses.replace(query, ts=ts, t_range=t_range, side=side)
 
 
 def _choice_cell(tags) -> str:
     return "|".join(str(t.k) if t.family is Family.ORDER_K else t.label() for t in tags)
 
 
-def _select_ks(variables, t: float, k_max: int, relaxed: bool):
-    if relaxed:
-        return optimize_relaxed(variables, t).rounded.ks
-    return optimize_exact(variables, t, k_max).ks
+def _selector(variables, args):
+    """Per-t order choice for an auto scenario; the exact front is built once."""
+    if args.relaxed:
+        return lambda t: optimize_relaxed(variables, t, args.k_max).rounded.ks
+    front = pareto_front(variables, args.k_max)
+    return lambda t: front.best(t).ks
 
 
 def cmd_tail(args) -> int:
@@ -189,27 +193,31 @@ def cmd_tail(args) -> int:
     query = _resolve_query(scenario, args)
     ts = query.resolve_ts()
     variables = scenario.variables
-    mirrored = tuple(mirror(v) for v in variables)
     two_sided = query.side is Side.TWO_SIDED
+    if scenario.auto:
+        # the lower tail is the upper tail of the mirrored supports, so the
+        # lower side selects on those
+        if query.side is not Side.LOWER:
+            select_up = _selector(variables, args)
+        if query.side is not Side.UPPER:
+            select_dn = _selector(tuple(mirror(v) for v in variables), args)
 
     def row(t: float) -> str:
         if scenario.auto:
             if query.side is Side.LOWER:
-                # the lower tail is the upper tail of the mirrored supports,
-                # so the selector runs on those
-                ks = _select_ks(mirrored, t, args.k_max, args.relaxed)
+                ks = select_dn(t)
                 cert = lower_tail(order_k_scenario(variables, ks), t)
                 return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + "|".join(
                     map(str, ks)
                 )
-            ks_up = _select_ks(variables, t, args.k_max, args.relaxed)
+            ks_up = select_up(t)
             up = order_k_scenario(variables, ks_up)
             if not two_sided:
                 cert = one_sided_tail(up, t)
                 return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + "|".join(
                     map(str, ks_up)
                 )
-            ks_dn = _select_ks(mirrored, t, args.k_max, args.relaxed)
+            ks_dn = select_dn(t)
             cert = two_sided_tail(up, t, tuple(order_k(k) for k in ks_dn))
             return (
                 f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)},"
@@ -349,10 +357,13 @@ def cmd_verify(args) -> int:
         if len(ts) > 8:
             idx = np.linspace(0, len(ts) - 1, 8).astype(int)
             ts = tuple(ts[i] for i in idx)
+    front = None
+    if args.k_max ** len(group) <= 10 ** 5:
+        front = pareto_front(variables, args.k_max)
     for t in ts:
         candidates = [(1,) * len(group), (2,) * len(group)]
-        if args.k_max ** len(group) <= 10 ** 5:
-            best = optimize_exact(variables, t, args.k_max).ks
+        if front is not None:
+            best = front.best(t).ks
             if best not in candidates:
                 candidates.append(best)
         estimate, se = mc_sum_tail(group, t, args.samples, args.seed)
@@ -467,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--side", choices=[s.value for s in Side])
     p_tail.add_argument("--relaxed", action="store_true",
                         help="auto-select via the continuous relaxation")
-    p_tail.add_argument("--seed", type=int)
-    p_tail.add_argument("--samples", type=int)
     add_common(p_tail, threads=True)
     p_tail.set_defaults(func=cmd_tail)
 
@@ -498,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-range", type=float, nargs=3, metavar=("MIN", "MAX", "N"))
     p_sweep.add_argument("--group", action="append",
                          help="comma-separated k per variable; repeatable")
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--samples", type=int)
     add_common(p_sweep, threads=True, k_max=False)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -6,13 +6,18 @@ and buys a smaller rate, so it wins exactly for thresholds above
     t* = Phi * sqrt(2 * (log A_{k+1} - log A_k)).
 
 For a sum the orders couple through the shared exponent t^2 / (2 sum Phi_i^2/k_i),
-so the per-variable rule is only a heuristic; the exact optimum comes from
-enumerating {1..k_max}^n, and a continuous relaxation provides the cheap
+so the per-variable rule is only a heuristic.  The sum objective is
+L - t^2/(4R) with L = sum log A_{k_i} and R = sum Phi_i^2/(2 k_i), and neither
+L nor R depends on t, so the exact optimum at every t lies on the (L, R)
+Pareto front of {1..k_max}^n.  The front is built once, one variable at a time
+(the Nemhauser-Ullmann method for multi-objective knapsack), and each t is a
+minimum over its few points.  A continuous relaxation provides the cheap
 near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,42 +112,98 @@ def _log_bound(variables, ks, t: float) -> float:
     return log_mult - t * t / (4.0 * rate)
 
 
-def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
-    """Exhaustive minimum of the one-sided log bound over {1..k_max}^n.
+@dataclass(frozen=True, eq=False)
+class ParetoFront:
+    """The order vectors that can minimize L - t^2/(4R) at some t > 0.
 
-    The exponent couples the k_i, so this is the ground truth the heuristics
-    are judged against.  Ties go to the lexicographically smaller vector.
+    ``ks`` is in lexicographic order; ``L[i]`` and ``R[i]`` are the summed log
+    multipliers and rates of ``ks[i]``, added in variable order.
     """
-    if not t > 0.0:
-        raise ValueError("threshold t must be positive")
+
+    ks: tuple[tuple[int, ...], ...]
+    L: np.ndarray
+    R: np.ndarray
+
+    def best(self, t: float) -> KSelection:
+        """Minimum over the front at t; exact ties go to the smaller vector."""
+        if not t > 0.0:
+            raise ValueError("threshold t must be positive")
+        obj = self.L - t * t / (4.0 * self.R)
+        i = int(np.argmin(obj))  # first minimum: the lexicographically smallest
+        return KSelection(self.ks[i], float(obj[i]))
+
+
+def pareto_front(variables, k_max: int = 8) -> ParetoFront:
+    """The (L, R) Pareto front of {1..k_max}^n, for ``ParetoFront.best``.
+
+    The objective L - t^2/(4R) grows with both L and R, so a vector weakly
+    dominated in (L, R) by a lexicographically smaller one can neither win
+    nor tie ahead of it at any t.  Appending the same order to two prefixes
+    keeps that dominance (floating-point addition is monotone), so such
+    prefixes are dropped as they appear.  Plain dominance would drop more,
+    but could drop the vector that wins a tie.  Sums are accumulated in
+    variable order, so every kept (L, R) is bit-identical to a direct
+    evaluation and ``best`` returns exactly the exhaustive lattice minimum.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = len(variables)
+    if n < 1:
+        raise ValueError("need at least one variable")
     if k_max ** n > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"k_max^n = {k_max}^{n} exceeds {ENUMERATION_GUARD}; "
             "use optimize_relaxed"
         )
-    # Per-variable tables indexed by k-1; summation order matches _log_bound.
-    mults = [[multiplier_log(v, k) for k in range(1, k_max + 1)] for v in variables]
-    rates = [[phi(v) ** 2 / (2.0 * k) for k in range(1, k_max + 1)] for v in variables]
-    best_ks: tuple[int, ...] | None = None
-    best_obj = math.inf
-    tt = t * t
-    for ks in itertools.product(range(k_max), repeat=n):
-        log_mult = 0.0
-        rate = 0.0
-        for i, k in enumerate(ks):
-            log_mult += mults[i][k]
-            rate += rates[i][k]
-        obj = log_mult - tt / (4.0 * rate)
-        if obj < best_obj:
-            best_ks, best_obj = ks, obj
-    return KSelection(tuple(k + 1 for k in best_ks), best_obj)
+    states = [((), 0.0, 0.0)]  # (ks prefix, L, R) in lexicographic order
+    for support in variables:
+        phi2 = phi(support) ** 2
+        steps = [
+            (k, multiplier_log(support, k), phi2 / (2.0 * k))
+            for k in range(1, k_max + 1)
+        ]
+        kept = []
+        # A staircase of kept (L, R), L non-decreasing and R falling, that
+        # dominates every kept state: a candidate (l, r) is dominated iff the
+        # last step with L <= l has R <= r.
+        stair_l: list[float] = []
+        stair_r: list[float] = []
+        for ks, l0, r0 in states:
+            for k, log_mult, rate in steps:
+                l, r = l0 + log_mult, r0 + rate
+                i = bisect.bisect_right(stair_l, l)
+                if i and stair_r[i - 1] <= r:
+                    continue
+                j = i
+                while j < len(stair_r) and stair_r[j] >= r:
+                    j += 1
+                stair_l[i:j] = [l]
+                stair_r[i:j] = [r]
+                kept.append((ks + (k,), l, r))
+        states = kept
+    ks, big_l, big_r = zip(*states)
+    return ParetoFront(ks, np.array(big_l), np.array(big_r))
+
+
+def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
+    """Exact minimum of the one-sided log bound over {1..k_max}^n.
+
+    The exponent couples the k_i, so this is the ground truth the heuristics
+    are judged against.  It is the best point of ``pareto_front``; build the
+    front once and call its ``best`` when many t share one set of variables.
+    Ties go to the lexicographically smaller vector.
+    """
+    if not t > 0.0:
+        raise ValueError("threshold t must be positive")
+    return pareto_front(variables, k_max).best(t)
 
 
 def optimize_relaxed(
-    variables, t: float, tol: float = 1e-10, max_iter: int = 10 ** 4
+    variables,
+    t: float,
+    k_max: int = 8,
+    tol: float = 1e-10,
+    max_iter: int = 10 ** 4,
 ) -> RelaxedSolution:
     """Continuous relaxation of the order assignment, then lattice rounding.
 
@@ -155,10 +216,12 @@ def optimize_relaxed(
     closed-form t / (Phi sqrt(2 log(1+r)))).
 
     The integer assignment is the best of the 2^n floor/ceil neighbors of the
-    fractional profile under the exact objective.
+    fractional profile under the exact objective, each clamped to [1, k_max].
     """
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     n = len(variables)
     phis2 = np.array([phi(v) ** 2 for v in variables])
     c = np.sqrt(phis2) / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
@@ -185,8 +248,8 @@ def optimize_relaxed(
 
     options = []
     for f in fractional:
-        lo = max(1, math.floor(f))
-        hi = max(1, math.ceil(f))
+        lo = min(max(1, math.floor(f)), k_max)
+        hi = min(max(1, math.ceil(f)), k_max)
         options.append((lo,) if lo == hi else (lo, hi))
     count = 1
     for opt in options:
@@ -220,8 +283,9 @@ def best_region_partition(
         raise ValueError("need 0 < t_min < t_max")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    front = pareto_front(variables, k_max)
     ts = np.linspace(t_min, t_max, grid)
-    assignments = [optimize_exact(variables, float(t), k_max).ks for t in ts]
+    assignments = [front.best(float(t)).ks for t in ts]
 
     regions: list[tuple[float, float, tuple[int, ...]]] = []
     start = t_min
@@ -232,7 +296,7 @@ def best_region_partition(
         left = assignments[i - 1]
         while hi - lo > boundary_tol:
             mid = 0.5 * (lo + hi)
-            if optimize_exact(variables, mid, k_max).ks == left:
+            if front.best(mid).ks == left:
                 lo = mid
             else:
                 hi = mid

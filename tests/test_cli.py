@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,26 @@ class TestTail:
         )
         assert code == 0
 
+    def test_relaxed_respects_k_max(self, fixtures_dir, capsys):
+        scenario = str(fixtures_dir / "example5.json")
+        for side in ("upper", "two_sided"):
+            code, out, _ = run_cli(
+                ["tail", scenario, "--relaxed", "--k-max", "2", "--t", "40", "80",
+                 "--side", side],
+                capsys,
+            )
+            assert code == 0
+            for record in rows(out)[1:]:
+                ks = [int(k) for cell in record[3:] for k in cell.split("|")]
+                assert max(ks) <= 2
+
+    def test_dropped_flags_are_rejected(self, fixtures_dir):
+        scenario = str(fixtures_dir / "example5.json")
+        for command in ("tail", "sweep"):
+            for flag in ("--seed", "--samples"):
+                with pytest.raises(SystemExit):
+                    main([command, scenario, flag, "1"])
+
     def test_missing_t_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_t.json"
         path.write_text(
@@ -237,6 +259,16 @@ class TestVerify:
         assert code == 0
         assert "verdict,ok" in out
 
+    def test_wide_support_is_clean(self, capsys):
+        # the oracle's mean tolerance follows the scale of [a, b]
+        code, out, _ = run_cli(
+            ["verify", "--random", "--a=-1e6", "--b", "3e6", "--pmfs", "20",
+             "--samples", "20000"],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip().endswith("verdict,ok")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
@@ -325,6 +357,9 @@ class TestSweep:
 
 
 def test_module_entry_point(fixtures_dir):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     result = subprocess.run(
         [
             sys.executable,
@@ -342,6 +377,7 @@ def test_module_entry_point(fixtures_dir):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "hertz,0,0.5,2"

@@ -47,6 +47,14 @@ class TestFinitePmf:
         with pytest.raises(ValueError):
             FinitePmf((-1.0, 0.0, 1.0), (0.6, -0.2, 0.6), S11)
 
+    def test_mean_tolerance_scales_with_the_interval(self):
+        wide = BoundedSupport(-1e6, 3e6)
+        extremal_two_point(wide)
+        for seed in range(50):
+            random_mean_zero_pmf(wide, 2 + seed % 7, seed=seed)
+        with pytest.raises(ValueError):
+            FinitePmf((-1e6, 3e6), (0.7, 0.3), wide)
+
 
 class TestExactLogMgf:
     def test_point_mass_at_zero(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbounds.bounds import BoundedSupport, phi
+from kbounds.bounds import BoundedSupport, multiplier_log, phi
 from kbounds.selection import (
     ENUMERATION_GUARD,
     KSelection,
@@ -16,6 +17,7 @@ from kbounds.selection import (
     crossover_threshold,
     optimize_exact,
     optimize_relaxed,
+    pareto_front,
 )
 from kbounds.tails import one_sided_tail, order_k_scenario
 
@@ -28,6 +30,62 @@ EXAMPLE5 = (S11, S55M, S15, S51)
 supports = st.builds(
     BoundedSupport, a=st.floats(-10.0, -0.1), b=st.floats(0.1, 10.0)
 )
+
+
+def lattice_totals(variables, k_max):
+    """(ks, L, R) of every vector of {1..k_max}^n in lexicographic order.
+
+    The sums run in variable order, as the objective in the tail engine does.
+    """
+    mults = [[multiplier_log(v, k) for k in range(1, k_max + 1)] for v in variables]
+    rates = [[phi(v) ** 2 / (2.0 * k) for k in range(1, k_max + 1)] for v in variables]
+    for ks in itertools.product(range(k_max), repeat=len(variables)):
+        log_mult = 0.0
+        rate = 0.0
+        for i, k in enumerate(ks):
+            log_mult += mults[i][k]
+            rate += rates[i][k]
+        yield tuple(k + 1 for k in ks), log_mult, rate
+
+
+def lattice_minimum(rows, t):
+    """Minimum of L - t^2/(4R) over lattice rows; ties to the first row."""
+    best_ks, best_obj = None, math.inf
+    tt = t * t
+    for ks, log_mult, rate in rows:
+        obj = log_mult - tt / (4.0 * rate)
+        if obj < best_obj:
+            best_ks, best_obj = ks, obj
+    return KSelection(best_ks, best_obj)
+
+
+def brute_force_exact(variables, t, k_max):
+    """Reference selector: the whole lattice, ties to the smaller vector."""
+    return lattice_minimum(lattice_totals(variables, k_max), t)
+
+
+# Small pools of supports: drawing every variable from one makes identical
+# variables, whose permuted order vectors tie, exactly or up to rounding.
+POOLS = (
+    (S11, S15),
+    (S15, S51, S55M),
+    (BoundedSupport(-2, 3), BoundedSupport(-2, 3, m2=1.5), S11),
+    (BoundedSupport(-1, 1, m2=0.3, m4=0.2, odd_moments_zero=True), S51),
+)
+# Largest k_max with k_max^n <= 4096 per variable count, capped at 16.
+K_MAX_BY_N = {1: 16, 2: 16, 3: 16, 4: 8, 5: 5}
+
+
+def thresholds(pool, k_max):
+    """Single-variable crossover points of the pool, and a few other t."""
+    ts = [0.05, 0.7, 3.0, 9.0, 40.0]
+    for support in pool:
+        for k in range(1, k_max):
+            try:
+                ts.append(crossover_threshold(support, k))
+            except RuntimeError:
+                pass
+    return ts
 
 
 class TestCrossoverThreshold:
@@ -201,6 +259,63 @@ class TestOptimizeExact:
             )
 
 
+class TestParetoFront:
+    @pytest.mark.parametrize("n", sorted(K_MAX_BY_N))
+    def test_matches_brute_force(self, n):
+        k_max = K_MAX_BY_N[n]
+        rng = np.random.default_rng(n)
+        for pool in POOLS:
+            ts = thresholds(pool, k_max)
+            for _ in range(2):
+                variables = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+                rows = list(lattice_totals(variables, k_max))
+                front = pareto_front(variables, k_max)
+                for t in ts + [t * math.sqrt(n) for t in ts]:
+                    assert front.best(t) == lattice_minimum(rows, t), (variables, t)
+                assert optimize_exact(variables, ts[-1], k_max) == lattice_minimum(
+                    rows, ts[-1]
+                )
+
+    def test_keeps_what_no_smaller_vector_dominates(self):
+        # the pruning rule, stated on whole vectors: a vector stays exactly
+        # when no lexicographically smaller one is as good in both L and R
+        for pool in POOLS:
+            variables = (pool[0], pool[-1], pool[0])
+            rows = list(lattice_totals(variables, 5))
+            want = [
+                (ks, big_l, big_r)
+                for i, (ks, big_l, big_r) in enumerate(rows)
+                if not any(l2 <= big_l and r2 <= big_r for _, l2, r2 in rows[:i])
+            ]
+            front = pareto_front(variables, 5)
+            assert list(zip(front.ks, front.L.tolist(), front.R.tolist())) == want
+
+    @given(
+        st.lists(supports, min_size=1, max_size=3),
+        st.floats(0.01, 1.5),
+        st.floats(1e-6, 1e6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scale_coherence_across_scales(self, variables, t_frac, scale):
+        t = t_frac * sum(v.b for v in variables)
+        scaled = tuple(BoundedSupport(scale * v.a, scale * v.b) for v in variables)
+        got = optimize_exact(scaled, scale * t, 4)
+        assert got == brute_force_exact(scaled, scale * t, 4)
+        # L is scale-free and R scales like t^2, so the optimum does not move
+        unit = optimize_exact(variables, t, 4)
+        assert got.log_bound == pytest.approx(unit.log_bound, rel=1e-9, abs=1e-12)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(SizeGuardError):
+            pareto_front((S11,) * 9, 8)
+        with pytest.raises(ValueError):
+            pareto_front((S11,), 0)
+        with pytest.raises(ValueError):
+            pareto_front((), 4)
+        with pytest.raises(ValueError):
+            pareto_front((S11,), 4).best(0.0)
+
+
 class TestOptimizeRelaxed:
     def test_n1_closed_form(self):
         t = 0.9
@@ -261,6 +376,12 @@ class TestOptimizeRelaxed:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             optimize_relaxed((S11,), -0.5)
+
+    def test_rounding_respects_k_max(self):
+        # at t = 80 the fractional profile of example 5 reaches k = 9
+        solution = optimize_relaxed(EXAMPLE5, 80.0, k_max=2)
+        assert max(solution.fractional) > 2
+        assert max(solution.rounded.ks) <= 2
 
 
 class TestBestRegionPartition:
