@@ -33,7 +33,6 @@ from .oracle import (
 from .scenario import Query, Scenario, ScenarioError, load_scenario, parse_scenario
 from .selection import (
     CrossoverTable,
-    IterationError,
     KSelection,
     ParetoFront,
     RelaxedSolution,

@@ -83,6 +83,10 @@ class BoundedSupport:
     odd_moments_zero: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "m2", "m4"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.a < 0.0 < self.b):
             raise ValueError(f"support requires a < 0 < b, got [{self.a}, {self.b}]")
         cap2, cap4 = moment_caps(self)
@@ -106,7 +110,7 @@ class MgfBound:
     family_tag: FamilyTag
 
     def __post_init__(self) -> None:
-        if self.log_multiplier < 0.0:
+        if not self.log_multiplier >= 0.0:
             raise ValueError("log multiplier must be >= 0 (every multiplier is >= 1)")
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")

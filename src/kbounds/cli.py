@@ -9,8 +9,9 @@ Subcommands::
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
 All numeric CSV cells use 12 significant digits and LF line endings, so the
-output is byte-stable for fixed inputs and seed.  Exit codes: 0 success,
-2 input error, 3 enumeration-size guard, 4 verification failure.
+output is byte-stable for fixed inputs and seed.  Every command runs in one
+thread.  Float options must be finite.  Exit codes: 0 success, 2 input error,
+3 enumeration-size guard, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .selection import (
 )
 from .tails import (
     Side,
-    SumScenario,
     lower_tail,
     mirror,
     one_sided_tail,
@@ -71,13 +69,12 @@ def g12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _pool_map(fn, items, threads: int):
-    """Order-preserving map, optionally across a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _emit(args, lines) -> None:
@@ -239,7 +236,7 @@ def cmd_tail(args) -> int:
         return line
 
     header = "t,log_bound,s_star,ks" + (",ks_mirror" if two_sided else "")
-    lines = [header] + _pool_map(row, ts, args.threads)
+    lines = [header] + [row(t) for t in ts]
     _emit(args, lines)
     return 0
 
@@ -325,14 +322,9 @@ def cmd_verify(args) -> int:
         raise ValueError("give a scenario file or --random (not both)")
     pmfs, scenario = _verify_pmfs(args)
 
-    per_pmf = _pool_map(
-        lambda pmf: _sweep_one_pmf(pmf, args.k_max, args.poison_rate),
-        pmfs,
-        args.threads,
-    )
     max_gap: dict[str, float] = {}
-    for gaps in per_pmf:
-        for label, gap in gaps.items():
+    for pmf in pmfs:
+        for label, gap in _sweep_one_pmf(pmf, args.k_max, args.poison_rate).items():
             if label not in max_gap or gap > max_gap[label]:
                 max_gap[label] = gap
 
@@ -360,13 +352,13 @@ def cmd_verify(args) -> int:
     front = None
     if args.k_max ** len(group) <= 10 ** 5:
         front = pareto_front(variables, args.k_max)
-    for t in ts:
+    tail_estimates = mc_sum_tail(group, ts, args.samples, args.seed)
+    for t, (estimate, se) in zip(ts, tail_estimates):
         candidates = [(1,) * len(group), (2,) * len(group)]
         if front is not None:
             best = front.best(t).ks
             if best not in candidates:
                 candidates.append(best)
-        estimate, se = mc_sum_tail(group, t, args.samples, args.seed)
         for ks in candidates:
             cert = one_sided_tail(order_k_scenario(variables, ks), t)
             certificate = math.exp(min(cert.log_bound, 0.0))
@@ -409,10 +401,7 @@ def cmd_sweep(args) -> int:
     else:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 
-    def curve(sum_scenario: SumScenario):
-        return [one_sided_tail(sum_scenario, float(t)).log_bound for t in ts]
-
-    curves = _pool_map(curve, scenarios, args.threads)
+    curves = [[one_sided_tail(s, float(t)).log_bound for t in ts] for s in scenarios]
     names = [f"group{i + 1}" for i in range(len(scenarios))]
     lines = ["t," + ",".join(names)]
     for j, t in enumerate(ts):
@@ -448,42 +437,39 @@ def build_parser() -> argparse.ArgumentParser:
         "for sums of bounded zero-mean variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cpu = os.cpu_count() or 1
 
-    def add_common(p, threads=False, out=True, k_max=True):
+    def add_common(p, out=True, k_max=True):
         if out:
             p.add_argument("--out", help="write output to this file instead of stdout")
         if k_max:
             p.add_argument("--k-max", type=int, default=8, dest="k_max")
-        if threads:
-            p.add_argument("--threads", type=int, default=cpu)
 
     p_bound = sub.add_parser("bound", help="single-variable bound catalog")
-    p_bound.add_argument("--a", type=float, required=True)
-    p_bound.add_argument("--b", type=float, required=True)
-    p_bound.add_argument("--m2", type=float)
-    p_bound.add_argument("--m4", type=float)
+    p_bound.add_argument("--a", type=finite_float, required=True)
+    p_bound.add_argument("--b", type=finite_float, required=True)
+    p_bound.add_argument("--m2", type=finite_float)
+    p_bound.add_argument("--m4", type=finite_float)
     p_bound.add_argument("--odd-moments-zero", action="store_true")
     p_bound.add_argument("--family", help="classic, hertz, order_k, ...")
     p_bound.add_argument("--k", type=int)
-    p_bound.add_argument("--s", type=float, required=True)
+    p_bound.add_argument("--s", type=finite_float, required=True)
     p_bound.add_argument("--compare", action="store_true")
     add_common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
     p_tail = sub.add_parser("tail", help="tail certificates over t")
     p_tail.add_argument("scenario")
-    p_tail.add_argument("--t", type=float, nargs="+")
-    p_tail.add_argument("--t-range", type=float, nargs=3, metavar=("MIN", "MAX", "N"))
+    p_tail.add_argument("--t", type=finite_float, nargs="+")
+    p_tail.add_argument("--t-range", type=finite_float, nargs=3, metavar=("MIN", "MAX", "N"))
     p_tail.add_argument("--side", choices=[s.value for s in Side])
     p_tail.add_argument("--relaxed", action="store_true",
                         help="auto-select via the continuous relaxation")
-    add_common(p_tail, threads=True)
+    add_common(p_tail)
     p_tail.set_defaults(func=cmd_tail)
 
     p_select = sub.add_parser("select", help="order selection + crossover table")
     p_select.add_argument("scenario")
-    p_select.add_argument("--t", type=float)
+    p_select.add_argument("--t", type=finite_float)
     add_common(p_select)
     p_select.set_defaults(func=cmd_select)
 
@@ -491,23 +477,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scenario", nargs="?")
     p_verify.add_argument("--random", action="store_true",
                           help="random pmfs on canonical (or --a/--b) supports")
-    p_verify.add_argument("--a", type=float)
-    p_verify.add_argument("--b", type=float)
+    p_verify.add_argument("--a", type=finite_float)
+    p_verify.add_argument("--b", type=finite_float)
     p_verify.add_argument("--pmfs", type=int, default=1000,
                           help="random pmfs per support")
     p_verify.add_argument("--samples", type=int, default=10 ** 6)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--poison-rate", type=float, default=1.0,
+    p_verify.add_argument("--poison-rate", type=finite_float, default=1.0,
                           help=argparse.SUPPRESS)  # negative-control test hook
-    add_common(p_verify, threads=True)
+    add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="per-group bound curves over a t range")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--t-range", type=float, nargs=3, metavar=("MIN", "MAX", "N"))
+    p_sweep.add_argument("--t-range", type=finite_float, nargs=3, metavar=("MIN", "MAX", "N"))
     p_sweep.add_argument("--group", action="append",
                          help="comma-separated k per variable; repeatable")
-    add_common(p_sweep, threads=True, k_max=False)
+    add_common(p_sweep, k_max=False)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -175,13 +175,12 @@ def moment_matched_pmf(support: BoundedSupport, seed: int = 0) -> FinitePmf:
     return FinitePmf((-c, 0.0, c), (mass / 2.0, 1.0 - mass, mass / 2.0), support)
 
 
-def mc_sum_tail(
-    pmfs, t: float, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of P(sum_i X_i >= t) with its binomial std error.
+def mc_sum_tail(pmfs, ts, samples: int, seed: int) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of P(sum_i X_i >= t) with binomial std errors.
 
-    Deterministic in ``seed``; per-variable streams are split off the master
-    seed with numpy's SeedSequence.spawn.
+    One (estimate, std_error) per t in ``ts``, all counted against one draw
+    of the sum.  Deterministic in ``seed``; per-variable streams are split
+    off the master seed with numpy's SeedSequence.spawn.
     """
     if samples < 10 ** 3:
         raise ValueError("use at least 1000 samples")
@@ -193,9 +192,11 @@ def mc_sum_tail(
         idx = np.searchsorted(cdf, rng.random(samples), side="right")
         np.clip(idx, 0, len(pmf.xs) - 1, out=idx)
         total += np.asarray(pmf.xs)[idx]
-    estimate = float(np.count_nonzero(total >= t)) / samples
-    std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return estimate, std_error
+    tails = []
+    for t in ts:
+        estimate = float(np.count_nonzero(total >= t)) / samples
+        tails.append((estimate, math.sqrt(estimate * (1.0 - estimate) / samples)))
+    return tails
 
 
 def validity_gap(pmf: FinitePmf, bound: MgfBound, s_values=S_GRID) -> float:

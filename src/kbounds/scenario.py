@@ -24,6 +24,7 @@ order2_moment, order4_moment, symmetric_order4 (order_k requires "k").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,8 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 

@@ -11,14 +11,15 @@ L - t^2/(4R) with L = sum log A_{k_i} and R = sum Phi_i^2/(2 k_i), and neither
 L nor R depends on t, so the exact optimum at every t lies on the (L, R)
 Pareto front of {1..k_max}^n.  The front is built once, one variable at a time
 (the Nemhauser-Ullmann method for multi-objective knapsack), and each t is a
-minimum over its few points.  A continuous relaxation provides the cheap
-near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)).
+minimum over its few points.  A continuous relaxation gives the cheap
+near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
+rounded by a front over each variable's floor and ceiling.  Two vectors tie
+where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2), which places every regime edge.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,14 +33,6 @@ ENUMERATION_GUARD = 10 ** 7
 
 class SizeGuardError(ValueError):
     """Enumeration would exceed the lattice-size guard; use the relaxation."""
-
-
-class IterationError(RuntimeError):
-    """Fixed-point iteration failed to settle; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate):
-        super().__init__(message)
-        self.last_iterate = last_iterate
 
 
 @dataclass(frozen=True)
@@ -102,16 +95,6 @@ def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
     return best_k
 
 
-def _log_bound(variables, ks, t: float) -> float:
-    """Sum-tail objective log A - t^2/(4R), identical to one_sided_tail's."""
-    log_mult = 0.0
-    rate = 0.0
-    for support, k in zip(variables, ks):
-        log_mult += multiplier_log(support, k)
-        rate += phi(support) ** 2 / (2.0 * k)
-    return log_mult - t * t / (4.0 * rate)
-
-
 @dataclass(frozen=True, eq=False)
 class ParetoFront:
     """The order vectors that can minimize L - t^2/(4R) at some t > 0.
@@ -155,13 +138,15 @@ def pareto_front(variables, k_max: int = 8) -> ParetoFront:
             f"k_max^n = {k_max}^{n} exceeds {ENUMERATION_GUARD}; "
             "use optimize_relaxed"
         )
+    return _front(variables, [range(1, k_max + 1)] * n)
+
+
+def _front(variables, orders) -> ParetoFront:
+    """The front of the product of ``orders[i]``, each list ascending."""
     states = [((), 0.0, 0.0)]  # (ks prefix, L, R) in lexicographic order
-    for support in variables:
+    for support, ks_i in zip(variables, orders):
         phi2 = phi(support) ** 2
-        steps = [
-            (k, multiplier_log(support, k), phi2 / (2.0 * k))
-            for k in range(1, k_max + 1)
-        ]
+        steps = [(k, multiplier_log(support, k), phi2 / (2.0 * k)) for k in ks_i]
         kept = []
         # A staircase of kept (L, R), L non-decreasing and R falling, that
         # dominates every kept state: a candidate (l, r) is dominated iff the
@@ -198,52 +183,26 @@ def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
     return pareto_front(variables, k_max).best(t)
 
 
-def optimize_relaxed(
-    variables,
-    t: float,
-    k_max: int = 8,
-    tol: float = 1e-10,
-    max_iter: int = 10 ** 4,
-) -> RelaxedSolution:
+def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
     """Continuous relaxation of the order assignment, then lattice rounding.
 
-    Iterates the stationarity map k_j <- c_j * t / (sum_i Phi_i^2 / k_i) with
-    c_j = Phi_j / sqrt(2 log(1+r_j)) from the all-ones start.  The map is
-    1-homogeneous: after one pass every iterate lies on the ray through c and
-    later passes rescale all coordinates by one shared factor, so convergence
-    is judged on the normalized profile and the returned scale is the common
-    factor t / sum Phi_i^2 of the unit start (for n = 1 this reproduces the
-    closed-form t / (Phi sqrt(2 log(1+r)))).
+    The stationarity condition k_j = c_j * t / (sum_i Phi_i^2 / k_i) with
+    c_j = Phi_j / sqrt(2 log(1+r_j)) is 1-homogeneous, so its solutions form
+    the ray through c; the returned profile is c * t / sum Phi_i^2, the point
+    one step from the all-ones start (for n = 1 the closed form
+    t / (Phi sqrt(2 log(1+r)))).
 
     The integer assignment is the best of the 2^n floor/ceil neighbors of the
-    fractional profile under the exact objective, each clamped to [1, k_max].
+    fractional profile under the exact objective, each clamped to [1, k_max]:
+    the best point of the front over those neighbors, ties to the smaller
+    vector.
     """
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = len(variables)
     phis2 = np.array([phi(v) ** 2 for v in variables])
     c = np.sqrt(phis2) / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
-
-    k = np.ones(n)
-    prev_delta = None
-    converged = False
-    for _ in range(max_iter):
-        new = c * (t / float(np.sum(phis2 / k)))
-        delta = new - k
-        if prev_delta is not None and np.all(delta * prev_delta < 0.0):
-            new = 0.5 * (k + new)  # damp a sign-alternating update
-            delta = new - k
-        scale = float(np.sum(new)) / float(np.sum(k))
-        rel = float(np.max(np.abs(new / (k * scale) - 1.0)))
-        k, prev_delta = new, delta
-        if rel < tol:
-            converged = True
-            break
-    if not converged:
-        raise IterationError("relaxation profile did not settle", tuple(k))
-
     fractional = tuple(float(x) for x in c * (t / float(np.sum(phis2))))
 
     options = []
@@ -251,18 +210,10 @@ def optimize_relaxed(
         lo = min(max(1, math.floor(f)), k_max)
         hi = min(max(1, math.ceil(f)), k_max)
         options.append((lo,) if lo == hi else (lo, hi))
-    count = 1
-    for opt in options:
-        count *= len(opt)
+    count = math.prod(len(opt) for opt in options)
     if count > ENUMERATION_GUARD:
         raise SizeGuardError(f"{count} lattice neighbors exceed {ENUMERATION_GUARD}")
-    best_ks: tuple[int, ...] | None = None
-    best_obj = math.inf
-    for ks in itertools.product(*options):
-        obj = _log_bound(variables, ks, t)
-        if obj < best_obj:
-            best_ks, best_obj = ks, obj
-    return RelaxedSolution(fractional, KSelection(best_ks, best_obj))
+    return RelaxedSolution(fractional, _front(variables, options).best(t))
 
 
 def best_region_partition(
@@ -271,37 +222,31 @@ def best_region_partition(
     t_max: float,
     grid: int,
     k_max: int = 8,
-    boundary_tol: float = 1e-4,
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     """Partition [t_min, t_max] into intervals sharing one optimal k-vector.
 
-    Evaluates the exact optimum on a uniform grid, merges equal neighbors and
-    refines each regime boundary by bisection to ``boundary_tol``.  Returns
-    (t_start, t_end, ks) triples covering the whole range.
+    Evaluates the exact optimum on a uniform grid, which decides the regimes
+    found, and merges equal neighbors.  The edge between neighboring regimes
+    is where their objectives L - t^2/(4R) are equal,
+    t = sqrt(4 (L1 - L2) / (1/R1 - 1/R2)).  Returns (t_start, t_end, ks)
+    triples covering the whole range.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     front = pareto_front(variables, k_max)
-    ts = np.linspace(t_min, t_max, grid)
-    assignments = [front.best(float(t)).ks for t in ts]
+    index = {ks: i for i, ks in enumerate(front.ks)}
+    winners = [index[front.best(float(t)).ks] for t in np.linspace(t_min, t_max, grid)]
+    big_l, big_r = front.L, front.R
 
     regions: list[tuple[float, float, tuple[int, ...]]] = []
     start = t_min
-    for i in range(1, grid):
-        if assignments[i] == assignments[i - 1]:
+    for i, j in zip(winners, winners[1:]):
+        if i == j:
             continue
-        lo, hi = float(ts[i - 1]), float(ts[i])
-        left = assignments[i - 1]
-        while hi - lo > boundary_tol:
-            mid = 0.5 * (lo + hi)
-            if front.best(mid).ks == left:
-                lo = mid
-            else:
-                hi = mid
-        boundary = 0.5 * (lo + hi)
-        regions.append((start, boundary, left))
-        start = boundary
-    regions.append((start, t_max, assignments[-1]))
+        edge = math.sqrt(4.0 * (big_l[i] - big_l[j]) / (1.0 / big_r[i] - 1.0 / big_r[j]))
+        regions.append((start, edge, front.ks[i]))
+        start = edge
+    regions.append((start, t_max, front.ks[winners[-1]]))
     return regions

@@ -270,7 +270,7 @@ def test_criterion_10_monte_carlo_soundness():
             reach = sum(v.b for v in measured)
             for frac in (0.35, 0.65):
                 t = frac * reach
-                estimate, se = mc_sum_tail(pmfs, t, 10 ** 6, seed=trial)
+                estimate, se = mc_sum_tail(pmfs, [t], 10 ** 6, seed=trial)[0]
                 candidates = [(CLASSIC,) * n, (HERTZ,) * n]
                 candidates += [tuple(order_k(k) for _ in range(n)) for k in (2, 3)]
                 candidates.append(

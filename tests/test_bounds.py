@@ -50,6 +50,17 @@ class TestSupport:
     def test_accepts_moments_at_cap(self):
         BoundedSupport(-5, 1, m2=5.0, m4=105.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        for kwargs in (
+            dict(a=bad, b=1.0),
+            dict(a=-1.0, b=bad),
+            dict(a=-1.0, b=1.0, m2=bad),
+            dict(a=-1.0, b=1.0, m4=bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                BoundedSupport(**kwargs)
+
 
 class TestPhi:
     def test_symmetric_interval(self):
@@ -170,6 +181,10 @@ class TestMgfBound:
         bound = mgf_bound(s, SYMMETRIC_ORDER4)
         assert bound.log_multiplier == pytest.approx(math.log(8), rel=1e-12)
         assert bound.rate == pytest.approx(1 / 8, rel=1e-12)
+
+    def test_rejects_nan_log_multiplier(self):
+        with pytest.raises(ValueError, match="log multiplier"):
+            MgfBound(math.nan, 1.0, HERTZ)
 
     def test_order_k_equals_hertz_at_k1(self):
         s = BoundedSupport(-3, 2)

@@ -159,6 +159,9 @@ class TestTail:
             for flag in ("--seed", "--samples"):
                 with pytest.raises(SystemExit):
                     main([command, scenario, flag, "1"])
+        for command in ("tail", "verify", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, scenario, "--threads", "1"])
 
     def test_missing_t_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_t.json"
@@ -167,6 +170,55 @@ class TestTail:
         )
         code, _, err = run_cli(["tail", str(path)], capsys)
         assert code == 2
+
+
+def exit_code(argv) -> int:
+    """main's exit code, including argparse's exit on a bad option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNonFiniteInput:
+    def test_scenario_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            json.dumps({"format_version": 1, "variables": [{"a": -math.inf, "b": 1}]})
+        )
+        assert "-Infinity" in path.read_text()
+        assert exit_code(["tail", str(path), "--t", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_support_option_exits_2(self, capsys):
+        assert exit_code(["bound", "--a=-1", "--b", "inf", "--compare", "--s", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_infinite_t_exits_2(self, fixtures_dir, capsys):
+        scenario = str(fixtures_dir / "example1.json")
+        assert exit_code(["tail", scenario, "--t", "inf"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_infinite_s_exits_2(self, capsys):
+        argv = ["bound", "--a", "-1", "--b", "1", "--family", "hertz", "--s", "inf"]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["nan", "1e400"])
+    def test_every_float_option_is_finite(self, fixtures_dir, text):
+        scenario = str(fixtures_dir / "example1.json")
+        for argv in (
+            ["bound", "--a", text, "--b", "1", "--compare", "--s", "1"],
+            ["bound", "--a", "-1", "--b", "1", "--m2", text, "--compare", "--s", "1"],
+            ["bound", "--a", "-1", "--b", "1", "--m4", text, "--compare", "--s", "1"],
+            ["tail", scenario, "--t-range", "0.5", text, "4"],
+            ["select", scenario, "--t", text],
+            ["verify", "--random", "--a", text, "--b", "1"],
+            ["verify", "--random", "--a", "-1", "--b", text],
+            ["verify", "--random", "--poison-rate", text],
+            ["sweep", scenario, "--t-range", text, "2", "4", "--group", "1"],
+        ):
+            assert exit_code(argv) == 2, argv
 
 
 class TestSelect:

@@ -162,29 +162,35 @@ class TestMomentMatchedPmf:
 class TestMcSumTail:
     def test_sure_events(self):
         pmf = FinitePmf((-1.0, 1.0), (0.5, 0.5), S11)
-        below, _ = mc_sum_tail([pmf], -2.0, 1000, seed=0)
-        above, _ = mc_sum_tail([pmf], 2.5, 1000, seed=0)
+        below, _ = mc_sum_tail([pmf], [-2.0], 1000, seed=0)[0]
+        above, _ = mc_sum_tail([pmf], [2.5], 1000, seed=0)[0]
         assert below == 1.0
         assert above == 0.0
 
     def test_deterministic_in_seed(self):
         pmf = random_mean_zero_pmf(S51, 4, seed=9)
-        assert mc_sum_tail([pmf], 0.3, 5000, seed=7) == mc_sum_tail(
-            [pmf], 0.3, 5000, seed=7
-        )
+        assert mc_sum_tail([pmf], [0.3], 5000, seed=7)[0] == mc_sum_tail(
+            [pmf], [0.3], 5000, seed=7
+        )[0]
+
+    def test_many_thresholds_share_one_draw(self):
+        pmf = random_mean_zero_pmf(S51, 5, seed=3)
+        ts = [-2.0, -0.4, 0.0, 0.3, 1.1, 4.0]
+        many = mc_sum_tail([pmf] * 3, ts, 5000, seed=11)
+        assert many == [mc_sum_tail([pmf] * 3, [t], 5000, seed=11)[0] for t in ts]
 
     def test_matches_exact_binomial_tail(self):
         # sum of 8 fair +-1 coins: P(S >= 3) = P(heads >= 6) = 37/256
         pmf = FinitePmf((-1.0, 1.0), (0.5, 0.5), S11)
         exact = sum(math.comb(8, h) for h in range(6, 9)) / 2 ** 8
         for seed in range(3):
-            estimate, se = mc_sum_tail([pmf] * 8, 3.0, 10 ** 5, seed=seed)
+            estimate, se = mc_sum_tail([pmf] * 8, [3.0], 10 ** 5, seed=seed)[0]
             assert abs(estimate - exact) <= 4.0 * se
 
     def test_rejects_tiny_sample_counts(self):
         pmf = FinitePmf((-1.0, 1.0), (0.5, 0.5), S11)
         with pytest.raises(ValueError):
-            mc_sum_tail([pmf], 0.5, 999, seed=0)
+            mc_sum_tail([pmf], [0.5], 999, seed=0)
 
 
 def test_four_variable_instantiation_respects_group_one_certificate():
@@ -198,7 +204,7 @@ def test_four_variable_instantiation_respects_group_one_certificate():
     )
     pmfs = [moment_matched_pmf(v, seed=i) for i, v in enumerate(variables)]
     assert moments(pmfs[1], 2) == pytest.approx(5.0, rel=1e-12)
-    estimate, se = mc_sum_tail(pmfs, 6.0, 10 ** 5, seed=0)
+    estimate, se = mc_sum_tail(pmfs, [6.0], 10 ** 5, seed=0)[0]
     assert estimate <= math.exp(-0.45) + 3.0 * se
 
 

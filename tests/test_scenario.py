@@ -109,6 +109,15 @@ class TestStrictSchema:
         with pytest.raises(ScenarioError, match="positive"):
             parse_scenario(minimal(query={"t": [-1.0]}))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number(self, bad):
+        for doc in (
+            minimal(variables=[{"a": bad, "b": 1}]),
+            minimal(query={"t": [bad]}),
+        ):
+            with pytest.raises(ScenarioError, match="finite"):
+                parse_scenario(doc)
+
     def test_boolean_is_not_a_number(self):
         doc = minimal(variables=[{"a": True, "b": 1}])
         with pytest.raises(ScenarioError):

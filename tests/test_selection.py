@@ -64,6 +64,26 @@ def brute_force_exact(variables, t, k_max):
     return lattice_minimum(lattice_totals(variables, k_max), t)
 
 
+def floor_ceil_rows(variables, fractional, k_max):
+    """(ks, L, R) of every clamped floor/ceil neighbor of a profile.
+
+    Neighbors come in product order, the lexicographic one, and their sums
+    run in variable order, as the reference rounding always did.
+    """
+    options = []
+    for f in fractional:
+        lo = min(max(1, math.floor(f)), k_max)
+        hi = min(max(1, math.ceil(f)), k_max)
+        options.append((lo,) if lo == hi else (lo, hi))
+    for ks in itertools.product(*options):
+        log_mult = 0.0
+        rate = 0.0
+        for support, k in zip(variables, ks):
+            log_mult += multiplier_log(support, k)
+            rate += phi(support) ** 2 / (2.0 * k)
+        yield ks, log_mult, rate
+
+
 # Small pools of supports: drawing every variable from one makes identical
 # variables, whose permuted order vectors tie, exactly or up to rounding.
 POOLS = (
@@ -377,6 +397,40 @@ class TestOptimizeRelaxed:
         with pytest.raises(ValueError):
             optimize_relaxed((S11,), -0.5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_floor_ceil_product(self, n):
+        # The two best neighbors at a random t tie exactly at some float near
+        # their closed-form crossing, so the floats around it are scanned too:
+        # at a tie the rounding must pick the product loop's (first) vector.
+        rng = np.random.default_rng(100 + n)
+        ties = 0
+        for trial in range(300):
+            pool = POOLS[trial % len(POOLS)]
+            variables = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+            k_max = int(rng.choice([2, 4, 8]))
+            t0 = float(rng.uniform(0.3, 20.0))
+            profile = optimize_relaxed(variables, t0, k_max).fractional
+            rows = sorted(
+                floor_ceil_rows(variables, profile, k_max),
+                key=lambda row: row[1] - t0 * t0 / (4.0 * row[2]),
+            )
+            ts = [t0]
+            if len(rows) > 1 and rows[0][2] != rows[1][2]:
+                (_, l1, r1), (_, l2, r2) = rows[:2]
+                tt = 4.0 * (l1 - l2) / (1.0 / r1 - 1.0 / r2)
+                if tt > 0.0:
+                    edge = math.sqrt(tt)
+                    ts += [edge + i * math.ulp(edge) for i in range(-40, 41)]
+            for t in ts:
+                solution = optimize_relaxed(variables, t, k_max)
+                rows = list(floor_ceil_rows(variables, solution.fractional, k_max))
+                want = lattice_minimum(rows, t)
+                assert solution.rounded == want, (variables, t, k_max)
+                objs = [big_l - t * t / (4.0 * big_r) for _, big_l, big_r in rows]
+                ties += objs.count(want.log_bound) > 1
+        if n > 1:  # no one-variable draw puts its tie between floor and ceiling
+            assert ties > 0
+
     def test_rounding_respects_k_max(self):
         # at t = 80 the fractional profile of example 5 reaches k = 9
         solution = optimize_relaxed(EXAMPLE5, 80.0, k_max=2)
@@ -400,6 +454,17 @@ class TestBestRegionPartition:
         ]
         assert regions[0][1] == pytest.approx(5.6647, abs=1e-3)
         assert regions[1][1] == pytest.approx(10.0138, abs=1e-3)
+
+    def test_edges_are_closed_form(self):
+        # neighboring regimes tie where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2)
+        regions = best_region_partition(EXAMPLE5, 0.1, 12.0, 120, k_max=2)
+        first = math.sqrt(math.log(6 / 5) / (1 / 55 - 1 / 80))
+        second = math.sqrt(math.log(6 / 5) / (1 / 50 - 1 / 55))
+        assert regions[0][1] == pytest.approx(first, rel=0, abs=1e-12)
+        assert regions[1][1] == pytest.approx(second, rel=0, abs=1e-12)
+        regions = best_region_partition((S11,), 0.1, 3.0, 60, k_max=3)
+        for (_, edge, _), k in zip(regions, (1, 2)):
+            assert edge == pytest.approx(crossover_threshold(S11, k), rel=0, abs=1e-12)
 
     def test_intervals_tile_the_range(self):
         regions = best_region_partition((S11,), 0.5, 2.5, 30, k_max=3)

@@ -238,5 +238,5 @@ def test_mc_soundness_small():
             for frac in (0.3, 0.6):
                 t = frac * reach
                 cert = one_sided_tail(scenario, t)
-                estimate, se = mc_sum_tail(pmfs, t, 10 ** 4, seed=trial)
+                estimate, se = mc_sum_tail(pmfs, [t], 10 ** 4, seed=trial)[0]
                 assert estimate <= math.exp(min(cert.log_bound, 0.0)) + 3.0 * se
