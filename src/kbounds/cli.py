@@ -8,10 +8,12 @@ Subcommands::
     verify   oracle sweep: exact MGFs and Monte Carlo vs. the certificates
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
-All numeric CSV cells use 12 significant digits and LF line endings, so the
-output is byte-stable for fixed inputs and seed.  Every command runs in one
-thread.  Float options must be finite.  Exit codes: 0 success, 2 input error,
-3 enumeration-size guard, 4 verification failure.
+One-sided certificates and `sweep` curves are ``tails.log_bound`` of
+``tails.totals``; `sweep` crossovers are the closed-form ``selection.regimes``
+edges.  All numeric CSV cells use 12 significant digits and LF line endings,
+so the output is byte-stable for fixed inputs and seed.  Every command runs
+in one thread.  Float options must be finite.  Exit codes: 0 success, 2 input
+error, 3 enumeration-size guard, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -49,13 +51,16 @@ from .selection import (
     optimize_exact,
     optimize_relaxed,
     pareto_front,
+    regimes,
 )
 from .tails import (
     Side,
+    log_bound,
     lower_tail,
     mirror,
     one_sided_tail,
     order_k_scenario,
+    totals,
     two_sided_tail,
 )
 
@@ -164,6 +169,8 @@ def _resolve_query(scenario: Scenario, args) -> Query:
             raise ValueError("--t values must be positive")
     if getattr(args, "t_range", None):
         lo, hi, count = args.t_range
+        if not count.is_integer():
+            raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
         if not 0.0 < lo < hi or int(count) < 2:
             raise ValueError("--t-range needs 0 < MIN < MAX and COUNT >= 2")
         ts, t_range = None, (lo, hi, int(count))
@@ -201,38 +208,21 @@ def cmd_tail(args) -> int:
 
     def row(t: float) -> str:
         if scenario.auto:
-            if query.side is Side.LOWER:
-                ks = select_dn(t)
-                cert = lower_tail(order_k_scenario(variables, ks), t)
-                return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + "|".join(
-                    map(str, ks)
-                )
-            ks_up = select_up(t)
-            up = order_k_scenario(variables, ks_up)
-            if not two_sided:
-                cert = one_sided_tail(up, t)
-                return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + "|".join(
-                    map(str, ks_up)
-                )
-            ks_dn = select_dn(t)
-            cert = two_sided_tail(up, t, tuple(order_k(k) for k in ks_dn))
-            return (
-                f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)},"
-                + "|".join(map(str, ks_up))
-                + ","
-                + "|".join(map(str, ks_dn))
-            )
-        fixed = scenario.sum_scenario()
-        cell = _choice_cell(fixed.choices)
-        if query.side is Side.LOWER:
-            cert = lower_tail(fixed, t)
-        elif two_sided:
-            cert = two_sided_tail(fixed, t)
+            select = select_dn if query.side is Side.LOWER else select_up
+            chosen = order_k_scenario(variables, select(t))
+            mirrored = tuple(order_k(k) for k in select_dn(t)) if two_sided else None
         else:
-            cert = one_sided_tail(fixed, t)
+            chosen, mirrored = scenario.sum_scenario(), None
+        if query.side is Side.UPPER:
+            cert = one_sided_tail(chosen, t)
+        elif query.side is Side.LOWER:
+            cert = lower_tail(chosen, t)
+        else:
+            cert = two_sided_tail(chosen, t, mirrored)
+        cell = _choice_cell(chosen.choices)
         line = f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)},{cell}"
         if two_sided:
-            line += f",{cell}"
+            line += "," + (cell if mirrored is None else _choice_cell(mirrored))
         return line
 
     header = "t,log_bound,s_star,ks" + (",ks_mirror" if two_sided else "")
@@ -293,10 +283,10 @@ def _sweep_one_pmf(pmf: FinitePmf, k_max: int, poison: float):
     return gaps
 
 
-def _verify_pmfs(args) -> tuple[list[FinitePmf], Scenario | None]:
-    rng = np.random.default_rng(args.seed)
+def _verify_pmfs(args, scenario: Scenario | None, seed: int) -> list[FinitePmf]:
+    rng = np.random.default_rng(seed)
     pmfs: list[FinitePmf] = []
-    if args.random:
+    if scenario is None:
         if (args.a is None) != (args.b is None):
             raise ValueError("give both --a and --b, or neither")
         if args.a is not None:
@@ -310,17 +300,21 @@ def _verify_pmfs(args) -> tuple[list[FinitePmf], Scenario | None]:
                 pmfs.append(
                     random_mean_zero_pmf(support, atoms, int(rng.integers(2 ** 63)))
                 )
-        return pmfs, None
-    scenario = load_scenario(args.scenario)
+        return pmfs
     for i, support in enumerate(scenario.variables):
-        pmfs.append(moment_matched_pmf(support, seed=args.seed + i))
-    return pmfs, scenario
+        pmfs.append(moment_matched_pmf(support, seed=seed + i))
+    return pmfs
 
 
 def cmd_verify(args) -> int:
     if args.random == (args.scenario is not None):
         raise ValueError("give a scenario file or --random (not both)")
-    pmfs, scenario = _verify_pmfs(args)
+    scenario = None if args.random else load_scenario(args.scenario)
+    # given flags win over the scenario's query, whose defaults are 0 and 10^6
+    query = Query() if scenario is None else scenario.query
+    seed = query.seed if args.seed is None else args.seed
+    samples = query.samples if args.samples is None else args.samples
+    pmfs = _verify_pmfs(args, scenario, seed)
 
     max_gap: dict[str, float] = {}
     for pmf in pmfs:
@@ -349,10 +343,11 @@ def cmd_verify(args) -> int:
         if len(ts) > 8:
             idx = np.linspace(0, len(ts) - 1, 8).astype(int)
             ts = tuple(ts[i] for i in idx)
-    front = None
-    if args.k_max ** len(group) <= 10 ** 5:
+    try:
         front = pareto_front(variables, args.k_max)
-    tail_estimates = mc_sum_tail(group, ts, args.samples, args.seed)
+    except SizeGuardError:
+        front = None  # too many variables: check the two uniform vectors only
+    tail_estimates = mc_sum_tail(group, ts, samples, seed)
     for t, (estimate, se) in zip(ts, tail_estimates):
         candidates = [(1,) * len(group), (2,) * len(group)]
         if front is not None:
@@ -387,11 +382,7 @@ def _parse_group(text: str, n: int) -> tuple[int, ...]:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
-    if query.t_range is not None:
-        lo, hi, count = query.t_range
-        ts = np.linspace(lo, hi, count)
-    else:
-        ts = np.asarray(query.resolve_ts())
+    ts = np.asarray(query.resolve_ts())
     variables = scenario.variables
     if args.group:
         groups = [_parse_group(g, len(variables)) for g in args.group]
@@ -401,31 +392,17 @@ def cmd_sweep(args) -> int:
     else:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 
-    curves = [[one_sided_tail(s, float(t)).log_bound for t in ts] for s in scenarios]
+    big_l, big_r = np.array([totals(s) for s in scenarios]).T
+    curves = log_bound(big_l[:, None], big_r[:, None], ts)
     names = [f"group{i + 1}" for i in range(len(scenarios))]
     lines = ["t," + ",".join(names)]
-    for j, t in enumerate(ts):
-        lines.append(g12(float(t)) + "," + ",".join(g12(c[j]) for c in curves))
+    for t, column in zip(ts.tolist(), curves.T.tolist()):
+        lines.append(g12(t) + "," + ",".join(g12(c) for c in column))
 
-    # crossovers of the lower envelope, refined by bisection
-    def winner(t: float) -> int:
-        values = [one_sided_tail(s, t).log_bound for s in scenarios]
-        return min(range(len(values)), key=lambda i: (values[i], i))
-
-    for j in range(1, len(ts)):
-        before, after = winner(float(ts[j - 1])), winner(float(ts[j]))
-        if before == after:
-            continue
-        lo, hi = float(ts[j - 1]), float(ts[j])
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if winner(mid) == before:
-                lo = mid
-            else:
-                hi = mid
-        lines.append(
-            f"crossover,{names[before]}->{names[after]},{g12(0.5 * (lo + hi))}"
-        )
+    # crossovers of the lower envelope: the closed-form edges between winners
+    runs = regimes(big_l, big_r, ts)
+    for (_, edge, before), (_, _, after) in zip(runs, runs[1:]):
+        lines.append(f"crossover,{names[before]}->{names[after]},{g12(edge)}")
     _emit(args, lines)
     return 0
 
@@ -481,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", type=finite_float)
     p_verify.add_argument("--pmfs", type=int, default=1000,
                           help="random pmfs per support")
-    p_verify.add_argument("--samples", type=int, default=10 ** 6)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int, help="default: query.samples, else 10^6")
+    p_verify.add_argument("--seed", type=int, help="default: query.seed, else 0")
     p_verify.add_argument("--poison-rate", type=finite_float, default=1.0,
                           help=argparse.SUPPRESS)  # negative-control test hook
     add_common(p_verify)

@@ -7,14 +7,15 @@ and buys a smaller rate, so it wins exactly for thresholds above
 
 For a sum the orders couple through the shared exponent t^2 / (2 sum Phi_i^2/k_i),
 so the per-variable rule is only a heuristic.  The sum objective is
-L - t^2/(4R) with L = sum log A_{k_i} and R = sum Phi_i^2/(2 k_i), and neither
+``tails.log_bound``, L - t^2/(4R) with L = sum log A_{k_i} and
+R = sum Phi_i^2/(2 k_i) taken from ``bounds.mgf_bound``, and neither
 L nor R depends on t, so the exact optimum at every t lies on the (L, R)
 Pareto front of {1..k_max}^n.  The front is built once, one variable at a time
 (the Nemhauser-Ullmann method for multi-objective knapsack), and each t is a
 minimum over its few points.  A continuous relaxation gives the cheap
 near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
 rounded by a front over each variable's floor and ceiling.  Two vectors tie
-where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2), which places every regime edge.
+where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2), which places every ``regimes`` edge.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundedSupport, endpoint_ratio, multiplier_log, phi
+from .bounds import BoundedSupport, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
+from .tails import log_bound
 
 # Hard ceiling on the number of assignments any lattice search may visit.
 ENUMERATION_GUARD = 10 ** 7
@@ -111,7 +113,7 @@ class ParetoFront:
         """Minimum over the front at t; exact ties go to the smaller vector."""
         if not t > 0.0:
             raise ValueError("threshold t must be positive")
-        obj = self.L - t * t / (4.0 * self.R)
+        obj = log_bound(self.L, self.R, t)
         i = int(np.argmin(obj))  # first minimum: the lexicographically smallest
         return KSelection(self.ks[i], float(obj[i]))
 
@@ -145,8 +147,7 @@ def _front(variables, orders) -> ParetoFront:
     """The front of the product of ``orders[i]``, each list ascending."""
     states = [((), 0.0, 0.0)]  # (ks prefix, L, R) in lexicographic order
     for support, ks_i in zip(variables, orders):
-        phi2 = phi(support) ** 2
-        steps = [(k, multiplier_log(support, k), phi2 / (2.0 * k)) for k in ks_i]
+        steps = [(k, mgf_bound(support, order_k(k))) for k in ks_i]
         kept = []
         # A staircase of kept (L, R), L non-decreasing and R falling, that
         # dominates every kept state: a candidate (l, r) is dominated iff the
@@ -154,8 +155,8 @@ def _front(variables, orders) -> ParetoFront:
         stair_l: list[float] = []
         stair_r: list[float] = []
         for ks, l0, r0 in states:
-            for k, log_mult, rate in steps:
-                l, r = l0 + log_mult, r0 + rate
+            for k, bound in steps:
+                l, r = l0 + bound.log_multiplier, r0 + bound.rate
                 i = bisect.bisect_right(stair_l, l)
                 if i and stair_r[i - 1] <= r:
                     continue
@@ -216,6 +217,28 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
     return RelaxedSolution(fractional, _front(variables, options).best(t))
 
 
+def regimes(L, R, ts) -> list[tuple[float, float, int]]:
+    """(t_start, t_end, i) runs of the candidate i minimizing L[i] - t^2/(4 R[i]).
+
+    ``L``, ``R`` and the ascending grid ``ts`` are numpy arrays.  The winner at
+    each grid point is the first minimum (ties to the smaller index), so the
+    grid decides which runs are found; the edge between neighboring winners
+    i and j is their tie, t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)).
+    """
+    # one t at a time keeps memory at one row of candidates, however large
+    winners = [int(np.argmin(log_bound(L, R, t))) for t in ts.tolist()]
+    runs: list[tuple[float, float, int]] = []
+    start = float(ts[0])
+    for i, j in zip(winners, winners[1:]):
+        if i == j:
+            continue
+        edge = math.sqrt(4.0 * (L[i] - L[j]) / (1.0 / R[i] - 1.0 / R[j]))
+        runs.append((start, edge, i))
+        start = edge
+    runs.append((start, float(ts[-1]), winners[-1]))
+    return runs
+
+
 def best_region_partition(
     variables,
     t_min: float,
@@ -225,28 +248,15 @@ def best_region_partition(
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     """Partition [t_min, t_max] into intervals sharing one optimal k-vector.
 
-    Evaluates the exact optimum on a uniform grid, which decides the regimes
-    found, and merges equal neighbors.  The edge between neighboring regimes
-    is where their objectives L - t^2/(4R) are equal,
-    t = sqrt(4 (L1 - L2) / (1/R1 - 1/R2)).  Returns (t_start, t_end, ks)
-    triples covering the whole range.
+    The ``regimes`` of the exact front on a uniform grid of ``grid`` points:
+    the grid decides which regimes are found, and each edge is the closed-form
+    tie of its two neighbors.  Returns (t_start, t_end, ks) triples covering
+    the whole range.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     front = pareto_front(variables, k_max)
-    index = {ks: i for i, ks in enumerate(front.ks)}
-    winners = [index[front.best(float(t)).ks] for t in np.linspace(t_min, t_max, grid)]
-    big_l, big_r = front.L, front.R
-
-    regions: list[tuple[float, float, tuple[int, ...]]] = []
-    start = t_min
-    for i, j in zip(winners, winners[1:]):
-        if i == j:
-            continue
-        edge = math.sqrt(4.0 * (big_l[i] - big_l[j]) / (1.0 / big_r[i] - 1.0 / big_r[j]))
-        regions.append((start, edge, front.ks[i]))
-        start = edge
-    regions.append((start, t_max, front.ks[winners[-1]]))
-    return regions
+    ts = np.linspace(t_min, t_max, grid)
+    return [(lo, hi, front.ks[i]) for lo, hi, i in regimes(front.L, front.R, ts)]

@@ -6,6 +6,8 @@ combined bound  L + R s^2 - s t  is s* = t / (2R), giving
 
     log P(S_n >= t) <= L - t^2 / (4R).
 
+``totals`` forms (L, R) and ``log_bound`` is that exponent, for every caller.
+
 Mirroring the supports (X -> -X) expresses the lower tail; the two-sided
 certificate is the log-sum-exp of the two one-sided ones and may use
 different per-variable orders on each side.
@@ -92,7 +94,7 @@ def mirror_scenario(
     return SumScenario(mirrored, choices if choices is not None else scenario.choices)
 
 
-def _totals(scenario: SumScenario) -> tuple[float, float]:
+def totals(scenario: SumScenario) -> tuple[float, float]:
     """Combined (log multiplier L, rate R) of the per-variable bounds."""
     log_mult = 0.0
     rate = 0.0
@@ -103,19 +105,24 @@ def _totals(scenario: SumScenario) -> tuple[float, float]:
     return log_mult, rate
 
 
+def log_bound(L, R, t):
+    """The optimized exponent L - t^2/(4R), elementwise on floats or arrays."""
+    return L - t * t / (4.0 * R)
+
+
 def _one_sided(scenario: SumScenario, t: float, side: Side) -> TailCertificate:
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
-    log_mult, rate = _totals(scenario)
-    log_bound = log_mult - t * t / (4.0 * rate)
+    log_mult, rate = totals(scenario)
+    value = log_bound(log_mult, rate, t)
     s_star = t / (2.0 * rate)
     reach = sum(v.b for v in scenario.variables)
     return TailCertificate(
         t=t,
-        log_bound=log_bound,
+        log_bound=value,
         s_star=s_star,
         side=side,
-        vacuous=log_bound > 0.0,
+        vacuous=value > 0.0,
         beyond_support=t > reach,
     )
 
@@ -170,7 +177,7 @@ def chernoff_curve(scenario: SumScenario, t: float, s: float) -> float:
     """The pre-optimization exponent L + R s^2 - s t; minimized at s* = t/(2R)."""
     if not s > 0.0:
         raise ValueError("s must be positive")
-    log_mult, rate = _totals(scenario)
+    log_mult, rate = totals(scenario)
     return log_mult + rate * s * s - s * t
 
 
@@ -179,11 +186,13 @@ __all__ = [
     "SumScenario",
     "TailCertificate",
     "chernoff_curve",
+    "log_bound",
     "lower_tail",
     "mean_tail",
     "mirror",
     "mirror_scenario",
     "one_sided_tail",
     "order_k_scenario",
+    "totals",
     "two_sided_tail",
 ]

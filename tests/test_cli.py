@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kbounds.cli import main
+from kbounds.cli import g12, main
+from kbounds.scenario import load_scenario
+from kbounds.tails import one_sided_tail, order_k_scenario
 
 
 def run_cli(argv, capsys):
@@ -162,6 +165,13 @@ class TestTail:
         for command in ("tail", "verify", "sweep"):
             with pytest.raises(SystemExit):
                 main([command, scenario, "--threads", "1"])
+
+    def test_fractional_range_count_exits_2(self, fixtures_dir, capsys):
+        scenario = str(fixtures_dir / "example1.json")
+        code, out, err = run_cli(["tail", scenario, "--t-range", "0.5", "2", "4.7"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
 
     def test_missing_t_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_t.json"
@@ -321,13 +331,134 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("verdict,ok")
 
+    def test_scenario_query_sets_seed_and_samples(self, fixtures_dir, tmp_path, capsys):
+        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        doc["query"] = {"t": [4.0, 8.0], "seed": 3, "samples": 5000}
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(doc))
+        _, from_query, _ = run_cli(["verify", str(path)], capsys)
+        _, from_flags, _ = run_cli(
+            ["verify", str(path), "--seed", "3", "--samples", "5000"], capsys
+        )
+        assert from_query == from_flags
+        # given flags still win over the query
+        _, overridden, _ = run_cli(
+            ["verify", str(path), "--seed", "4", "--samples", "2000"], capsys
+        )
+        del doc["query"]["seed"], doc["query"]["samples"]
+        path.write_text(json.dumps(doc))
+        _, defaulted, _ = run_cli(
+            ["verify", str(path), "--seed", "4", "--samples", "2000"], capsys
+        )
+        assert overridden == defaulted != from_query
+
+    def test_checks_the_vector_tail_prints(self, fixtures_dir, tmp_path, capsys):
+        # 8^6 lattice vectors: above the old 10^5 limit, inside the shared guard
+        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        doc["variables"] += [{"a": -1, "b": 1}] * 2
+        doc["query"] = {"t": 9}
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["tail", str(path)], capsys)
+        assert code == 0
+        ks = rows(out)[1][3]
+        assert ks == "1|2|1|1|1|1"
+        code, out, _ = run_cli(["verify", str(path), "--samples", "5000"], capsys)
+        assert code == 0
+        assert ks in [row[2] for row in rows(out) if row[0] == "mc"]
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
 
 
+def bisection_crossovers(scenarios, ts):
+    """The earlier sweep's crossovers: grid winners, refined by bisection.
+
+    Kept as the reference for the closed-form edges, with its 1e-6 tolerance.
+    """
+
+    def winner(t):
+        values = [one_sided_tail(s, t).log_bound for s in scenarios]
+        return min(range(len(values)), key=lambda i: (values[i], i))
+
+    found = []
+    for lo, hi in zip(ts, ts[1:]):
+        before, after = winner(lo), winner(hi)
+        if before == after:
+            continue
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if winner(mid) == before:
+                lo = mid
+            else:
+                hi = mid
+        found.append((f"group{before + 1}->group{after + 1}", 0.5 * (lo + hi)))
+    return found
+
+
 class TestSweep:
     GROUPS = ["--group", "1,1,1,1", "--group", "1,2,1,1", "--group", "1,2,1,2"]
+    # a duplicate group ties with its first copy everywhere
+    TIED = ["1,2,1,1", "1,1,1,1", "1,2,1,1", "2,2,2,2", "1,2,1,2", "1,3,1,3"]
+
+    @pytest.mark.parametrize(
+        "groups, t_range",
+        [
+            (GROUPS[1::2], ("0.1", "12", "400")),
+            (TIED, ("0.3", "40", "157")),
+            (TIED[::-1], ("0.05", "25", "1000")),
+        ],
+    )
+    def test_matches_bisection_reference(self, fixtures_dir, capsys, groups, t_range):
+        path = fixtures_dir / "example5.json"
+        argv = ["sweep", str(path), "--t-range", *t_range]
+        for group in groups:
+            argv += ["--group", group]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        variables = load_scenario(path).variables
+        scenarios = [
+            order_k_scenario(variables, [int(k) for k in g.split(",")]) for g in groups
+        ]
+        lo, hi, count = t_range
+        ts = np.linspace(float(lo), float(hi), int(count)).tolist()
+        table = rows(out)
+        body = table[1 : 1 + len(ts)]
+        assert [float(r[0]) for r in body] == [float(g12(t)) for t in ts]
+        for record, t in zip(body, ts):
+            assert record[1:] == [g12(one_sided_tail(s, t).log_bound) for s in scenarios]
+        crossings = table[1 + len(ts) :]
+        want = bisection_crossovers(scenarios, ts)
+        assert [r[1] for r in crossings] == [label for label, _ in want]
+        assert all(r[0] == "crossover" for r in crossings)
+        for record, (_, t_cross) in zip(crossings, want):
+            assert float(record[2]) == pytest.approx(t_cross, rel=0, abs=1e-6)
+        assert len(want) >= 2
+
+    def test_crossings_do_not_depend_on_the_grid(self, fixtures_dir, capsys):
+        scenario = str(fixtures_dir / "example5.json")
+        outs = []
+        for count in ("400", "1000"):
+            _, out, _ = run_cli(
+                ["sweep", scenario, "--t-range", "0.1", "12", count, *self.GROUPS],
+                capsys,
+            )
+            outs.append([r for r in rows(out) if r[0] == "crossover"])
+        assert outs[0] == outs[1]
+        # the closed forms, to the CSV's 12 significant digits
+        first = math.sqrt(math.log(6 / 5) / (1 / 55 - 1 / 80))
+        second = math.sqrt(math.log(6 / 5) / (1 / 50 - 1 / 55))
+        assert [r[2] for r in outs[0]] == [g12(first), g12(second)]
+
+    def test_fractional_range_count_exits_2(self, fixtures_dir, capsys):
+        scenario = str(fixtures_dir / "example5.json")
+        code, out, err = run_cli(
+            ["sweep", scenario, "--t-range", "0.1", "12", "40.5", *self.GROUPS], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
 
     def test_figure_reproduction(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example5.json")

@@ -7,12 +7,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -27,3 +27,9 @@ def test_reproduce_examples_edges_match_closed_form():
     closed = re.search(r"closed-form curve crossings: ([\d.]+), ([\d.]+)", result.stdout)
     assert closed is not None
     assert edges == list(closed.groups())
+
+
+def test_soundness_sweep_is_clean():
+    result = run_script("soundness_sweep.py", "--pmfs", "20", "--samples", "1000")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "verdict,ok"

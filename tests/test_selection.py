@@ -18,8 +18,9 @@ from kbounds.selection import (
     optimize_exact,
     optimize_relaxed,
     pareto_front,
+    regimes,
 )
-from kbounds.tails import one_sided_tail, order_k_scenario
+from kbounds.tails import log_bound, one_sided_tail, order_k_scenario
 
 S11 = BoundedSupport(-1, 1)
 S15 = BoundedSupport(-1, 5)
@@ -436,6 +437,51 @@ class TestOptimizeRelaxed:
         solution = optimize_relaxed(EXAMPLE5, 80.0, k_max=2)
         assert max(solution.fractional) > 2
         assert max(solution.rounded.ks) <= 2
+
+
+class TestRegimes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_winners_match_front_best(self, n):
+        # Pooled supports give vectors whose (L, R) differ by rounding only,
+        # and the floats around each closed-form edge hold exact ties there:
+        # every grid winner must be front.best's, ties to the smaller index.
+        rng = np.random.default_rng(200 + n)
+        ties = 0
+        for pool in POOLS:
+            variables = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+            front = pareto_front(variables, 5)
+            grid = np.linspace(0.05, 2.0 * sum(v.b for v in variables), 200)
+            edges = [hi for _, hi, _ in regimes(front.L, front.R, grid)[:-1]]
+            ts = np.array(sorted(
+                set(grid.tolist())
+                | {e + i * math.ulp(e) for e in edges for i in range(-40, 41)}
+            ))
+            want = [front.ks.index(front.best(float(t)).ks) for t in ts]
+            runs = regimes(front.L, front.R, ts)
+            assert [i for _, _, i in runs] == [
+                w for j, w in enumerate(want) if j == 0 or w != want[j - 1]
+            ]
+            assert runs[0][0] == ts[0] and runs[-1][1] == ts[-1]
+            last = [j for j in range(len(ts) - 1) if want[j] != want[j + 1]]
+            for (_, edge, _), j in zip(runs, last):
+                slack = 1e-12 * edge
+                assert ts[j] - slack <= edge <= ts[j + 1] + slack
+            for t in ts:
+                objs = log_bound(front.L, front.R, t)
+                ties += int(np.count_nonzero(objs == objs.min())) > 1
+        if n > 1:
+            assert ties > 0
+
+    def test_edges_are_closed_form(self):
+        # the example 5 sweep groups 1|1|1|1, 1|2|1|1 and 1|2|1|2
+        big_l = np.array([0.0, math.log(6 / 5), 2 * math.log(6 / 5)])
+        big_r = np.array([20.0, 13.75, 12.5])
+        runs = regimes(big_l, big_r, np.linspace(0.1, 12.0, 400))
+        assert [i for _, _, i in runs] == [0, 1, 2]
+        first = math.sqrt(math.log(6 / 5) / (1 / 55 - 1 / 80))
+        second = math.sqrt(math.log(6 / 5) / (1 / 50 - 1 / 55))
+        assert runs[0][1] == pytest.approx(first, rel=0, abs=1e-12)
+        assert runs[1][1] == pytest.approx(second, rel=0, abs=1e-12)
 
 
 class TestBestRegionPartition:
