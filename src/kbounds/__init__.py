@@ -36,7 +36,6 @@ from .selection import (
     KSelection,
     ParetoFront,
     RelaxedSolution,
-    SizeGuardError,
     best_k_single,
     best_region_partition,
     crossover_table,

@@ -13,7 +13,7 @@ One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 edges.  All numeric CSV cells use 12 significant digits and LF line endings,
 so the output is byte-stable for fixed inputs and seed.  Every command runs
 in one thread.  Float options must be finite.  Exit codes: 0 success, 2 input
-error, 3 enumeration-size guard, 4 verification failure.
+error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -45,14 +45,7 @@ from .oracle import (
     validity_gap,
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario
-from .selection import (
-    SizeGuardError,
-    crossover_threshold,
-    optimize_exact,
-    optimize_relaxed,
-    pareto_front,
-    regimes,
-)
+from .selection import crossover_threshold, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
     log_bound,
@@ -184,14 +177,6 @@ def _choice_cell(tags) -> str:
     return "|".join(str(t.k) if t.family is Family.ORDER_K else t.label() for t in tags)
 
 
-def _selector(variables, args):
-    """Per-t order choice for an auto scenario; the exact front is built once."""
-    if args.relaxed:
-        return lambda t: optimize_relaxed(variables, t, args.k_max).rounded.ks
-    front = pareto_front(variables, args.k_max)
-    return lambda t: front.best(t).ks
-
-
 def cmd_tail(args) -> int:
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
@@ -199,18 +184,21 @@ def cmd_tail(args) -> int:
     variables = scenario.variables
     two_sided = query.side is Side.TWO_SIDED
     if scenario.auto:
+        k_max = 8 if args.k_max is None else args.k_max
         # the lower tail is the upper tail of the mirrored supports, so the
         # lower side selects on those
         if query.side is not Side.LOWER:
-            select_up = _selector(variables, args)
+            best_up = pareto_front(variables, k_max).best
         if query.side is not Side.UPPER:
-            select_dn = _selector(tuple(mirror(v) for v in variables), args)
+            best_dn = pareto_front(tuple(mirror(v) for v in variables), k_max).best
+    elif args.k_max is not None:
+        raise ValueError('--k-max applies only to "choices": "auto" scenarios')
 
     def row(t: float) -> str:
         if scenario.auto:
-            select = select_dn if query.side is Side.LOWER else select_up
-            chosen = order_k_scenario(variables, select(t))
-            mirrored = tuple(order_k(k) for k in select_dn(t)) if two_sided else None
+            best = best_dn if query.side is Side.LOWER else best_up
+            chosen = order_k_scenario(variables, best(t).ks)
+            mirrored = tuple(order_k(k) for k in best_dn(t).ks) if two_sided else None
         else:
             chosen, mirrored = scenario.sum_scenario(), None
         if query.side is Side.UPPER:
@@ -283,27 +271,38 @@ def _sweep_one_pmf(pmf: FinitePmf, k_max: int, poison: float):
     return gaps
 
 
-def _verify_pmfs(args, scenario: Scenario | None, seed: int) -> list[FinitePmf]:
+def _verify_pmfs(args, scenario: Scenario | None, seed: int):
+    """The pmfs whose MGF gaps are swept, and the group whose sum is sampled."""
+    if scenario is not None:
+        given = [f"--{flag}" for flag in ("a", "b", "pmfs")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} can only be used with --random")
+        pmfs = [
+            moment_matched_pmf(support, seed=seed + i)
+            for i, support in enumerate(scenario.variables)
+        ]
+        return pmfs, pmfs
+    if (args.a is None) != (args.b is None):
+        raise ValueError("give both --a and --b, or neither")
+    count = 1000 if args.pmfs is None else args.pmfs
+    if count < 0:
+        raise ValueError(f"--pmfs must be >= 0, got {count}")
+    if args.a is not None:
+        supports = [BoundedSupport(args.a, args.b)]
+    else:
+        supports = [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
     rng = np.random.default_rng(seed)
+    group = [extremal_two_point(support) for support in supports]
     pmfs: list[FinitePmf] = []
-    if scenario is None:
-        if (args.a is None) != (args.b is None):
-            raise ValueError("give both --a and --b, or neither")
-        if args.a is not None:
-            supports = [BoundedSupport(args.a, args.b)]
-        else:
-            supports = [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
-        for support in supports:
-            pmfs.append(extremal_two_point(support))
-            for _ in range(args.pmfs):
-                atoms = int(rng.integers(2, 9))
-                pmfs.append(
-                    random_mean_zero_pmf(support, atoms, int(rng.integers(2 ** 63)))
-                )
-        return pmfs
-    for i, support in enumerate(scenario.variables):
-        pmfs.append(moment_matched_pmf(support, seed=seed + i))
-    return pmfs
+    for support, extremal in zip(supports, group):
+        pmfs.append(extremal)
+        for _ in range(count):
+            atoms = int(rng.integers(2, 9))
+            pmfs.append(
+                random_mean_zero_pmf(support, atoms, int(rng.integers(2 ** 63)))
+            )
+    return pmfs, group
 
 
 def cmd_verify(args) -> int:
@@ -314,7 +313,7 @@ def cmd_verify(args) -> int:
     query = Query() if scenario is None else scenario.query
     seed = query.seed if args.seed is None else args.seed
     samples = query.samples if args.samples is None else args.samples
-    pmfs = _verify_pmfs(args, scenario, seed)
+    pmfs, group = _verify_pmfs(args, scenario, seed)
 
     max_gap: dict[str, float] = {}
     for pmf in pmfs:
@@ -329,12 +328,8 @@ def cmd_verify(args) -> int:
         violations += bad
         lines.append(f"{label},{g12(max_gap[label])},{bad}")
 
-    # Monte Carlo side: one pmf per support summed, vs. its certificates.
+    # Monte Carlo side: the group's sum vs. its certificates.
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")
-    if args.random:
-        group = pmfs[:: args.pmfs + 1]  # the extremal pmf of each support
-    else:
-        group = pmfs
     variables = tuple(_measured_support(p) for p in group)
     reach = sum(v.b for v in variables)
     ts = tuple(f * reach for f in (0.25, 0.5, 0.75))
@@ -343,17 +338,13 @@ def cmd_verify(args) -> int:
         if len(ts) > 8:
             idx = np.linspace(0, len(ts) - 1, 8).astype(int)
             ts = tuple(ts[i] for i in idx)
-    try:
-        front = pareto_front(variables, args.k_max)
-    except SizeGuardError:
-        front = None  # too many variables: check the two uniform vectors only
+    front = pareto_front(variables, args.k_max)
     tail_estimates = mc_sum_tail(group, ts, samples, seed)
     for t, (estimate, se) in zip(ts, tail_estimates):
         candidates = [(1,) * len(group), (2,) * len(group)]
-        if front is not None:
-            best = front.best(t).ks
-            if best not in candidates:
-                candidates.append(best)
+        best = front.best(t).ks
+        if best not in candidates:
+            candidates.append(best)
         for ks in candidates:
             cert = one_sided_tail(order_k_scenario(variables, ks), t)
             certificate = math.exp(min(cert.log_bound, 0.0))
@@ -439,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--t", type=finite_float, nargs="+")
     p_tail.add_argument("--t-range", type=finite_float, nargs=3, metavar=("MIN", "MAX", "N"))
     p_tail.add_argument("--side", choices=[s.value for s in Side])
-    p_tail.add_argument("--relaxed", action="store_true",
-                        help="auto-select via the continuous relaxation")
-    add_common(p_tail)
+    p_tail.add_argument("--k-max", type=int, dest="k_max",
+                        help='default 8; only for "choices": "auto"')
+    add_common(p_tail, k_max=False)
     p_tail.set_defaults(func=cmd_tail)
 
     p_select = sub.add_parser("select", help="order selection + crossover table")
@@ -456,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random pmfs on canonical (or --a/--b) supports")
     p_verify.add_argument("--a", type=finite_float)
     p_verify.add_argument("--b", type=finite_float)
-    p_verify.add_argument("--pmfs", type=int, default=1000,
-                          help="random pmfs per support")
+    p_verify.add_argument("--pmfs", type=int,
+                          help="random pmfs per support (--random only; default 1000)")
     p_verify.add_argument("--samples", type=int, help="default: query.samples, else 10^6")
     p_verify.add_argument("--seed", type=int, help="default: query.seed, else 0")
     p_verify.add_argument("--poison-rate", type=finite_float, default=1.0,
@@ -480,9 +471,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeGuardError as exc:
-        print(f"error: {exc} (for `tail`, retry with --relaxed)", file=sys.stderr)
-        return 3
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,19 +8,20 @@ and buys a smaller rate, so it wins exactly for thresholds above
 For a sum the orders couple through the shared exponent t^2 / (2 sum Phi_i^2/k_i),
 so the per-variable rule is only a heuristic.  The sum objective is
 ``tails.log_bound``, L - t^2/(4R) with L = sum log A_{k_i} and
-R = sum Phi_i^2/(2 k_i) taken from ``bounds.mgf_bound``, and neither
-L nor R depends on t, so the exact optimum at every t lies on the (L, R)
-Pareto front of {1..k_max}^n.  The front is built once, one variable at a time
-(the Nemhauser-Ullmann method for multi-objective knapsack), and each t is a
-minimum over its few points.  A continuous relaxation gives the cheap
+R = sum Phi_i^2/(2 k_i) taken from ``bounds.mgf_bound``.  Neither depends on
+t, and the objective is concave and increasing in (L, R), so its minimum over
+the lattice is at a vertex of the lower-left convex hull of the summed points.
+Each such vertex minimizes L + lambda R for some lambda >= 0, which is separable,
+so the hull is the Minkowski sum of the per-variable hulls: their edges merged
+by slope, at most n (k_max - 1) + 1 vertices.  It is built once, and each t is
+a minimum over its few points.  A continuous relaxation gives the cheap
 near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
-rounded by a front over each variable's floor and ceiling.  Two vectors tie
+rounded by the hull over each variable's floor and ceiling.  Two vectors tie
 where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2), which places every ``regimes`` edge.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -28,13 +29,6 @@ import numpy as np
 
 from .bounds import BoundedSupport, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
 from .tails import log_bound
-
-# Hard ceiling on the number of assignments any lattice search may visit.
-ENUMERATION_GUARD = 10 ** 7
-
-
-class SizeGuardError(ValueError):
-    """Enumeration would exceed the lattice-size guard; use the relaxation."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,10 @@ def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
 class ParetoFront:
     """The order vectors that can minimize L - t^2/(4R) at some t > 0.
 
-    ``ks`` is in lexicographic order; ``L[i]`` and ``R[i]`` are the summed log
-    multipliers and rates of ``ks[i]``, added in variable order.
+    They are the vertices of the lower-left convex hull of the summed (L, R)
+    points (with the points between edges of equal slope), in lexicographic
+    order; ``L[i]`` and ``R[i]`` are the summed log multipliers and rates of
+    ``ks[i]``, added in variable order.
     """
 
     ks: tuple[tuple[int, ...], ...]
@@ -119,56 +115,70 @@ class ParetoFront:
 
 
 def pareto_front(variables, k_max: int = 8) -> ParetoFront:
-    """The (L, R) Pareto front of {1..k_max}^n, for ``ParetoFront.best``.
+    """The lower-left (L, R) hull of {1..k_max}^n, for ``ParetoFront.best``.
 
-    The objective L - t^2/(4R) grows with both L and R, so a vector weakly
-    dominated in (L, R) by a lexicographically smaller one can neither win
-    nor tie ahead of it at any t.  Appending the same order to two prefixes
-    keeps that dominance (floating-point addition is monotone), so such
-    prefixes are dropped as they appear.  Plain dominance would drop more,
-    but could drop the vector that wins a tie.  Sums are accumulated in
-    variable order, so every kept (L, R) is bit-identical to a direct
-    evaluation and ``best`` returns exactly the exhaustive lattice minimum.
+    Only hull vertices can win or tie at any t (see the module docstring).
+    A vertex of a Minkowski sum is one vertex of each summand, so it is one
+    order vector, and its (L, R) is summed in variable order like a direct
+    evaluation: ``best`` returns exactly the exhaustive lattice minimum, ties
+    to the lexicographically smaller vector.  At most n (k_max - 1) + 1 points.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = len(variables)
     if n < 1:
         raise ValueError("need at least one variable")
-    if k_max ** n > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"k_max^n = {k_max}^{n} exceeds {ENUMERATION_GUARD}; "
-            "use optimize_relaxed"
-        )
-    return _front(variables, [range(1, k_max + 1)] * n)
+    return _hull(variables, [range(1, k_max + 1)] * n)
 
 
-def _front(variables, orders) -> ParetoFront:
-    """The front of the product of ``orders[i]``, each list ascending."""
-    states = [((), 0.0, 0.0)]  # (ks prefix, L, R) in lexicographic order
-    for support, ks_i in zip(variables, orders):
-        steps = [(k, mgf_bound(support, order_k(k))) for k in ks_i]
-        kept = []
-        # A staircase of kept (L, R), L non-decreasing and R falling, that
-        # dominates every kept state: a candidate (l, r) is dominated iff the
-        # last step with L <= l has R <= r.
-        stair_l: list[float] = []
-        stair_r: list[float] = []
-        for ks, l0, r0 in states:
-            for k, bound in steps:
-                l, r = l0 + bound.log_multiplier, r0 + bound.rate
-                i = bisect.bisect_right(stair_l, l)
-                if i and stair_r[i - 1] <= r:
-                    continue
-                j = i
-                while j < len(stair_r) and stair_r[j] >= r:
-                    j += 1
-                stair_l[i:j] = [l]
-                stair_r[i:j] = [r]
-                kept.append((ks + (k,), l, r))
-        states = kept
-    ks, big_l, big_r = zip(*states)
-    return ParetoFront(ks, np.array(big_l), np.array(big_r))
+def _chain(support, orders) -> tuple[list, list[float]]:
+    """One variable's lower-left hull over its ascending ``orders``.
+
+    The vertices (k, log A_k, rate) from the first minimum-L one on, and the
+    slope -dL/dR of the edge into each later vertex, non-decreasing.
+    """
+    bounds = [(k, mgf_bound(support, order_k(k))) for k in orders]
+    points = [(k, bound.log_multiplier, bound.rate) for k, bound in bounds]
+    start = min(range(len(points)), key=lambda j: points[j][1])
+    vertices, slopes = [points[start]], []
+    for point in points[start + 1:]:  # R falls as k rises: ascending in -R
+        while True:
+            _, l0, r0 = vertices[-1]
+            slope = (point[1] - l0) / (r0 - point[2])
+            if not slopes or slope >= slopes[-1]:
+                break
+            vertices.pop()
+            slopes.pop()
+        vertices.append(point)
+        slopes.append(slope)
+    return vertices, slopes
+
+
+def _hull(variables, orders) -> ParetoFront:
+    """The lower-left hull of the product of ``orders[i]``, each list ascending.
+
+    Every prefix of the per-variable edges merged by slope is one candidate;
+    each vertex of the sum's hull is among them.
+    """
+    chains = [_chain(support, ks_i) for support, ks_i in zip(variables, orders)]
+    moves = sorted(
+        ((slope, i) for i, (_, slopes) in enumerate(chains) for slope in slopes),
+        key=lambda move: move[0],
+    )
+    steps = np.zeros((len(moves) + 1, len(chains)), dtype=np.intp)
+    steps[np.arange(1, len(moves) + 1), [i for _, i in moves]] = 1
+    # each candidate's vertex on each chain; every move raises one order, so
+    # the candidates come in lexicographic order
+    at = np.cumsum(steps, axis=0)
+    ks = np.empty_like(at)
+    big_l = np.zeros(len(at))
+    big_r = np.zeros(len(at))
+    for i, (vertices, _) in enumerate(chains):
+        k_i, l_i, r_i = (np.array(column) for column in zip(*vertices))
+        ks[:, i] = k_i[at[:, i]]
+        big_l += l_i[at[:, i]]  # in variable order, as the tail engine sums
+        big_r += r_i[at[:, i]]
+    return ParetoFront(tuple(map(tuple, ks.tolist())), big_l, big_r)
 
 
 def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
@@ -195,7 +205,7 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
 
     The integer assignment is the best of the 2^n floor/ceil neighbors of the
     fractional profile under the exact objective, each clamped to [1, k_max]:
-    the best point of the front over those neighbors, ties to the smaller
+    the best point of the hull over those neighbors, ties to the smaller
     vector.
     """
     if not t > 0.0:
@@ -211,10 +221,7 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
         lo = min(max(1, math.floor(f)), k_max)
         hi = min(max(1, math.ceil(f)), k_max)
         options.append((lo,) if lo == hi else (lo, hi))
-    count = math.prod(len(opt) for opt in options)
-    if count > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{count} lattice neighbors exceed {ENUMERATION_GUARD}")
-    return RelaxedSolution(fractional, _front(variables, options).best(t))
+    return RelaxedSolution(fractional, _hull(variables, options).best(t))
 
 
 def regimes(L, R, ts) -> list[tuple[float, float, int]]:

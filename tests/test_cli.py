@@ -11,6 +11,7 @@ import pytest
 from kbounds.cli import g12, main
 from kbounds.scenario import load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
+from test_selection import staircase_front
 
 
 def run_cli(argv, capsys):
@@ -128,33 +129,41 @@ class TestTail:
         assert code == 2
         assert "error" in err
 
-    def test_enumeration_guard_exits_3(self, tmp_path, capsys):
+    def test_nine_variables_select_exactly(self, fixtures_dir, tmp_path, capsys):
+        # 8^9 lattice vectors, once behind a size guard: `tail` and `select`
+        # print the exact optimum, checked against the reference front
+        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        doc["variables"] += [{"a": -1, "b": 1}, {"a": -2, "b": 3, "m2": 1.5}] * 2
+        doc["variables"].append({"a": -3, "b": 1})
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(doc))
+        variables = load_scenario(str(path)).variables
+        want = staircase_front(variables, [range(1, 9)] * 9)
+        for t in (6.0, 18.0, 25.0, 32.0):
+            ks = "|".join(map(str, want.best(t).ks))
+            code, out, _ = run_cli(["tail", str(path), "--t", str(t)], capsys)
+            assert code == 0
+            assert rows(out)[1][3] == ks
+            code, out, _ = run_cli(["select", str(path), "--t", str(t)], capsys)
+            assert code == 0
+            assert rows(out)[0] == ["k", ks]
+
+    def test_fixed_choices_reject_k_max(self, tmp_path, capsys):
         doc = {
             "format_version": 1,
-            "variables": [{"a": -1, "b": 1}] * 9,
+            "variables": [{"a": -1, "b": 1}],
+            "choices": [{"family": "order_k", "k": 3}],
+            "query": {"t": 2},
         }
-        path = tmp_path / "wide.json"
+        path = tmp_path / "fixed.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(["tail", str(path), "--t", "1", "--k-max", "8"], capsys)
-        assert code == 3
-        assert "optimize_relaxed" in err
-        code, out, _ = run_cli(
-            ["tail", str(path), "--t", "1", "--k-max", "8", "--relaxed"], capsys
-        )
+        code, out, _ = run_cli(["tail", str(path)], capsys)
         assert code == 0
-
-    def test_relaxed_respects_k_max(self, fixtures_dir, capsys):
-        scenario = str(fixtures_dir / "example5.json")
-        for side in ("upper", "two_sided"):
-            code, out, _ = run_cli(
-                ["tail", scenario, "--relaxed", "--k-max", "2", "--t", "40", "80",
-                 "--side", side],
-                capsys,
-            )
-            assert code == 0
-            for record in rows(out)[1:]:
-                ks = [int(k) for cell in record[3:] for k in cell.split("|")]
-                assert max(ks) <= 2
+        assert rows(out)[1][3] == "3"
+        code, out, err = run_cli(["tail", str(path), "--k-max", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--k-max" in err
 
     def test_dropped_flags_are_rejected(self, fixtures_dir):
         scenario = str(fixtures_dir / "example5.json")
@@ -165,6 +174,8 @@ class TestTail:
         for command in ("tail", "verify", "sweep"):
             with pytest.raises(SystemExit):
                 main([command, scenario, "--threads", "1"])
+        with pytest.raises(SystemExit):
+            main(["tail", scenario, "--relaxed"])
 
     def test_fractional_range_count_exits_2(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example1.json")
@@ -353,7 +364,7 @@ class TestVerify:
         assert overridden == defaulted != from_query
 
     def test_checks_the_vector_tail_prints(self, fixtures_dir, tmp_path, capsys):
-        # 8^6 lattice vectors: above the old 10^5 limit, inside the shared guard
+        # 8^6 lattice vectors: above the old 10^5 limit
         doc = json.loads((fixtures_dir / "example5.json").read_text())
         doc["variables"] += [{"a": -1, "b": 1}] * 2
         doc["query"] = {"t": 9}
@@ -366,6 +377,25 @@ class TestVerify:
         code, out, _ = run_cli(["verify", str(path), "--samples", "5000"], capsys)
         assert code == 0
         assert ks in [row[2] for row in rows(out) if row[0] == "mc"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--a=-3", "--b", "7"], ["--a=-3"], ["--pmfs", "5"], ["--pmfs", "1000"]]
+    )
+    def test_scenario_mode_rejects_random_flags(self, fixtures_dir, capsys, flags):
+        scenario = str(fixtures_dir / "example1.json")
+        code, out, err = run_cli(["verify", scenario, "--samples", "2000", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--random" in err
+
+    @pytest.mark.parametrize("count", ["-1", "-2"])
+    def test_negative_pmfs_exits_2(self, capsys, count):
+        code, out, err = run_cli(
+            ["verify", "--random", "--pmfs", count, "--samples", "2000"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--pmfs" in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbounds.bounds import BoundedSupport, multiplier_log, phi
+from kbounds.bounds import BoundedSupport, mgf_bound, multiplier_log, order_k, phi
 from kbounds.selection import (
-    ENUMERATION_GUARD,
     KSelection,
-    SizeGuardError,
+    ParetoFront,
     best_k_single,
     best_region_partition,
     crossover_table,
@@ -83,6 +83,40 @@ def floor_ceil_rows(variables, fractional, k_max):
             log_mult += multiplier_log(support, k)
             rate += phi(support) ** 2 / (2.0 * k)
         yield ks, log_mult, rate
+
+
+def staircase_front(variables, orders):
+    """Reference front of the product of ``orders[i]``, each list ascending.
+
+    Built one variable at a time (Nemhauser-Ullmann), dropping a prefix only
+    when a lexicographically smaller kept prefix is as good in both L and R,
+    so its ``best`` is the exhaustive lattice minimum, ties included.  Its
+    size grows with the lattice; the library's hull does not.
+    """
+    states = [((), 0.0, 0.0)]  # (ks prefix, L, R) in lexicographic order
+    for support, ks_i in zip(variables, orders):
+        steps = [(k, mgf_bound(support, order_k(k))) for k in ks_i]
+        kept = []
+        # A staircase of kept (L, R), L non-decreasing and R falling, that
+        # dominates every kept state: a candidate (l, r) is dominated iff the
+        # last step with L <= l has R <= r.
+        stair_l: list[float] = []
+        stair_r: list[float] = []
+        for ks, l0, r0 in states:
+            for k, bound in steps:
+                l, r = l0 + bound.log_multiplier, r0 + bound.rate
+                i = bisect.bisect_right(stair_l, l)
+                if i and stair_r[i - 1] <= r:
+                    continue
+                j = i
+                while j < len(stair_r) and stair_r[j] >= r:
+                    j += 1
+                stair_l[i:j] = [l]
+                stair_r[i:j] = [r]
+                kept.append((ks + (k,), l, r))
+        states = kept
+    ks, big_l, big_r = zip(*states)
+    return ParetoFront(ks, np.array(big_l), np.array(big_r))
 
 
 # Small pools of supports: drawing every variable from one makes identical
@@ -236,12 +270,6 @@ class TestOptimizeExact:
                 best_k_single(support, t, 5),
             )
 
-    def test_size_guard(self):
-        variables = (S11,) * 9
-        with pytest.raises(SizeGuardError):
-            optimize_exact(variables, 1.0, 8)  # 8^9 > 10^7
-        assert 8 ** 9 > ENUMERATION_GUARD
-
     def test_never_worse_than_per_variable_heuristic(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -298,8 +326,9 @@ class TestParetoFront:
                 )
 
     def test_keeps_what_no_smaller_vector_dominates(self):
-        # the pruning rule, stated on whole vectors: a vector stays exactly
-        # when no lexicographically smaller one is as good in both L and R
+        # the reference's pruning rule, stated on whole vectors: a vector
+        # stays exactly when no lexicographically smaller one is as good in
+        # both L and R
         for pool in POOLS:
             variables = (pool[0], pool[-1], pool[0])
             rows = list(lattice_totals(variables, 5))
@@ -308,8 +337,45 @@ class TestParetoFront:
                 for i, (ks, big_l, big_r) in enumerate(rows)
                 if not any(l2 <= big_l and r2 <= big_r for _, l2, r2 in rows[:i])
             ]
-            front = pareto_front(variables, 5)
+            front = staircase_front(variables, [range(1, 6)] * 3)
             assert list(zip(front.ks, front.L.tolist(), front.R.tolist())) == want
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_staircase_reference(self, n):
+        # The hull keeps at most n (k_max - 1) + 1 of the reference's points.
+        # Both must give the same best at every t, including the floats
+        # around each tie between neighboring winners of the reference.
+        rng = np.random.default_rng(300 + n)
+        ties = 0
+        for pool in POOLS:
+            variables = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+            want = staircase_front(variables, [range(1, 9)] * n)
+            front = pareto_front(variables, 8)
+            assert len(front.ks) <= n * 7 + 1
+            grid = np.linspace(0.01, 2.0 * sum(v.b for v in variables), 300)
+            edges = [hi for _, hi, _ in regimes(want.L, want.R, grid)[:-1]]
+            ts = grid.tolist() + [
+                e + i * math.ulp(e) for e in edges for i in range(-40, 41)
+            ]
+            for t in ts:
+                assert front.best(t) == want.best(t), (variables, t)
+                objs = log_bound(want.L, want.R, t)
+                ties += int(np.count_nonzero(objs == objs.min())) > 1
+        if n > 1:
+            assert ties > 0
+
+    def test_hundred_variables(self):
+        rng = np.random.default_rng(100)
+        pool = POOLS[2] + POOLS[3] + tuple(
+            BoundedSupport(-float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0)))
+            for _ in range(6)
+        )
+        variables = tuple(pool[i] for i in rng.integers(len(pool), size=100))
+        front = pareto_front(variables, 8)
+        assert len(front.ks) <= 100 * 7 + 1
+        for t in np.linspace(0.02, 1.5, 40) * sum(v.b for v in variables):
+            relaxed = optimize_relaxed(variables, t, 8).rounded
+            assert front.best(t).log_bound <= relaxed.log_bound
 
     @given(
         st.lists(supports, min_size=1, max_size=3),
@@ -327,8 +393,6 @@ class TestParetoFront:
         assert got.log_bound == pytest.approx(unit.log_bound, rel=1e-9, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(SizeGuardError):
-            pareto_front((S11,) * 9, 8)
         with pytest.raises(ValueError):
             pareto_front((S11,), 0)
         with pytest.raises(ValueError):
