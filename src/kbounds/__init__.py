@@ -23,12 +23,14 @@ from .bounds import (
 from .oracle import (
     FinitePmf,
     exact_log_mgf,
+    exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
     moments,
     random_mean_zero_pmf,
     validity_gap,
+    validity_gaps,
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario, parse_scenario
 from .selection import (

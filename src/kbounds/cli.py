@@ -37,12 +37,13 @@ from .bounds import (
 from .oracle import (
     S_GRID,
     FinitePmf,
+    exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
     moments,
     random_mean_zero_pmf,
-    validity_gap,
+    validity_gaps,
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario
 from .selection import crossover_threshold, optimize_exact, pareto_front, regimes
@@ -110,6 +111,8 @@ def _tag_from_args(args) -> FamilyTag:
 
 
 def _applicable_tags(support: BoundedSupport, k_max: int) -> list[FamilyTag]:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     tags = [FamilyTag(Family.CLASSIC), FamilyTag(Family.HERTZ)]
     tags += [order_k(k) for k in range(1, k_max + 1)]
     for fam in (Family.ORDER2_MOMENT, Family.ORDER4_MOMENT, Family.SYMMETRIC_ORDER4):
@@ -258,17 +261,33 @@ def _poison(bound: MgfBound, factor: float) -> MgfBound:
     return MgfBound(bound.log_multiplier, bound.rate * factor, bound.family_tag)
 
 
-def _sweep_one_pmf(pmf: FinitePmf, k_max: int, poison: float):
-    """Max (exact - bound) gap per family label for one pmf."""
-    measured = _measured_support(pmf)
-    gaps = {}
-    for tag in _applicable_tags(measured, k_max):
-        bound = _poison(mgf_bound(measured, tag), poison)
-        label = "order_k" if tag.family is Family.ORDER_K else tag.label()
-        gap = validity_gap(pmf, bound, S_GRID)
-        if label not in gaps or gap > gaps[label]:
-            gaps[label] = gap
-    return gaps
+def _family_max_gaps(pmfs, k_max: int, poison: float) -> dict[str, float]:
+    """Max (exact - bound) gap per family label over every pmf.
+
+    The pmfs are checked one group of equal atom count at a time: one exact
+    log-MGF row per pmf, one catalog row per (pmf, family) built through
+    ``mgf_bound``, and one (rows x s) gap table.
+    """
+    groups: dict[int, list[FinitePmf]] = {}
+    for pmf in pmfs:
+        groups.setdefault(np.count_nonzero(np.asarray(pmf.ps) > 0.0), []).append(pmf)
+    max_gap: dict[str, float] = {}
+    for group in groups.values():
+        rows, labels, log_a, rates = [], [], [], []
+        for i, pmf in enumerate(group):
+            measured = _measured_support(pmf)
+            for tag in _applicable_tags(measured, k_max):
+                bound = _poison(mgf_bound(measured, tag), poison)
+                rows.append(i)
+                labels.append("order_k" if tag.family is Family.ORDER_K else tag.label())
+                log_a.append(bound.log_multiplier)
+                rates.append(bound.rate)
+        exact = exact_log_mgf_rows(group, S_GRID)
+        gaps = validity_gaps(exact[rows], log_a, rates, S_GRID)
+        for label, gap in zip(labels, gaps.tolist()):
+            if label not in max_gap or gap > max_gap[label]:
+                max_gap[label] = gap
+    return max_gap
 
 
 def _verify_pmfs(args, scenario: Scenario | None, seed: int):
@@ -315,12 +334,7 @@ def cmd_verify(args) -> int:
     samples = query.samples if args.samples is None else args.samples
     pmfs, group = _verify_pmfs(args, scenario, seed)
 
-    max_gap: dict[str, float] = {}
-    for pmf in pmfs:
-        for label, gap in _sweep_one_pmf(pmf, args.k_max, args.poison_rate).items():
-            if label not in max_gap or gap > max_gap[label]:
-                max_gap[label] = gap
-
+    max_gap = _family_max_gaps(pmfs, args.k_max, args.poison_rate)
     lines = ["family,max_gap,violations"]
     violations = 0
     for label in sorted(max_gap):
@@ -341,7 +355,7 @@ def cmd_verify(args) -> int:
     front = pareto_front(variables, args.k_max)
     tail_estimates = mc_sum_tail(group, ts, samples, seed)
     for t, (estimate, se) in zip(ts, tail_estimates):
-        candidates = [(1,) * len(group), (2,) * len(group)]
+        candidates = [(k,) * len(group) for k in (1, 2) if k <= args.k_max]
         best = front.best(t).ks
         if best not in candidates:
             candidates.append(best)

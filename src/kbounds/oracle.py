@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundedSupport, MgfBound, eval_log_mgf_bound
+from .bounds import BoundedSupport, MgfBound
 
 _SUM_TOL = 1e-12
 
@@ -48,17 +48,33 @@ class FinitePmf:
             raise ValueError(f"mean {mean} is not zero")
 
 
+def exact_log_mgf_rows(pmfs, s_values) -> np.ndarray:
+    """log E[exp(sX)] for a stack of pmfs: one row per pmf, one column per s.
+
+    Every pmf must have the same number of atoms with p > 0, because the rows
+    are one (pmf, s, atom) logsumexp over those atoms.  They are not padded to
+    a common count: numpy sums 8 or more terms pairwise, so a padded sum could
+    differ in the last bit from the sum over the pmf's own atoms.
+    """
+    xs, ps = [], []
+    for pmf in pmfs:
+        p = np.asarray(pmf.ps)
+        keep = p > 0.0
+        xs.append(np.asarray(pmf.xs)[keep])
+        ps.append(p[keep])
+    if len({p.size for p in ps}) > 1:
+        raise ValueError("pmfs must have the same number of atoms with p > 0")
+    xs, ps = np.array(xs), np.array(ps)
+    s_arr = np.asarray(s_values, dtype=float)
+    terms = np.log(ps)[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
+    peak = terms.max(axis=2, keepdims=True)
+    return peak[:, :, 0] + np.log(np.exp(terms - peak).sum(axis=2))
+
+
 def exact_log_mgf(pmf: FinitePmf, s):
     """log E[exp(sX)] = logsumexp(log p_i + s x_i); s may be scalar or array."""
-    xs = np.asarray(pmf.xs)
-    ps = np.asarray(pmf.ps)
-    keep = ps > 0.0
-    xs, ps = xs[keep], ps[keep]
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    terms = np.log(ps)[None, :] + s_arr[:, None] * xs[None, :]
-    peak = terms.max(axis=1, keepdims=True)
-    out = peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))
-    return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
+    out = exact_log_mgf_rows([pmf], np.atleast_1d(np.asarray(s, dtype=float)))[0]
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def moments(pmf: FinitePmf, order: int) -> float:
@@ -199,9 +215,21 @@ def mc_sum_tail(pmfs, ts, samples: int, seed: int) -> list[tuple[float, float]]:
     return tails
 
 
+def validity_gaps(exact, log_multipliers, rates, s_values=S_GRID) -> np.ndarray:
+    """Per row, max over s of exact - (log A + rho s^2); <= 0 iff that bound holds.
+
+    ``exact`` has one row of ``exact_log_mgf_rows`` per bound, so one call
+    checks a whole (bound x s) table.
+    """
+    s_arr = np.asarray(s_values, dtype=float)
+    if not np.all(s_arr > 0.0):
+        raise ValueError("bounds are stated for s > 0 only")
+    log_a = np.asarray(log_multipliers, dtype=float)[:, None]
+    rho = np.asarray(rates, dtype=float)[:, None]
+    return np.max(exact - (log_a + rho * s_arr * s_arr), axis=1)
+
+
 def validity_gap(pmf: FinitePmf, bound: MgfBound, s_values=S_GRID) -> float:
     """max over the s grid of (exact log MGF - certified bound); <= 0 iff sound."""
-    s_arr = np.asarray(s_values, dtype=float)
-    exact = exact_log_mgf(pmf, s_arr)
-    certified = np.array([eval_log_mgf_bound(bound, float(s)) for s in s_arr])
-    return float(np.max(exact - certified))
+    exact = exact_log_mgf_rows([pmf], s_values)
+    return float(validity_gaps(exact, [bound.log_multiplier], [bound.rate], s_values)[0])

@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kbounds import cli
+from kbounds.bounds import BoundedSupport, Family, mgf_bound
 from kbounds.cli import g12, main
+from kbounds.oracle import S_GRID, FinitePmf
 from kbounds.scenario import load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
+from test_oracle import list_validity_gap, mixed_pmfs
 from test_selection import staircase_front
 
 
@@ -59,6 +63,15 @@ class TestBound:
         assert labels.index("hertz") < labels.index("classic")
         evals = [float(row[3]) for row in table]
         assert evals == sorted(evals)
+
+    def test_compare_rejects_k_max_zero(self, capsys):
+        code, out, err = run_cli(
+            ["bound", "--a=-2", "--b", "1", "--compare", "--s", "3", "--k-max", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "k_max" in err
 
     def test_invalid_support_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -272,7 +285,44 @@ class TestSelect:
         assert table[("1", "2")] == pytest.approx(8.447, abs=1e-3)
 
 
+def sweep_one_pmf(pmf, k_max, poison):
+    """Max (exact - bound) gap per family label for one pmf: the per-pmf loop
+    the batched sweep replaced, kept as its reference."""
+    measured = cli._measured_support(pmf)
+    gaps = {}
+    for tag in cli._applicable_tags(measured, k_max):
+        bound = cli._poison(mgf_bound(measured, tag), poison)
+        label = "order_k" if tag.family is Family.ORDER_K else tag.label()
+        gap = list_validity_gap(pmf, bound, S_GRID)
+        if label not in gaps or gap > gaps[label]:
+            gaps[label] = gap
+    return gaps
+
+
+def per_pmf_max_gaps(pmfs, k_max, poison):
+    max_gap = {}
+    for pmf in pmfs:
+        for label, gap in sweep_one_pmf(pmf, k_max, poison).items():
+            if label not in max_gap or gap > max_gap[label]:
+                max_gap[label] = gap
+    return max_gap
+
+
 class TestVerify:
+    @pytest.mark.parametrize("poison", [1.0, 0.5])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_batched_gaps_match_per_pmf_reference(self, scale, poison):
+        # atom counts 2..8 interleaved in one call, plus a zero-probability atom
+        sparse = FinitePmf(
+            (-scale, 0.5 * scale, 0.0, scale), (0.25, 0.0, 0.5, 0.25),
+            BoundedSupport(-scale, scale),
+        )
+        pmfs = mixed_pmfs(scale) + [sparse]
+        for k_max in (1, 8):
+            batched = cli._family_max_gaps(pmfs, k_max, poison)
+            assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
+            assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
+
     def test_random_sweep_is_clean(self, capsys):
         code, out, _ = run_cli(
             [
@@ -396,6 +446,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--pmfs" in err
+
+    def test_k_max_zero_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept gaps under --k-max 0")
+
+        monkeypatch.setattr(cli, "exact_log_mgf_rows", no_sweep)
+        code, out, err = run_cli(
+            ["verify", "--random", "--pmfs", "5", "--samples", "2000", "--k-max", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "k_max" in err
+
+    def test_mc_candidates_respect_k_max(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--random", "--pmfs", "1", "--samples", "2000", "--k-max", "1"],
+            capsys,
+        )
+        assert code == 0
+        mc = [row for row in rows(out) if row[0] == "mc"]
+        assert len(mc) == 3
+        assert {row[2] for row in mc} == {"1|1|1|1"}
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)

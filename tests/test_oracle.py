@@ -10,6 +10,7 @@ from kbounds.bounds import (
     HERTZ,
     ORDER2_MOMENT,
     BoundedSupport,
+    eval_log_mgf_bound,
     mgf_bound,
     moment_caps,
     order_k,
@@ -18,16 +19,48 @@ from kbounds.oracle import (
     S_GRID,
     FinitePmf,
     exact_log_mgf,
+    exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
     moments,
     random_mean_zero_pmf,
     validity_gap,
+    validity_gaps,
 )
 
 S11 = BoundedSupport(-1, 1)
 S51 = BoundedSupport(-5, 1)
+
+
+def per_pmf_log_mgf(pmf, s_arr):
+    """The one-pmf logsumexp the stacked kernel replaced: the reference."""
+    xs = np.asarray(pmf.xs)
+    ps = np.asarray(pmf.ps)
+    keep = ps > 0.0
+    xs, ps = xs[keep], ps[keep]
+    terms = np.log(ps)[None, :] + s_arr[:, None] * xs[None, :]
+    peak = terms.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))
+
+
+def list_validity_gap(pmf, bound, s_values=S_GRID) -> float:
+    """The per-s list over ``eval_log_mgf_bound`` the batched gap replaced."""
+    s_arr = np.asarray(s_values, dtype=float)
+    exact = per_pmf_log_mgf(pmf, s_arr)
+    certified = np.array([eval_log_mgf_bound(bound, float(s)) for s in s_arr])
+    return float(np.max(exact - certified))
+
+
+def mixed_pmfs(scale: float, per_count: int = 4):
+    """Random pmfs of 2..8 atoms on three supports at one scale, counts interleaved."""
+    supports = [BoundedSupport(a * scale, b * scale) for a, b in ((-1, 1), (-1, 5), (-3, 2))]
+    pmfs = [extremal_two_point(s) for s in supports]
+    for seed in range(per_count):
+        for atoms in range(2, 9):
+            for j, support in enumerate(supports):
+                pmfs.append(random_mean_zero_pmf(support, atoms, seed=100 * seed + 10 * atoms + j))
+    return pmfs
 
 
 class TestFinitePmf:
@@ -75,6 +108,30 @@ class TestExactLogMgf:
     def test_no_overflow_at_large_s(self):
         pmf = extremal_two_point(BoundedSupport(-1, 5))
         assert math.isfinite(exact_log_mgf(pmf, 500.0))
+
+    def test_kernel_rows_match_the_one_pmf_reference(self):
+        # one row per pmf in a stack of equal atom count, bit for bit, and
+        # exact_log_mgf is the kernel's row
+        for scale in (1e-6, 1.0, 1e6):
+            pmfs = mixed_pmfs(scale)
+            for atoms in range(2, 9):
+                stack = [p for p in pmfs if len(p.xs) == atoms]
+                rows = exact_log_mgf_rows(stack, S_GRID)
+                assert rows.shape == (len(stack), S_GRID.size)
+                for pmf, row in zip(stack, rows):
+                    assert np.array_equal(row, per_pmf_log_mgf(pmf, S_GRID))
+                    assert np.array_equal(row, exact_log_mgf(pmf, S_GRID))
+
+    def test_kernel_drops_zero_probability_atoms(self):
+        sparse = FinitePmf((-1.0, 0.5, 0.0, 1.0), (0.25, 0.0, 0.5, 0.25), S11)
+        dense = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
+        rows = exact_log_mgf_rows([sparse, dense], S_GRID)
+        assert np.array_equal(rows[0], rows[1])
+        assert np.array_equal(rows[0], per_pmf_log_mgf(sparse, S_GRID))
+
+    def test_kernel_rejects_mixed_atom_counts(self):
+        with pytest.raises(ValueError, match="same number of atoms"):
+            exact_log_mgf_rows([extremal_two_point(S11), moment_matched_pmf(S51)], S_GRID)
 
     def test_extremal_stays_under_every_applicable_bound(self):
         pmf = extremal_two_point(S51)
@@ -218,6 +275,25 @@ class TestTightness:
             s = 1e-4
             curvature = 2.0 * exact_log_mgf(pmf, s) / (s * s)
             assert curvature == pytest.approx(2.0 * bound.rate, rel=1e-3)
+
+    def test_validity_gap_matches_the_list_reference(self):
+        tags = (CLASSIC, HERTZ, order_k(1), order_k(3), order_k(8), ORDER2_MOMENT)
+        for scale in (1e-6, 1.0, 1e6):
+            for pmf in mixed_pmfs(scale, per_count=1):
+                measured = BoundedSupport(pmf.support.a, pmf.support.b, m2=moments(pmf, 2))
+                bounds = [mgf_bound(measured, tag) for tag in tags]
+                exact = exact_log_mgf_rows([pmf] * len(bounds), S_GRID)
+                table = validity_gaps(
+                    exact, [b.log_multiplier for b in bounds], [b.rate for b in bounds]
+                )
+                for bound, gap in zip(bounds, table.tolist()):
+                    assert validity_gap(pmf, bound) == gap == list_validity_gap(pmf, bound)
+
+    def test_validity_gaps_reject_nonpositive_s(self):
+        pmf = extremal_two_point(S11)
+        bound = mgf_bound(S11, HERTZ)
+        with pytest.raises(ValueError, match="s > 0"):
+            validity_gap(pmf, bound, np.array([0.0, 1.0]))
 
     def test_validity_gap_is_negative_but_small_for_extremal(self):
         gap = validity_gap(extremal_two_point(S51), mgf_bound(S51, HERTZ), S_GRID)
