@@ -18,17 +18,21 @@ from .bounds import (
     order_k,
     phi,
     psi,
+    reads_moments,
     upsilon_log,
 )
 from .oracle import (
     FinitePmf,
+    check_pmf_stack,
     exact_log_mgf,
     exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
+    moment_rows,
     moments,
     random_mean_zero_pmf,
+    random_mean_zero_stack,
     validity_gap,
     validity_gaps,
 )

@@ -190,6 +190,19 @@ def multiplier_log(support: BoundedSupport, k: int) -> float:
     return log_a_k
 
 
+def reads_moments(support: BoundedSupport, tag: FamilyTag) -> bool:
+    """Whether the family's bound on the support may use m2, m4 or odd_moments_zero.
+
+    Every other family's bound depends on [a, b] alone: ``mgf_bound`` gives
+    the same pair on every support with that interval, so one bound serves
+    every distribution on it.  Those are classic, hertz and order_k, except
+    k = 2 (sharpened by m2) and k = 4 under odd_moments_zero (by m2 and m4).
+    """
+    if tag.family is Family.ORDER_K:
+        return tag.k == 2 or (tag.k == 4 and support.odd_moments_zero)
+    return tag.family not in (Family.CLASSIC, Family.HERTZ)
+
+
 def mgf_bound(support: BoundedSupport, tag: FamilyTag) -> MgfBound:
     """Build the (log multiplier, rate) pair for one family on one support.
 

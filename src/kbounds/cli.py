@@ -8,6 +8,12 @@ Subcommands::
     verify   oracle sweep: exact MGFs and Monte Carlo vs. the certificates
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
+`verify --random` draws each support's pmfs as (xs, ps) stacks, one per
+atom count.  The bounds that read no moments are built once per support, the
+moment-reading ones per pmf on its measured support, and all of them are
+checked against the exact log-MGF rows as (pmf x family x s) tables.  A bad
+`--k-max` or `--samples` exits 2 before any pmf is drawn.
+
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the closed-form ``selection.regimes``
 edges.  All numeric CSV cells use 12 significant digits and LF line endings,
@@ -26,6 +32,11 @@ import sys
 import numpy as np
 
 from .bounds import (
+    CLASSIC,
+    HERTZ,
+    ORDER2_MOMENT,
+    ORDER4_MOMENT,
+    SYMMETRIC_ORDER4,
     BoundedSupport,
     Family,
     FamilyTag,
@@ -33,16 +44,20 @@ from .bounds import (
     eval_log_mgf_bound,
     mgf_bound,
     order_k,
+    reads_moments,
 )
 from .oracle import (
+    MIN_SAMPLES,
     S_GRID,
     FinitePmf,
+    check_pmf_stack,
     exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
+    moment_rows,
     moments,
-    random_mean_zero_pmf,
+    random_mean_zero_stack,
     validity_gaps,
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario
@@ -110,19 +125,28 @@ def _tag_from_args(args) -> FamilyTag:
     return FamilyTag(family)
 
 
-def _applicable_tags(support: BoundedSupport, k_max: int) -> list[FamilyTag]:
+def _catalog_tags(k_max: int) -> list[FamilyTag]:
+    """The families `bound --compare` and `verify` check, order_k up to k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    tags = [FamilyTag(Family.CLASSIC), FamilyTag(Family.HERTZ)]
-    tags += [order_k(k) for k in range(1, k_max + 1)]
-    for fam in (Family.ORDER2_MOMENT, Family.ORDER4_MOMENT, Family.SYMMETRIC_ORDER4):
-        tag = FamilyTag(fam)
+    orders = [order_k(k) for k in range(1, k_max + 1)]
+    return [CLASSIC, HERTZ, *orders, ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
+
+
+def _applicable_bounds(support: BoundedSupport, tags) -> list[tuple[FamilyTag, MgfBound]]:
+    """(tag, bound) for every tag that applies to the support, each built once.
+
+    A moment family whose preconditions the support does not meet is left
+    out; any other bound that cannot be built is an input error.
+    """
+    pairs = []
+    for tag in tags:
         try:
-            mgf_bound(support, tag)
+            pairs.append((tag, mgf_bound(support, tag)))
         except ValueError:
-            continue
-        tags.append(tag)
-    return tags
+            if tag.family in (Family.CLASSIC, Family.HERTZ, Family.ORDER_K):
+                raise
+    return pairs
 
 
 def cmd_bound(args) -> int:
@@ -130,8 +154,7 @@ def cmd_bound(args) -> int:
     header = "family,log_multiplier,rate,eval_at_s"
     if args.compare:
         rows = []
-        for tag in _applicable_tags(support, args.k_max):
-            bound = mgf_bound(support, tag)
+        for tag, bound in _applicable_bounds(support, _catalog_tags(args.k_max)):
             rows.append((eval_log_mgf_bound(bound, args.s), tag.label(), bound))
         rows.sort(key=lambda row: (row[0], row[1]))
         lines = [header] + [
@@ -261,37 +284,65 @@ def _poison(bound: MgfBound, factor: float) -> MgfBound:
     return MgfBound(bound.log_multiplier, bound.rate * factor, bound.family_tag)
 
 
-def _family_max_gaps(pmfs, k_max: int, poison: float) -> dict[str, float]:
+def _family_label(tag: FamilyTag) -> str:
+    return "order_k" if tag.family is Family.ORDER_K else tag.label()
+
+
+def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
     """Max (exact - bound) gap per family label over every pmf.
 
-    The pmfs are checked one group of equal atom count at a time: one exact
-    log-MGF row per pmf, one catalog row per (pmf, family) built through
-    ``mgf_bound``, and one (rows x s) gap table.
+    ``batches`` pairs each support with its (xs[N, n], ps[N, n]) stacks.  A
+    family that reads no moments has one bound per support, built on [a, b]
+    and checked against every pmf as one (pmf x family x s) table.  The
+    moment-reading families are built per pmf on its measured support, one
+    (row x s) table per stack.  A stack's rows are taken one count of atoms
+    with p > 0 at a time, the rows ``exact_log_mgf_rows`` takes at once.
     """
-    groups: dict[int, list[FinitePmf]] = {}
-    for pmf in pmfs:
-        groups.setdefault(np.count_nonzero(np.asarray(pmf.ps) > 0.0), []).append(pmf)
+    tags = _catalog_tags(k_max)
     max_gap: dict[str, float] = {}
-    for group in groups.values():
-        rows, labels, log_a, rates = [], [], [], []
-        for i, pmf in enumerate(group):
-            measured = _measured_support(pmf)
-            for tag in _applicable_tags(measured, k_max):
-                bound = _poison(mgf_bound(measured, tag), poison)
-                rows.append(i)
-                labels.append("order_k" if tag.family is Family.ORDER_K else tag.label())
-                log_a.append(bound.log_multiplier)
-                rates.append(bound.rate)
-        exact = exact_log_mgf_rows(group, S_GRID)
-        gaps = validity_gaps(exact[rows], log_a, rates, S_GRID)
+
+    def note(labels, gaps) -> None:
         for label, gap in zip(labels, gaps.tolist()):
             if label not in max_gap or gap > max_gap[label]:
                 max_gap[label] = gap
+
+    for support, stacks in batches:
+        a, b = support.a, support.b
+        interval = BoundedSupport(a, b)
+        shared = _applicable_bounds(
+            interval, [tag for tag in tags if not reads_moments(interval, tag)]
+        )
+        measured_tags = [tag for tag in tags if reads_moments(interval, tag)]
+        shared_labels = [_family_label(tag) for tag, _ in shared]
+        shared = [_poison(bound, poison) for _, bound in shared]
+        shared_log_a = [bound.log_multiplier for bound in shared]
+        shared_rates = [bound.rate for bound in shared]
+        for stack_xs, stack_ps in stacks:
+            counts = np.count_nonzero(stack_ps > 0.0, axis=1)
+            for count in set(counts.tolist()):
+                same = counts == count
+                xs, ps = stack_xs[same], stack_ps[same]
+                exact = exact_log_mgf_rows(xs, ps, S_GRID)
+                table = validity_gaps(exact[:, None, :], shared_log_a, shared_rates, S_GRID)
+                note(shared_labels, table.max(axis=0))
+                rows, labels, log_a, rates = [], [], [], []
+                m2s = moment_rows(xs, ps, 2).tolist()
+                m4s = moment_rows(xs, ps, 4).tolist()
+                for i, (m2, m4) in enumerate(zip(m2s, m4s)):
+                    measured = BoundedSupport(a, b, m2=m2, m4=m4)
+                    for tag, bound in _applicable_bounds(measured, measured_tags):
+                        bound = _poison(bound, poison)
+                        rows.append(i)
+                        labels.append(_family_label(tag))
+                        log_a.append(bound.log_multiplier)
+                        rates.append(bound.rate)
+                note(labels, validity_gaps(exact[rows], log_a, rates, S_GRID))
     return max_gap
 
 
 def _verify_pmfs(args, scenario: Scenario | None, seed: int):
-    """The pmfs whose MGF gaps are swept, and the group whose sum is sampled."""
+    """The (support, stacks) batches whose MGF gaps are swept, and the group
+    whose sum is sampled."""
     if scenario is not None:
         given = [f"--{flag}" for flag in ("a", "b", "pmfs")
                  if getattr(args, flag) is not None]
@@ -301,7 +352,7 @@ def _verify_pmfs(args, scenario: Scenario | None, seed: int):
             moment_matched_pmf(support, seed=seed + i)
             for i, support in enumerate(scenario.variables)
         ]
-        return pmfs, pmfs
+        return [(pmf.support, [pmf.stack()]) for pmf in pmfs], pmfs
     if (args.a is None) != (args.b is None):
         raise ValueError("give both --a and --b, or neither")
     count = 1000 if args.pmfs is None else args.pmfs
@@ -313,15 +364,19 @@ def _verify_pmfs(args, scenario: Scenario | None, seed: int):
         supports = [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
     rng = np.random.default_rng(seed)
     group = [extremal_two_point(support) for support in supports]
-    pmfs: list[FinitePmf] = []
+    batches = []
     for support, extremal in zip(supports, group):
-        pmfs.append(extremal)
+        seeds: dict[int, list[int]] = {}
         for _ in range(count):
             atoms = int(rng.integers(2, 9))
-            pmfs.append(
-                random_mean_zero_pmf(support, atoms, int(rng.integers(2 ** 63)))
-            )
-    return pmfs, group
+            seeds.setdefault(atoms, []).append(int(rng.integers(2 ** 63)))
+        stacks = [extremal.stack()]
+        for atoms, row_seeds in seeds.items():
+            stack = random_mean_zero_stack(support, atoms, row_seeds)
+            check_pmf_stack(*stack, support)
+            stacks.append(stack)
+        batches.append((support, stacks))
+    return batches, group
 
 
 def cmd_verify(args) -> int:
@@ -332,9 +387,13 @@ def cmd_verify(args) -> int:
     query = Query() if scenario is None else scenario.query
     seed = query.seed if args.seed is None else args.seed
     samples = query.samples if args.samples is None else args.samples
-    pmfs, group = _verify_pmfs(args, scenario, seed)
+    # input errors exit before any pmf is drawn
+    _catalog_tags(args.k_max)
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
+    batches, group = _verify_pmfs(args, scenario, seed)
 
-    max_gap = _family_max_gaps(pmfs, args.k_max, args.poison_rate)
+    max_gap = _family_max_gaps(batches, args.k_max, args.poison_rate)
     lines = ["family,max_gap,violations"]
     violations = 0
     for label in sorted(max_gap):

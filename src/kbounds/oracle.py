@@ -5,6 +5,12 @@ bounded distribution is a weak limit of them, and all quantities of interest
 are continuous under that limit — so falsification runs entirely on exact
 finite pmfs plus seeded Monte Carlo for sum tails.  Nothing in this module
 uses the bound formulas it is meant to check.
+
+Pmfs travel as (xs[N, n], ps[N, n]) stacks: ``random_mean_zero_stack`` draws
+them, ``check_pmf_stack`` checks them, and ``exact_log_mgf_rows`` and
+``moment_rows`` evaluate them.  ``random_mean_zero_pmf``, ``FinitePmf``,
+``exact_log_mgf`` and ``moments`` are their one-row calls, and every row of a
+stack is bit for bit the number its one-row call gives.
 """
 
 from __future__ import annotations
@@ -18,9 +24,15 @@ from .bounds import BoundedSupport, MgfBound
 
 _SUM_TOL = 1e-12
 
+# fewest Monte Carlo samples `mc_sum_tail` draws
+MIN_SAMPLES = 10 ** 3
+
 # Verification grid: log-spaced to cover both the multiplier-dominated small-s
 # regime and the rate-dominated large-s regime.
 S_GRID = np.geomspace(1e-3, 50.0, 40)
+
+# np.sign(x) == _SIGNS splits a stack's atoms into (x > 0, x < 0, x == 0)
+_SIGNS = np.array([1.0, -1.0, 0.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -32,39 +44,80 @@ class FinitePmf:
     support: BoundedSupport
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.xs)
-        ps = np.asarray(self.ps)
-        if xs.shape != ps.shape or xs.ndim != 1 or xs.size == 0:
-            raise ValueError("xs and ps must be equal-length non-empty sequences")
-        if np.any(ps < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if np.any(xs < self.support.a) or np.any(xs > self.support.b):
-            raise ValueError("atoms must lie inside the support interval")
-        if abs(float(ps.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {ps.sum()}, not 1")
-        mean = float(ps @ xs)
-        # rounding in ps @ xs grows with the size of the atoms
-        if abs(mean) > _SUM_TOL * max(-self.support.a, self.support.b):
-            raise ValueError(f"mean {mean} is not zero")
+        check_pmf_stack(*self.stack(), self.support)
+
+    def stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pmf as a one-row (xs, ps) stack."""
+        return np.asarray(self.xs)[None], np.asarray(self.ps)[None]
 
 
-def exact_log_mgf_rows(pmfs, s_values) -> np.ndarray:
-    """log E[exp(sX)] for a stack of pmfs: one row per pmf, one column per s.
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row i.
 
-    Every pmf must have the same number of atoms with p > 0, because the rows
+    The stacked matmul runs numpy's 1-D dot on each row, so every number is
+    the one ``u[i] @ v[i]`` gives: BLAS's rounding, which differs from an
+    elementwise product summed along the row.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _row_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """values[i][mask[i]].sum() for every row i of each mask, in numpy's own order.
+
+    numpy adds fewer than 8 terms left to right, which a running sum along the
+    row, with zeros in place of the unselected entries, repeats exactly.  It
+    adds 8 or more pairwise, so such a row is summed over its own entries.
+    """
+    out = np.add.accumulate(np.where(masks, values, 0.0), axis=-1)[..., -1]
+    if values.shape[-1] >= 8:  # only then can a row select 8 entries
+        for m, i in zip(*(masks.sum(axis=-1) >= 8).nonzero()):
+            out[m, i] = values[i][masks[m, i]].sum()
+    return out
+
+
+def check_pmf_stack(xs, ps, support: BoundedSupport) -> None:
+    """Reject a (xs[N, n], ps[N, n]) stack unless every row is a mean-zero pmf.
+
+    Each row must have nonnegative masses summing to 1 and atoms inside [a, b]
+    with mean zero; the first check that any row fails raises ValueError.
+    """
+    xs = np.asarray(xs)
+    ps = np.asarray(ps)
+    if xs.shape != ps.shape or xs.ndim != 2 or xs.shape[1] == 0:
+        raise ValueError("xs and ps must be equal-length non-empty sequences")
+    if ps.min(initial=0.0) < 0.0:
+        raise ValueError("probabilities must be nonnegative")
+    if xs.min(initial=support.a) < support.a or xs.max(initial=support.b) > support.b:
+        raise ValueError("atoms must lie inside the support interval")
+    sums = ps.sum(axis=1)
+    miss = abs(sums - 1.0)
+    if miss.max(initial=0.0) > _SUM_TOL:
+        raise ValueError(f"probabilities sum to {sums[miss.argmax()]}, not 1")
+    means = _row_dots(ps, xs)
+    # rounding in ps @ xs grows with the size of the atoms
+    if abs(means).max(initial=0.0) > _SUM_TOL * max(-support.a, support.b):
+        raise ValueError(f"mean {float(means[abs(means).argmax()])} is not zero")
+
+
+def exact_log_mgf_rows(xs, ps, s_values) -> np.ndarray:
+    """log E[exp(sX)] for a (xs[N, n], ps[N, n]) stack: one row per pmf, one column per s.
+
+    Every row must have the same number of atoms with p > 0, because the rows
     are one (pmf, s, atom) logsumexp over those atoms.  They are not padded to
     a common count: numpy sums 8 or more terms pairwise, so a padded sum could
     differ in the last bit from the sum over the pmf's own atoms.
     """
-    xs, ps = [], []
-    for pmf in pmfs:
-        p = np.asarray(pmf.ps)
-        keep = p > 0.0
-        xs.append(np.asarray(pmf.xs)[keep])
-        ps.append(p[keep])
-    if len({p.size for p in ps}) > 1:
-        raise ValueError("pmfs must have the same number of atoms with p > 0")
-    xs, ps = np.array(xs), np.array(ps)
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    keep = ps > 0.0
+    if not keep.all():
+        counts = keep.sum(axis=1)
+        if (counts != counts[0]).any():
+            raise ValueError("pmfs must have the same number of atoms with p > 0")
+        # each row's atoms with p > 0, in their own order
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : counts[0]]
+        xs = np.take_along_axis(xs, order, axis=1)
+        ps = np.take_along_axis(ps, order, axis=1)
     s_arr = np.asarray(s_values, dtype=float)
     terms = np.log(ps)[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
     peak = terms.max(axis=2, keepdims=True)
@@ -73,17 +126,20 @@ def exact_log_mgf_rows(pmfs, s_values) -> np.ndarray:
 
 def exact_log_mgf(pmf: FinitePmf, s):
     """log E[exp(sX)] = logsumexp(log p_i + s x_i); s may be scalar or array."""
-    out = exact_log_mgf_rows([pmf], np.atleast_1d(np.asarray(s, dtype=float)))[0]
+    out = exact_log_mgf_rows(*pmf.stack(), np.atleast_1d(np.asarray(s, dtype=float)))[0]
     return float(out[0]) if np.ndim(s) == 0 else out
+
+
+def moment_rows(xs, ps, order: int) -> np.ndarray:
+    """E[X^order] for every row of a (xs[N, n], ps[N, n]) stack, exactly."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return _row_dots(np.asarray(ps), np.asarray(xs) ** order)
 
 
 def moments(pmf: FinitePmf, order: int) -> float:
     """E[X^order], exactly."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    xs = np.asarray(pmf.xs)
-    ps = np.asarray(pmf.ps)
-    return float(ps @ xs ** order)
+    return float(moment_rows(*pmf.stack(), order)[0])
 
 
 def extremal_two_point(support: BoundedSupport) -> FinitePmf:
@@ -95,52 +151,74 @@ def extremal_two_point(support: BoundedSupport) -> FinitePmf:
     return FinitePmf((a, b), (b / (b - a), -a / (b - a)), support)
 
 
-def random_mean_zero_pmf(
-    support: BoundedSupport, atom_count: int, seed: int
-) -> FinitePmf:
-    """Seed-deterministic random mean-zero pmf on the support interval.
+def random_mean_zero_stack(
+    support: BoundedSupport, atom_count: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seed-deterministic random mean-zero pmfs on the support interval.
 
-    Atom locations are uniform on [a, b]; with probability 1/2 the endpoints a
-    and b are forced in.  Positive random weights are projected to zero mean
-    by rescaling the positive-x mass against the negative-x mass (redrawing
-    when all atoms share one sign), and a final transfer between the extreme
-    atoms cancels the floating-point residual.
+    Row i of the (xs[N, atom_count], ps[N, atom_count]) stack is drawn from
+    its own ``default_rng(seeds[i])``.  Atom locations are uniform on [a, b];
+    with probability 1/2 the endpoints a and b are forced in.  Positive
+    random weights are projected to zero mean by rescaling the positive-x mass
+    against the negative-x mass (redrawing when all atoms share one sign), and
+    a final transfer between the extreme atoms cancels the floating-point
+    residual.  The draws and each row's dots (its own ``@``) run row by row,
+    the rest of the projection on the whole stack.  The rows are not checked
+    here: ``check_pmf_stack`` is FinitePmf's check for a whole stack.
     """
     if atom_count < 2:
         raise ValueError("need at least 2 atoms for a mean-zero distribution")
     a, b = support.a, support.b
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        if rng.random() < 0.5:
-            xs = np.concatenate([[a, b], rng.uniform(a, b, atom_count - 2)])
+    rows = len(seeds)
+    xs = np.empty((rows, atom_count))
+    w = np.empty((rows, atom_count))
+    p_sum = np.empty(rows)
+    n_sum = np.empty(rows)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        x = xs[i]
+        for _ in range(1000):
+            if rng.random() < 0.5:
+                x[:2] = a, b
+                x[2:] = rng.uniform(a, b, atom_count - 2)
+                break  # a < 0 < b: both signs are in
+            x[:] = rng.uniform(a, b, atom_count)
+            if x.min() < 0.0 < x.max():
+                break
         else:
-            xs = rng.uniform(a, b, atom_count)
-        pos = xs > 0.0
-        neg = xs < 0.0
-        if not (pos.any() and neg.any()):
-            continue
-        w = rng.uniform(0.05, 1.0, atom_count)
-        # Scale the positive-x weights by beta and the negative-x weights by
-        # gamma so that beta*P = gamma*N (zero mean) and the mass is 1; atoms
-        # at exactly 0 keep their raw share of the total weight.
-        p_sum = float(w[pos] @ xs[pos])
-        n_sum = -float(w[neg] @ xs[neg])
-        zero = ~pos & ~neg
-        zero_share = float(w[zero].sum()) / float(w.sum())
-        kappa = (1.0 - zero_share) / (n_sum * float(w[pos].sum()) + p_sum * float(w[neg].sum()))
-        ps = np.empty_like(w)
-        ps[pos] = w[pos] * (n_sum * kappa)
-        ps[neg] = w[neg] * (p_sum * kappa)
-        ps[zero] = w[zero] / float(w.sum())
-        ps /= ps.sum()
-        # transfer between the extreme atoms to cancel the rounding residual
-        i_hi = int(np.argmax(xs))
-        i_lo = int(np.argmin(xs))
-        delta = -float(ps @ xs) / (xs[i_hi] - xs[i_lo])
-        ps[i_hi] += delta
-        ps[i_lo] -= delta
-        return FinitePmf(tuple(xs), tuple(ps), support)
-    raise RuntimeError("could not draw atoms with both signs (degenerate support?)")
+            raise RuntimeError("could not draw atoms with both signs (degenerate support?)")
+        w[i] = rng.uniform(0.05, 1.0, atom_count)
+        pos = x > 0.0
+        neg = x < 0.0
+        p_sum[i] = w[i][pos] @ x[pos]
+        n_sum[i] = -(w[i][neg] @ x[neg])
+    # Scale the positive-x weights by beta and the negative-x weights by gamma
+    # so that beta*P = gamma*N (zero mean) and the mass is 1; atoms at exactly
+    # 0 keep their raw share of the total weight.
+    masks = np.sign(xs) == _SIGNS
+    pos, neg, zero = masks
+    total = w.sum(axis=1)
+    pos_w, neg_w, zero_w = _row_sums(w, masks)
+    kappa = (1.0 - zero_w / total) / (n_sum * pos_w + p_sum * neg_w)
+    ps = w * np.where(pos, (n_sum * kappa)[:, None], (p_sum * kappa)[:, None])
+    np.divide(w, total[:, None], out=ps, where=zero)
+    ps /= ps.sum(axis=1, keepdims=True)
+    # transfer between the extreme atoms to cancel the rounding residual
+    for p, x in zip(ps, xs):
+        i_hi = x.argmax()
+        i_lo = x.argmin()
+        delta = -(p @ x) / (x[i_hi] - x[i_lo])
+        p[i_hi] += delta
+        p[i_lo] -= delta
+    return xs, ps
+
+
+def random_mean_zero_pmf(
+    support: BoundedSupport, atom_count: int, seed: int
+) -> FinitePmf:
+    """The one-row ``random_mean_zero_stack``: a random mean-zero pmf."""
+    xs, ps = random_mean_zero_stack(support, atom_count, [seed])
+    return FinitePmf(tuple(xs[0].tolist()), tuple(ps[0].tolist()), support)
 
 
 def moment_matched_pmf(support: BoundedSupport, seed: int = 0) -> FinitePmf:
@@ -198,8 +276,8 @@ def mc_sum_tail(pmfs, ts, samples: int, seed: int) -> list[tuple[float, float]]:
     of the sum.  Deterministic in ``seed``; per-variable streams are split
     off the master seed with numpy's SeedSequence.spawn.
     """
-    if samples < 10 ** 3:
-        raise ValueError("use at least 1000 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples")
     children = np.random.SeedSequence(seed).spawn(len(pmfs))
     total = np.zeros(samples)
     for pmf, child in zip(pmfs, children):
@@ -216,20 +294,22 @@ def mc_sum_tail(pmfs, ts, samples: int, seed: int) -> list[tuple[float, float]]:
 
 
 def validity_gaps(exact, log_multipliers, rates, s_values=S_GRID) -> np.ndarray:
-    """Per row, max over s of exact - (log A + rho s^2); <= 0 iff that bound holds.
+    """max over s of exact - (log A + rho s^2); <= 0 iff that bound holds.
 
-    ``exact`` has one row of ``exact_log_mgf_rows`` per bound, so one call
-    checks a whole (bound x s) table.
+    s runs along the last axis of ``exact``, which broadcasts against the
+    bound arrays: one row of ``exact_log_mgf_rows`` per bound checks a
+    (bound x s) table, and ``exact[:, None, :]`` against one row of bounds
+    checks a (pmf x bound x s) table.
     """
     s_arr = np.asarray(s_values, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError("bounds are stated for s > 0 only")
-    log_a = np.asarray(log_multipliers, dtype=float)[:, None]
-    rho = np.asarray(rates, dtype=float)[:, None]
-    return np.max(exact - (log_a + rho * s_arr * s_arr), axis=1)
+    log_a = np.asarray(log_multipliers, dtype=float)[..., None]
+    rho = np.asarray(rates, dtype=float)[..., None]
+    return np.max(exact - (log_a + rho * s_arr * s_arr), axis=-1)
 
 
 def validity_gap(pmf: FinitePmf, bound: MgfBound, s_values=S_GRID) -> float:
     """max over the s grid of (exact log MGF - certified bound); <= 0 iff sound."""
-    exact = exact_log_mgf_rows([pmf], s_values)
+    exact = exact_log_mgf_rows(*pmf.stack(), s_values)
     return float(validity_gaps(exact, [bound.log_multiplier], [bound.rate], s_values)[0])

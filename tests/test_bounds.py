@@ -22,6 +22,7 @@ from kbounds.bounds import (
     order_k,
     phi,
     psi,
+    reads_moments,
     upsilon_log,
 )
 from kbounds.tails import mirror
@@ -219,6 +220,44 @@ class TestMgfBound:
             order_k(0)
         with pytest.raises(ValueError):
             FamilyTag(Family.HERTZ, k=2)
+
+
+@st.composite
+def measured_supports(draw):
+    """[a, b] at a scale from 1e-6 to 1e6, with any valid moment declaration."""
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    a = -scale * draw(st.floats(0.01, 50.0))
+    b = -a if draw(st.booleans()) else scale * draw(st.floats(0.01, 50.0))
+    cap2, cap4 = moment_caps(BoundedSupport(a, b))
+    m2 = draw(st.none() | st.floats(0.0, 1.0).map(lambda f: f * cap2))
+    m4 = None
+    if m2 is not None and draw(st.booleans()):
+        m4 = m2 * m2 + draw(st.floats(0.0, 1.0)) * (cap4 - m2 * m2)
+    return BoundedSupport(a, b, m2=m2, m4=m4, odd_moments_zero=draw(st.booleans()))
+
+
+CATALOG = [CLASSIC, HERTZ, *(order_k(k) for k in range(1, 9)),
+           ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
+
+
+class TestReadsMoments:
+    @given(measured_supports())
+    @settings(max_examples=300, deadline=None)
+    def test_moment_free_bounds_depend_on_the_interval_alone(self, measured):
+        interval = BoundedSupport(measured.a, measured.b)
+        free = [tag for tag in CATALOG if not reads_moments(measured, tag)]
+        assert {CLASSIC, HERTZ, order_k(1), order_k(3), order_k(8)} <= set(free)
+        for tag in free:
+            assert mgf_bound(measured, tag) == mgf_bound(interval, tag)
+
+    def test_marks_the_moment_families(self):
+        plain = BoundedSupport(-1, 2)
+        odd = BoundedSupport(-1, 2, odd_moments_zero=True)
+        for support in (plain, odd):
+            for tag in (order_k(2), ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4):
+                assert reads_moments(support, tag)
+        assert not reads_moments(plain, order_k(4))
+        assert reads_moments(odd, order_k(4))
 
 
 class TestEval:

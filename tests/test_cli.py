@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from kbounds import cli
-from kbounds.bounds import BoundedSupport, Family, mgf_bound
+from kbounds.bounds import BoundedSupport, Family
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf
 from kbounds.scenario import load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
-from test_oracle import list_validity_gap, mixed_pmfs
+from test_oracle import list_validity_gap, mixed_pmfs, stack_of
 from test_selection import staircase_front
 
 
@@ -290,13 +290,24 @@ def sweep_one_pmf(pmf, k_max, poison):
     the batched sweep replaced, kept as its reference."""
     measured = cli._measured_support(pmf)
     gaps = {}
-    for tag in cli._applicable_tags(measured, k_max):
-        bound = cli._poison(mgf_bound(measured, tag), poison)
+    for tag, bound in cli._applicable_bounds(measured, cli._catalog_tags(k_max)):
+        bound = cli._poison(bound, poison)
         label = "order_k" if tag.family is Family.ORDER_K else tag.label()
         gap = list_validity_gap(pmf, bound, S_GRID)
         if label not in gaps or gap > gaps[label]:
             gaps[label] = gap
     return gaps
+
+
+def batches_of(pmfs):
+    """The pmfs as ``_family_max_gaps`` takes them: per support, one stack per atom count."""
+    by_support = {}
+    for pmf in pmfs:
+        by_support.setdefault(pmf.support, {}).setdefault(len(pmf.xs), []).append(pmf)
+    return [
+        (support, [stack_of(group) for group in by_count.values()])
+        for support, by_count in by_support.items()
+    ]
 
 
 def per_pmf_max_gaps(pmfs, k_max, poison):
@@ -319,7 +330,7 @@ class TestVerify:
         )
         pmfs = mixed_pmfs(scale) + [sparse]
         for k_max in (1, 8):
-            batched = cli._family_max_gaps(pmfs, k_max, poison)
+            batched = cli._family_max_gaps(batches_of(pmfs), k_max, poison)
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
 
@@ -459,6 +470,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "k_max" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--samples", "10"], "samples"), (["--samples", "999"], "samples"),
+         (["--k-max", "0"], "k_max"), (["--k-max", "-3"], "k_max")],
+    )
+    def test_bad_input_exits_2_before_any_pmf_is_drawn(self, capsys, monkeypatch,
+                                                       fixtures_dir, flags, message):
+        def no_pmfs(*args, **kwargs):
+            raise AssertionError("drew pmfs for a rejected command")
+
+        monkeypatch.setattr(cli, "random_mean_zero_stack", no_pmfs)
+        monkeypatch.setattr(cli, "moment_matched_pmf", no_pmfs)
+        for source in (["--random"], [str(fixtures_dir / "example5.json")]):
+            code, out, err = run_cli(["verify", *source, *flags], capsys)
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_mc_candidates_respect_k_max(self, capsys):
         code, out, _ = run_cli(

@@ -18,19 +18,65 @@ from kbounds.bounds import (
 from kbounds.oracle import (
     S_GRID,
     FinitePmf,
+    check_pmf_stack,
     exact_log_mgf,
     exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
+    moment_rows,
     moments,
     random_mean_zero_pmf,
+    random_mean_zero_stack,
     validity_gap,
     validity_gaps,
 )
 
 S11 = BoundedSupport(-1, 1)
 S51 = BoundedSupport(-5, 1)
+
+
+def stack_of(pmfs):
+    """Equal-length pmfs as one (xs[N, n], ps[N, n]) stack."""
+    return np.array([p.xs for p in pmfs]), np.array([p.ps for p in pmfs])
+
+
+def reference_random_pmf(support, atom_count, seed):
+    """The one-pmf generator the stack kernel replaced, kept as its reference.
+
+    Returns (xs, ps, forced, attempts): ``forced`` says whether the coin
+    forced the endpoints in, ``attempts`` how many atom draws it took.
+    """
+    a, b = support.a, support.b
+    rng = np.random.default_rng(seed)
+    for attempts in range(1, 1001):
+        forced = rng.random() < 0.5
+        if forced:
+            xs = np.concatenate([[a, b], rng.uniform(a, b, atom_count - 2)])
+        else:
+            xs = rng.uniform(a, b, atom_count)
+        pos = xs > 0.0
+        neg = xs < 0.0
+        if not (pos.any() and neg.any()):
+            continue
+        w = rng.uniform(0.05, 1.0, atom_count)
+        p_sum = float(w[pos] @ xs[pos])
+        n_sum = -float(w[neg] @ xs[neg])
+        zero = ~pos & ~neg
+        zero_share = float(w[zero].sum()) / float(w.sum())
+        kappa = (1.0 - zero_share) / (n_sum * float(w[pos].sum()) + p_sum * float(w[neg].sum()))
+        ps = np.empty_like(w)
+        ps[pos] = w[pos] * (n_sum * kappa)
+        ps[neg] = w[neg] * (p_sum * kappa)
+        ps[zero] = w[zero] / float(w.sum())
+        ps /= ps.sum()
+        i_hi = int(np.argmax(xs))
+        i_lo = int(np.argmin(xs))
+        delta = -float(ps @ xs) / (xs[i_hi] - xs[i_lo])
+        ps[i_hi] += delta
+        ps[i_lo] -= delta
+        return xs, ps, forced, attempts
+    raise RuntimeError("could not draw atoms with both signs")
 
 
 def per_pmf_log_mgf(pmf, s_arr):
@@ -116,7 +162,7 @@ class TestExactLogMgf:
             pmfs = mixed_pmfs(scale)
             for atoms in range(2, 9):
                 stack = [p for p in pmfs if len(p.xs) == atoms]
-                rows = exact_log_mgf_rows(stack, S_GRID)
+                rows = exact_log_mgf_rows(*stack_of(stack), S_GRID)
                 assert rows.shape == (len(stack), S_GRID.size)
                 for pmf, row in zip(stack, rows):
                     assert np.array_equal(row, per_pmf_log_mgf(pmf, S_GRID))
@@ -124,14 +170,18 @@ class TestExactLogMgf:
 
     def test_kernel_drops_zero_probability_atoms(self):
         sparse = FinitePmf((-1.0, 0.5, 0.0, 1.0), (0.25, 0.0, 0.5, 0.25), S11)
+        shifted = FinitePmf((-1.0, 0.0, 1.0, 0.5), (0.25, 0.5, 0.25, 0.0), S11)
         dense = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
-        rows = exact_log_mgf_rows([sparse, dense], S_GRID)
+        rows = exact_log_mgf_rows(*stack_of([sparse, shifted]), S_GRID)
         assert np.array_equal(rows[0], rows[1])
+        assert np.array_equal(rows[0], exact_log_mgf_rows(*dense.stack(), S_GRID)[0])
         assert np.array_equal(rows[0], per_pmf_log_mgf(sparse, S_GRID))
 
     def test_kernel_rejects_mixed_atom_counts(self):
+        two = FinitePmf((-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), S11)
+        three = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
         with pytest.raises(ValueError, match="same number of atoms"):
-            exact_log_mgf_rows([extremal_two_point(S11), moment_matched_pmf(S51)], S_GRID)
+            exact_log_mgf_rows(*stack_of([two, three]), S_GRID)
 
     def test_extremal_stays_under_every_applicable_bound(self):
         pmf = extremal_two_point(S51)
@@ -155,6 +205,19 @@ class TestMoments:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             moments(extremal_two_point(S11), 0)
+
+    def test_rows_are_each_rows_own_dot(self):
+        # BLAS rounds a dot unlike a summed product, so each row must be its @
+        for scale in (1e-6, 1.0, 1e6):
+            pmfs = mixed_pmfs(scale, per_count=2)
+            for atoms in range(2, 9):
+                stack = [p for p in pmfs if len(p.xs) == atoms]
+                xs, ps = stack_of(stack)
+                for order in (1, 2, 4):
+                    rows = moment_rows(xs, ps, order)
+                    for pmf, row in zip(stack, rows.tolist()):
+                        assert row == float(np.asarray(pmf.ps) @ np.asarray(pmf.xs) ** order)
+                        assert row == moments(pmf, order)
 
 
 class TestRandomPmf:
@@ -192,6 +255,74 @@ class TestRandomPmf:
         assert abs(ps.sum() - 1.0) < 1e-12
         assert abs(float(ps @ xs)) < 1e-12
         assert np.all(ps >= 0.0)
+
+
+class TestRandomStack:
+    """The stack kernel against the one-pmf reference, bit for bit."""
+
+    def check_rows(self, support, atoms, seeds):
+        xs, ps = random_mean_zero_stack(support, atoms, seeds)
+        assert xs.shape == ps.shape == (len(seeds), atoms)
+        draws = []
+        for i, seed in enumerate(seeds):
+            ref_xs, ref_ps, forced, attempts = reference_random_pmf(support, atoms, seed)
+            assert np.array_equal(xs[i], ref_xs) and np.array_equal(ps[i], ref_ps), seed
+            draws.append((forced, attempts))
+        check_pmf_stack(xs, ps, support)
+        return draws
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_rows_match_the_reference(self, scale):
+        forced = set()
+        for a, b in ((-1, 1), (-1, 5), (-5, 1), (-2, 3)):
+            support = BoundedSupport(a * scale, b * scale)
+            for atoms in range(2, 9):
+                seeds = [1000 * atoms + i for i in range(25)]
+                forced |= {f for f, _ in self.check_rows(support, atoms, seeds)}
+        assert forced == {True, False}  # both coin branches
+
+    @pytest.mark.parametrize("a, b", [(-1, 5), (-5, 1)])
+    def test_retry_heavy_supports(self, a, b):
+        # two uniform atoms share a sign 72 % of the time on these intervals
+        draws = self.check_rows(BoundedSupport(a, b), 2, list(range(200)))
+        assert max(attempts for _, attempts in draws) >= 3
+
+    def test_eight_or_more_atoms_of_one_sign(self):
+        # rows with 8+ positive atoms: numpy sums those weights pairwise
+        self.check_rows(BoundedSupport(-1, 30), 11, list(range(60)))
+        self.check_rows(BoundedSupport(-1, 30), 9, list(range(60)))
+
+    def test_one_row_call_is_the_reference(self):
+        for seed in range(40):
+            support = BoundedSupport(-3e-6 * (1 + seed % 3), 2e6)
+            pmf = random_mean_zero_pmf(support, 2 + seed % 7, seed)
+            ref_xs, ref_ps, _, _ = reference_random_pmf(support, 2 + seed % 7, seed)
+            assert np.array_equal(pmf.xs, ref_xs) and np.array_equal(pmf.ps, ref_ps)
+
+    def test_rejects_single_atom(self):
+        with pytest.raises(ValueError, match="at least 2 atoms"):
+            random_mean_zero_stack(S11, 1, [0, 1])
+
+    @pytest.mark.parametrize("poison", ["negative", "outside", "sum", "mean"])
+    def test_poisoned_row_fails_with_the_finite_pmf_message(self, poison):
+        xs, ps = random_mean_zero_stack(S51, 4, list(range(6)))
+        check_pmf_stack(xs, ps, S51)
+        row = 3
+        if poison == "negative":
+            ps[row, 0] = -ps[row, 0]
+        elif poison == "outside":
+            xs[row, 0] = 1.5 * S51.a
+        elif poison == "sum":
+            ps[row] *= 0.9
+        else:
+            shift = 0.5 * ps[row].min()
+            ps[row, xs[row].argmax()] += shift
+            ps[row, xs[row].argmin()] -= shift
+        with pytest.raises(ValueError) as one:
+            FinitePmf(tuple(xs[row]), tuple(ps[row]), S51)
+        with pytest.raises(ValueError) as stack:
+            check_pmf_stack(xs, ps, S51)
+        assert str(stack.value) == str(one.value)
 
 
 class TestMomentMatchedPmf:
@@ -282,7 +413,7 @@ class TestTightness:
             for pmf in mixed_pmfs(scale, per_count=1):
                 measured = BoundedSupport(pmf.support.a, pmf.support.b, m2=moments(pmf, 2))
                 bounds = [mgf_bound(measured, tag) for tag in tags]
-                exact = exact_log_mgf_rows([pmf] * len(bounds), S_GRID)
+                exact = exact_log_mgf_rows(*stack_of([pmf] * len(bounds)), S_GRID)
                 table = validity_gaps(
                     exact, [b.log_multiplier for b in bounds], [b.rate for b in bounds]
                 )
