@@ -36,7 +36,7 @@ def main() -> None:
         print()
 
     print("four-variable sum: optimal order vector by t regime (k_max = 3)")
-    for lo, hi, ks in best_region_partition(SUM_VARIABLES, 0.1, 12.0, 240, k_max=3):
+    for lo, hi, ks in best_region_partition(SUM_VARIABLES, 0.1, 12.0, k_max=3):
         print(f"  t in [{lo:7.4f}, {hi:7.4f}]  ->  k = {ks}")
     print()
 

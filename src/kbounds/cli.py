@@ -10,16 +10,17 @@ Subcommands::
 
 `verify --random` draws each support's pmfs as (xs, ps) stacks, one per
 atom count.  The bounds that read no moments are built once per support, the
-moment-reading ones per pmf on its measured support, and all of them are
+applicable moment-reading ones per pmf on its measured support, and all are
 checked against the exact log-MGF rows as (pmf x family x s) tables.  A bad
 `--k-max` or `--samples` exits 2 before any pmf is drawn.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
-``tails.totals``; `sweep` crossovers are the closed-form ``selection.regimes``
-edges.  All numeric CSV cells use 12 significant digits and LF line endings,
-so the output is byte-stable for fixed inputs and seed.  Every command runs
-in one thread.  Float options must be finite.  Exit codes: 0 success, 2 input
-error, 4 verification failure.
+``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
+the least to the greatest t, whatever the number or order of the t values.
+All numeric CSV cells use 12 significant digits and LF line endings, so the
+output is byte-stable for fixed inputs and seed.  Every command runs in one
+thread.  Float options must be finite.  Exit codes: 0 success, 2 input error,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .oracle import (
     validity_gaps,
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario
-from .selection import crossover_threshold, optimize_exact, pareto_front, regimes
+from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
     log_bound,
@@ -261,12 +262,8 @@ def cmd_select(args) -> int:
         "variable,k,k_next,t_star",
     ]
     for i, support in enumerate(scenario.variables, start=1):
-        for k in range(1, args.k_max + 1):
-            try:
-                t_star = crossover_threshold(support, k)
-            except RuntimeError:
-                t_star = math.nan  # moment-refined A_{k+1} dipped below A_k
-            lines.append(f"{i},{k},{k + 1},{g12(t_star)}")
+        for k, k_next, t_star in crossover_table(support, args.k_max).thresholds:
+            lines.append(f"{i},{k},{k_next},{g12(t_star)}")
     _emit(args, lines)
     return 0
 
@@ -293,10 +290,10 @@ def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
 
     ``batches`` pairs each support with its (xs[N, n], ps[N, n]) stacks.  A
     family that reads no moments has one bound per support, built on [a, b]
-    and checked against every pmf as one (pmf x family x s) table.  The
-    moment-reading families are built per pmf on its measured support, one
-    (row x s) table per stack.  A stack's rows are taken one count of atoms
-    with p > 0 at a time, the rows ``exact_log_mgf_rows`` takes at once.
+    and checked against every pmf as one (pmf x family x s) table.  Which
+    moment-reading families apply is decided once per support; each is built
+    per pmf on its measured support, one (row x s) table per stack, whose rows
+    go one count of atoms with p > 0 at a time, as ``exact_log_mgf_rows`` needs.
     """
     tags = _catalog_tags(k_max)
     max_gap: dict[str, float] = {}
@@ -309,10 +306,11 @@ def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
     for support, stacks in batches:
         a, b = support.a, support.b
         interval = BoundedSupport(a, b)
-        shared = _applicable_bounds(
-            interval, [tag for tag in tags if not reads_moments(interval, tag)]
-        )
-        measured_tags = [tag for tag in tags if reads_moments(interval, tag)]
+        moment_tags = [tag for tag in tags if reads_moments(interval, tag)]
+        shared = _applicable_bounds(interval, [tag for tag in tags if tag not in moment_tags])
+        # measured supports all know m2 and m4 and assert no odd moments
+        shape = BoundedSupport(a, b, m2=0.0, m4=0.0)
+        measured_tags = [tag for tag, _ in _applicable_bounds(shape, moment_tags)]
         shared_labels = [_family_label(tag) for tag, _ in shared]
         shared = [_poison(bound, poison) for _, bound in shared]
         shared_log_a = [bound.log_multiplier for bound in shared]
@@ -330,8 +328,8 @@ def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
                 m4s = moment_rows(xs, ps, 4).tolist()
                 for i, (m2, m4) in enumerate(zip(m2s, m4s)):
                     measured = BoundedSupport(a, b, m2=m2, m4=m4)
-                    for tag, bound in _applicable_bounds(measured, measured_tags):
-                        bound = _poison(bound, poison)
+                    for tag in measured_tags:
+                        bound = _poison(mgf_bound(measured, tag), poison)
                         rows.append(i)
                         labels.append(_family_label(tag))
                         log_a.append(bound.log_multiplier)
@@ -463,8 +461,8 @@ def cmd_sweep(args) -> int:
     for t, column in zip(ts.tolist(), curves.T.tolist()):
         lines.append(g12(t) + "," + ",".join(g12(c) for c in column))
 
-    # crossovers of the lower envelope: the closed-form edges between winners
-    runs = regimes(big_l, big_r, ts)
+    # crossovers of the lower envelope over the t span, in closed form
+    runs = regimes(big_l, big_r, ts.min(), ts.max())
     for (_, edge, before), (_, _, after) in zip(runs, runs[1:]):
         lines.append(f"crossover,{names[before]}->{names[after]},{g12(edge)}")
     _emit(args, lines)

@@ -78,13 +78,15 @@ def _row_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def check_pmf_stack(xs, ps, support: BoundedSupport) -> None:
     """Reject a (xs[N, n], ps[N, n]) stack unless every row is a mean-zero pmf.
 
-    Each row must have nonnegative masses summing to 1 and atoms inside [a, b]
-    with mean zero; the first check that any row fails raises ValueError.
+    Each row needs finite nonnegative masses summing to 1 and finite atoms in
+    [a, b] with mean zero; the first check that any row fails raises ValueError.
     """
     xs = np.asarray(xs)
     ps = np.asarray(ps)
     if xs.shape != ps.shape or xs.ndim != 2 or xs.shape[1] == 0:
         raise ValueError("xs and ps must be equal-length non-empty sequences")
+    if not np.isfinite((xs, ps)).all():  # NaN passes every check below
+        raise ValueError("atoms and probabilities must be finite")
     if ps.min(initial=0.0) < 0.0:
         raise ValueError("probabilities must be nonnegative")
     if xs.min(initial=support.a) < support.a or xs.max(initial=support.b) > support.b:

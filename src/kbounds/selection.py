@@ -17,7 +17,7 @@ by slope, at most n (k_max - 1) + 1 vertices.  It is built once, and each t is
 a minimum over its few points.  A continuous relaxation gives the cheap
 near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
 rounded by the hull over each variable's floor and ceiling.  Two vectors tie
-where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2), which places every ``regimes`` edge.
+where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class CrossoverTable:
     """Per-support thresholds t* above which order k+1 beats order k."""
 
     support: BoundedSupport
-    thresholds: tuple[tuple[int, int, float], ...]  # (k, k+1, t_star)
+    thresholds: tuple[tuple[int, int, float], ...]  # (k, k+1, t_star or nan)
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,14 @@ def crossover_threshold(support: BoundedSupport, k: int) -> float:
 
 
 def crossover_table(support: BoundedSupport, k_max: int = 8) -> CrossoverTable:
-    rows = tuple(
-        (k, k + 1, crossover_threshold(support, k)) for k in range(1, k_max + 1)
-    )
-    return CrossoverTable(support, rows)
+    """t* for k = 1..k_max, nan where the moment-refined A_{k+1} dips below A_k."""
+    rows = []
+    for k in range(1, k_max + 1):
+        try:
+            rows.append((k, k + 1, crossover_threshold(support, k)))
+        except RuntimeError:
+            rows.append((k, k + 1, math.nan))
+    return CrossoverTable(support, tuple(rows))
 
 
 def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
@@ -224,46 +228,42 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
     return RelaxedSolution(fractional, _hull(variables, options).best(t))
 
 
-def regimes(L, R, ts) -> list[tuple[float, float, int]]:
+def regimes(L, R, t_lo: float, t_hi: float) -> list[tuple[float, float, int]]:
     """(t_start, t_end, i) runs of the candidate i minimizing L[i] - t^2/(4 R[i]).
 
-    ``L``, ``R`` and the ascending grid ``ts`` are numpy arrays.  The winner at
-    each grid point is the first minimum (ties to the smaller index), so the
-    grid decides which runs are found; the edge between neighboring winners
-    i and j is their tie, t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)).
+    ``L`` and ``R`` are numpy arrays; the runs tile [t_lo, t_hi], each of positive
+    width if t_lo < t_hi.  In u = t^2 each candidate is the line L - u/(4R), so
+    the winner's R never rises with t: from the first minimum at t_lo the walk
+    moves to the smaller-R candidate whose tie with the current winner,
+    t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)), comes first (at a shared edge the
+    smallest R, then index), and ends at the first tie at or past t_hi.
     """
-    # one t at a time keeps memory at one row of candidates, however large
-    winners = [int(np.argmin(log_bound(L, R, t))) for t in ts.tolist()]
-    runs: list[tuple[float, float, int]] = []
-    start = float(ts[0])
-    for i, j in zip(winners, winners[1:]):
-        if i == j:
-            continue
-        edge = math.sqrt(4.0 * (L[i] - L[j]) / (1.0 / R[i] - 1.0 / R[j]))
-        runs.append((start, edge, i))
-        start = edge
-    runs.append((start, float(ts[-1]), winners[-1]))
+    inv_r = 1.0 / R
+    i = int(np.argmin(log_bound(L, R, t_lo)))  # ties to the smaller index
+    runs, start = [], t_lo
+    while (later := np.flatnonzero(inv_r > inv_r[i])).size:
+        # a later candidate that is no worse in L already wins: its tie is 0
+        ties = 4.0 * np.minimum(L[i] - L[later], 0.0) / (inv_r[i] - inv_r[later])
+        edge = math.sqrt(ties.min())
+        if edge >= t_hi:
+            break
+        if edge > start:
+            runs.append((start, edge, i))
+            start = edge
+        i = min(later[ties == ties.min()].tolist(), key=lambda j: (R[j], j))
+    runs.append((start, t_hi, i))
     return runs
 
 
 def best_region_partition(
-    variables,
-    t_min: float,
-    t_max: float,
-    grid: int,
-    k_max: int = 8,
+    variables, t_min: float, t_max: float, k_max: int = 8
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     """Partition [t_min, t_max] into intervals sharing one optimal k-vector.
 
-    The ``regimes`` of the exact front on a uniform grid of ``grid`` points:
-    the grid decides which regimes are found, and each edge is the closed-form
-    tie of its two neighbors.  Returns (t_start, t_end, ks) triples covering
-    the whole range.
+    The ``regimes`` of the exact front, however narrow, as (t_start, t_end, ks)
+    triples covering the whole range; each edge is the tie of its two neighbors.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
     front = pareto_front(variables, k_max)
-    ts = np.linspace(t_min, t_max, grid)
-    return [(lo, hi, front.ks[i]) for lo, hi, i in regimes(front.L, front.R, ts)]
+    return [(lo, hi, front.ks[i]) for lo, hi, i in regimes(front.L, front.R, t_min, t_max)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kbounds import cli
-from kbounds.bounds import BoundedSupport, Family
+from kbounds.bounds import BoundedSupport, Family, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf
 from kbounds.scenario import load_scenario
@@ -274,6 +274,22 @@ class TestSelect:
         assert t_star == pytest.approx(3 * math.sqrt(2 * math.log(6)), rel=1e-9)
         assert t_star == pytest.approx(5.679, abs=1e-3)
 
+    def test_dipping_ladder_prints_nan(self, tmp_path, capsys):
+        # the k = 4 moment form undercuts A_3: no finite 3 -> 4 crossover
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "variables": [{"a": -1, "b": 1, "m2": 0.01, "m4": 0.0001,
+                           "odd_moments_zero": True}],
+            "choices": "auto",
+        }))
+        code, out, _ = run_cli(["select", str(path), "--t", "1", "--k-max", "5"], capsys)
+        assert code == 0
+        table = rows(out)[3:]
+        assert [r[:3] for r in table] == [["1", str(k), str(k + 1)] for k in range(1, 6)]
+        assert table[2] == ["1", "3", "4", "nan"]
+        assert all(math.isfinite(float(r[3])) for r in table if r[1] != "3")
+
     def test_example4_thresholds(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example4.json")
         code, out, _ = run_cli(["select", scenario, "--t", "4.0", "--k-max", "2"], capsys)
@@ -333,6 +349,25 @@ class TestVerify:
             batched = cli._family_max_gaps(batches_of(pmfs), k_max, poison)
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
+
+    def test_fourth_order_families_are_not_probed_per_pmf(self, monkeypatch, capsys):
+        # no measured support asserts odd_moments_zero, so order4_moment and
+        # symmetric_order4 are tried once per support, never once per pmf
+        failed = []
+
+        def counting_mgf_bound(support, tag):
+            try:
+                return mgf_bound(support, tag)
+            except ValueError:
+                failed.append(tag)
+                raise
+
+        monkeypatch.setattr(cli, "mgf_bound", counting_mgf_bound)
+        code, _, _ = run_cli(
+            ["verify", "--random", "--pmfs", "50", "--samples", "1000"], capsys
+        )
+        assert code == 0
+        assert len(failed) <= 2 * len(cli.CANONICAL_SUPPORTS)
 
     def test_random_sweep_is_clean(self, capsys):
         code, out, _ = run_cli(
@@ -582,6 +617,21 @@ class TestSweep:
         first = math.sqrt(math.log(6 / 5) / (1 / 55 - 1 / 80))
         second = math.sqrt(math.log(6 / 5) / (1 / 50 - 1 / 55))
         assert [r[2] for r in outs[0]] == [g12(first), g12(second)]
+
+    def test_crossings_do_not_depend_on_the_t_order(self, fixtures_dir, tmp_path, capsys):
+        # the crossovers span the smallest to the largest t, in any order
+        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        doc["query"] = {"t": [11, 2, 8]}
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["sweep", str(path), *self.GROUPS], capsys)
+        assert code == 0
+        table = rows(out)
+        assert [r[0] for r in table[1:4]] == ["11", "2", "8"]
+        assert table[4:] == [
+            ["crossover", "group1->group2", "5.66467951395"],
+            ["crossover", "group2->group3", "10.0138332439"],
+        ]
 
     def test_fractional_range_count_exits_2(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example5.json")

@@ -126,6 +126,21 @@ class TestFinitePmf:
         with pytest.raises(ValueError):
             FinitePmf((-1.0, 0.0, 1.0), (0.6, -0.2, 0.6), S11)
 
+    @pytest.mark.parametrize(
+        "xs, ps",
+        [
+            ((math.nan, 1.0), (0.5, 0.5)),
+            ((-1.0, 1.0), (math.nan, 0.5)),
+            ((-1.0, 1.0), (0.5, math.nan)),
+        ],
+    )
+    def test_rejects_nan(self, xs, ps):
+        # every other check compares with < or >, which a NaN passes
+        with pytest.raises(ValueError, match="finite"):
+            FinitePmf(xs, ps, S11)
+        with pytest.raises(ValueError, match="finite"):
+            check_pmf_stack(np.array([xs, (-1.0, 1.0)]), np.array([ps, (0.5, 0.5)]), S11)
+
     def test_mean_tolerance_scales_with_the_interval(self):
         wide = BoundedSupport(-1e6, 3e6)
         extremal_two_point(wide)
