@@ -185,9 +185,18 @@ def multiplier_log(support: BoundedSupport, k: int) -> float:
         and support.m4 is not None
         and support.odd_moments_zero
     ):
-        moment_form = math.log1p(6.0 * support.m2 / a ** 2 + support.m4 / a ** 4)
-        log_a_k = min(log_a_k, moment_form)
+        log_a_k = min(log_a_k, _order4_moment_log(support))
     return log_a_k
+
+
+def _order4_moment_log(support: BoundedSupport) -> float:
+    """log(1 + 6 m2/a^2 + m4/a^4), the k = 4 multiplier that reads moments.
+
+    Powers are products, not ``**`` (libm's pow, not always correctly
+    rounded), so scaling a, m2 and m4 by powers of two leaves it unchanged.
+    """
+    a2 = support.a * support.a
+    return math.log1p(6.0 * support.m2 / a2 + support.m4 / (a2 * a2))
 
 
 def reads_moments(support: BoundedSupport, tag: FamilyTag) -> bool:
@@ -210,25 +219,25 @@ def mgf_bound(support: BoundedSupport, tag: FamilyTag) -> MgfBound:
     not met by the support.
     """
     a, b = support.a, support.b
+    h = phi(support)
     fam = tag.family
     if fam is Family.CLASSIC:
-        return MgfBound(0.0, (b - a) ** 2 / 8.0, tag)
+        return MgfBound(0.0, (b - a) * (b - a) / 8.0, tag)
     if fam is Family.HERTZ:
-        return MgfBound(0.0, phi(support) ** 2 / 2.0, tag)
+        return MgfBound(0.0, h * h / 2.0, tag)
     if fam is Family.ORDER_K:
         k = tag.k
-        return MgfBound(multiplier_log(support, k), phi(support) ** 2 / (2.0 * k), tag)
+        return MgfBound(multiplier_log(support, k), h * h / (2.0 * k), tag)
     if fam is Family.ORDER2_MOMENT:
         if support.m2 is None:
             raise ValueError("order2_moment requires a known m2")
-        return MgfBound(math.log1p(support.m2 / a ** 2), phi(support) ** 2 / 4.0, tag)
+        return MgfBound(math.log1p(support.m2 / (a * a)), h * h / 4.0, tag)
     if fam is Family.ORDER4_MOMENT:
         if support.m2 is None or support.m4 is None:
             raise ValueError("order4_moment requires known m2 and m4")
         if not support.odd_moments_zero:
             raise ValueError("order4_moment requires odd_moments_zero")
-        lm = math.log1p(6.0 * support.m2 / a ** 2 + support.m4 / a ** 4)
-        return MgfBound(lm, phi(support) ** 2 / 8.0, tag)
+        return MgfBound(_order4_moment_log(support), h * h / 8.0, tag)
     if fam is Family.SYMMETRIC_ORDER4:
         if -a != b:
             raise ValueError("symmetric_order4 requires |a| = b")

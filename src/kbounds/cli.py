@@ -61,7 +61,7 @@ from .oracle import (
     random_mean_zero_stack,
     validity_gaps,
 )
-from .scenario import Query, Scenario, ScenarioError, load_scenario
+from .scenario import MAX_T_COUNT, Query, Scenario, ScenarioError, load_scenario
 from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
@@ -193,6 +193,8 @@ def _resolve_query(scenario: Scenario, args) -> Query:
             raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
         if not 0.0 < lo < hi or int(count) < 2:
             raise ValueError("--t-range needs 0 < MIN < MAX and COUNT >= 2")
+        if count > MAX_T_COUNT:
+            raise ValueError(f"--t-range COUNT must be at most {MAX_T_COUNT}")
         ts, t_range = None, (lo, hi, int(count))
     side = query.side
     if getattr(args, "side", None):

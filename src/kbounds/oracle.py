@@ -27,6 +27,9 @@ _SUM_TOL = 1e-12
 # fewest Monte Carlo samples `mc_sum_tail` draws
 MIN_SAMPLES = 10 ** 3
 
+# samples `mc_sum_tail` draws and counts at a time
+MC_CHUNK = 2 ** 16
+
 # Verification grid: log-spaced to cover both the multiplier-dominated small-s
 # regime and the rate-dominated large-s regime.
 S_GRID = np.geomspace(1e-3, 50.0, 40)
@@ -164,9 +167,10 @@ def random_mean_zero_stack(
     random weights are projected to zero mean by rescaling the positive-x mass
     against the negative-x mass (redrawing when all atoms share one sign), and
     a final transfer between the extreme atoms cancels the floating-point
-    residual.  The draws and each row's dots (its own ``@``) run row by row,
-    the rest of the projection on the whole stack.  The rows are not checked
-    here: ``check_pmf_stack`` is FinitePmf's check for a whole stack.
+    residual.  The draws and the sign-split dots run row by row, the rest of
+    the projection on the whole stack; every dot is the one the row's own
+    ``@`` gives.  The rows are not checked here: ``check_pmf_stack`` is
+    FinitePmf's check for a whole stack.
     """
     if atom_count < 2:
         raise ValueError("need at least 2 atoms for a mean-zero distribution")
@@ -206,12 +210,12 @@ def random_mean_zero_stack(
     np.divide(w, total[:, None], out=ps, where=zero)
     ps /= ps.sum(axis=1, keepdims=True)
     # transfer between the extreme atoms to cancel the rounding residual
-    for p, x in zip(ps, xs):
-        i_hi = x.argmax()
-        i_lo = x.argmin()
-        delta = -(p @ x) / (x[i_hi] - x[i_lo])
-        p[i_hi] += delta
-        p[i_lo] -= delta
+    every = np.arange(rows)
+    hi = every, xs.argmax(axis=1)
+    lo = every, xs.argmin(axis=1)
+    delta = -_row_dots(ps, xs) / (xs[hi] - xs[lo])
+    ps[hi] += delta
+    ps[lo] -= delta
     return xs, ps
 
 
@@ -277,20 +281,37 @@ def mc_sum_tail(pmfs, ts, samples: int, seed: int) -> list[tuple[float, float]]:
     One (estimate, std_error) per t in ``ts``, all counted against one draw
     of the sum.  Deterministic in ``seed``; per-variable streams are split
     off the master seed with numpy's SeedSequence.spawn.
+
+    The samples are drawn and counted ``MC_CHUNK`` at a time, so memory does
+    not grow with ``samples``.  Each chunk takes the next uniforms of every
+    variable's stream (one double per sample) and sums the variables in the
+    same order, so the estimates do not depend on the chunk size.  A uniform
+    u picks atom #{j < n-1 : cdf[j] <= u}, the index searchsorted(cdf, u,
+    "right") gives once clipped to the last atom.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples")
     children = np.random.SeedSequence(seed).spawn(len(pmfs))
-    total = np.zeros(samples)
-    for pmf, child in zip(pmfs, children):
-        rng = np.random.default_rng(child)
-        cdf = np.cumsum(np.asarray(pmf.ps))
-        idx = np.searchsorted(cdf, rng.random(samples), side="right")
-        np.clip(idx, 0, len(pmf.xs) - 1, out=idx)
-        total += np.asarray(pmf.xs)[idx]
+    rngs = [np.random.default_rng(child) for child in children]
+    # interior cdf edges and atoms of each variable
+    tables = [(np.cumsum(np.asarray(p.ps))[:-1], np.asarray(p.xs)) for p in pmfs]
+    hits = [0] * len(ts)
+    for start in range(0, samples, MC_CHUNK):
+        m = min(MC_CHUNK, samples - start)
+        total = np.zeros(m)
+        idx = np.empty(m, dtype=np.intp)
+        below = np.empty(m, dtype=bool)
+        for rng, (edges, xs) in zip(rngs, tables):
+            u = rng.random(m)
+            idx.fill(0)
+            for edge in edges:
+                idx += np.less_equal(edge, u, out=below)
+            total += xs[idx]
+        for i, t in enumerate(ts):
+            hits[i] += int(np.count_nonzero(total >= t))
     tails = []
-    for t in ts:
-        estimate = float(np.count_nonzero(total >= t)) / samples
+    for count in hits:
+        estimate = float(count) / samples
         tails.append((estimate, math.sqrt(estimate * (1.0 - estimate) / samples)))
     return tails
 

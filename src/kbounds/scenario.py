@@ -34,6 +34,10 @@ from .bounds import BoundedSupport, Family, FamilyTag
 from .tails import Side, SumScenario
 
 
+# most t values a t_range may ask for: each one is a row held in memory
+MAX_T_COUNT = 10 ** 7
+
+
 class ScenarioError(ValueError):
     """Malformed or schema-violating scenario document."""
 
@@ -161,6 +165,8 @@ def _parse_query(obj) -> Query:
         count = rng["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 2:
             raise ScenarioError("t_range.count must be an integer >= 2")
+        if count > MAX_T_COUNT:
+            raise ScenarioError(f"t_range.count must be at most {MAX_T_COUNT}")
         if not 0.0 < lo < hi:
             raise ScenarioError("t_range requires 0 < min < max")
         t_range = (lo, hi, count)

@@ -12,7 +12,7 @@ from kbounds import cli
 from kbounds.bounds import BoundedSupport, Family, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf
-from kbounds.scenario import load_scenario
+from kbounds.scenario import MAX_T_COUNT, load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
 from test_selection import staircase_front
@@ -196,6 +196,30 @@ class TestTail:
         assert code == 2
         assert out == ""
         assert "integer" in err
+
+    def test_range_count_above_the_cap_exits_2(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # rejected before any t value is made: linspace is never reached
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        over = str(MAX_T_COUNT + 1)
+        scenario = str(fixtures_dir / "example1.json")
+        for argv in (
+            ["tail", scenario, "--t-range", "0.5", "2", over],
+            ["sweep", scenario, "--t-range", "0.5", "2", over, "--group", "1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert f"at most {MAX_T_COUNT}" in err
+        doc = json.loads((fixtures_dir / "example1.json").read_text())
+        doc["query"] = {"t_range": {"min": 0.5, "max": 2, "count": MAX_T_COUNT + 1}}
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(doc))
+        for command in ("tail", "verify"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert f"at most {MAX_T_COUNT}" in err
 
     def test_missing_t_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_t.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from kbounds.bounds import (
     order_k,
 )
 from kbounds.oracle import (
+    MC_CHUNK,
+    MIN_SAMPLES,
     S_GRID,
     FinitePmf,
     check_pmf_stack,
@@ -96,6 +99,26 @@ def list_validity_gap(pmf, bound, s_values=S_GRID) -> float:
     exact = per_pmf_log_mgf(pmf, s_arr)
     certified = np.array([eval_log_mgf_bound(bound, float(s)) for s in s_arr])
     return float(np.max(exact - certified))
+
+
+def one_shot_sum_tail(pmfs, ts, samples, seed):
+    """The one-shot Monte Carlo kernel the chunked one replaced: the reference.
+
+    It holds every sample at once and picks atoms by a clipped searchsorted.
+    """
+    children = np.random.SeedSequence(seed).spawn(len(pmfs))
+    total = np.zeros(samples)
+    for pmf, child in zip(pmfs, children):
+        rng = np.random.default_rng(child)
+        cdf = np.cumsum(np.asarray(pmf.ps))
+        idx = np.searchsorted(cdf, rng.random(samples), side="right")
+        np.clip(idx, 0, len(pmf.xs) - 1, out=idx)
+        total += np.asarray(pmf.xs)[idx]
+    tails = []
+    for t in ts:
+        estimate = float(np.count_nonzero(total >= t)) / samples
+        tails.append((estimate, math.sqrt(estimate * (1.0 - estimate) / samples)))
+    return tails
 
 
 def mixed_pmfs(scale: float, per_count: int = 4):
@@ -307,6 +330,14 @@ class TestRandomStack:
         self.check_rows(BoundedSupport(-1, 30), 11, list(range(60)))
         self.check_rows(BoundedSupport(-1, 30), 9, list(range(60)))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_residual_transfer_matches_the_row_loop(self, scale):
+        # the stacked transfer against the reference's per-row one, up to 40
+        # atoms, where the residual dot sums pairwise
+        support = BoundedSupport(-2.0 * scale, 3.0 * scale)
+        for atoms in (2, 3, 7, 8, 9, 16, 40):
+            self.check_rows(support, atoms, [7000 + 31 * atoms + i for i in range(40)])
+
     def test_one_row_call_is_the_reference(self):
         for seed in range(40):
             support = BoundedSupport(-3e-6 * (1 + seed % 3), 2e6)
@@ -394,6 +425,66 @@ class TestMcSumTail:
         pmf = FinitePmf((-1.0, 1.0), (0.5, 0.5), S11)
         with pytest.raises(ValueError):
             mc_sum_tail([pmf], [0.5], 999, seed=0)
+
+    @staticmethod
+    def random_pmfs(rng, count):
+        """Mean-zero pmfs of 1 to 40 atoms, some with atoms of zero mass.
+
+        Zero-mass atoms go anywhere in the row, the last place included, so
+        the cdf repeats values and may end below 1 before a zero-mass atom.
+        """
+        support = BoundedSupport(-2.0, 3.0)
+        pmfs = []
+        for _ in range(count):
+            atoms = int(rng.integers(1, 41))
+            if atoms == 1:
+                pmfs.append(FinitePmf((0.0,), (1.0,), support))
+                continue
+            live = int(rng.integers(2, atoms + 1))
+            pmf = random_mean_zero_pmf(support, live, seed=int(rng.integers(2 ** 32)))
+            xs, ps = list(pmf.xs), list(pmf.ps)
+            for _ in range(atoms - live):
+                at = int(rng.integers(len(xs) + 1))
+                xs.insert(at, float(rng.uniform(support.a, support.b)))
+                ps.insert(at, 0.0)
+            pmfs.append(FinitePmf(tuple(xs), tuple(ps), support))
+        return pmfs
+
+    @pytest.mark.parametrize(
+        "samples", [MIN_SAMPLES, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7]
+    )
+    def test_chunked_equals_one_shot(self, samples):
+        rng = np.random.default_rng(samples)
+        ties = 0
+        for trial in range(4):
+            pmfs = self.random_pmfs(rng, 1 + trial)
+            reach = sum(max(p.xs) for p in pmfs)
+            floor = sum(min(p.xs) for p in pmfs)
+            # every variable at its likeliest atom, summed as the kernel sums
+            attained = 0.0
+            for p in pmfs:
+                attained += p.xs[int(np.argmax(p.ps))]
+            above = math.nextafter(attained, math.inf)
+            ts = [reach + 1.0, floor - 1.0, reach, -0.5, 0.0, 0.25 * reach, attained, above]
+            got = mc_sum_tail(pmfs, ts, samples, seed=trial)
+            assert got == one_shot_sum_tail(pmfs, ts, samples, seed=trial)
+            assert got[:2] == [(0.0, 0.0), (1.0, 0.0)]
+            ties += got[-2] != got[-1]
+        assert ties  # some draws land exactly on the attained sum
+
+    def test_memory_does_not_grow_with_samples(self):
+        pmfs = [extremal_two_point(s) for s in (S11, BoundedSupport(-5, 5), S51)]
+        peaks = []
+        for samples in (10 ** 6, 4 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                mc_sum_tail(pmfs, [0.5, 2.0], samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a few chunk-sized arrays, against 8 MB for a one-shot total alone
+        assert max(peaks) < 4 * 2 ** 20
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_four_variable_instantiation_respects_group_one_certificate():

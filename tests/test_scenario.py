@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kbounds.bounds import Family
-from kbounds.scenario import ScenarioError, load_scenario, parse_scenario
+from kbounds.scenario import MAX_T_COUNT, ScenarioError, load_scenario, parse_scenario
 from kbounds.tails import Side
 
 
@@ -103,6 +103,11 @@ class TestStrictSchema:
     def test_both_t_and_t_range(self):
         doc = minimal(query={"t": 1.0, "t_range": {"min": 1, "max": 2, "count": 3}})
         with pytest.raises(ScenarioError, match="both"):
+            parse_scenario(doc)
+
+    def test_t_range_count_above_the_cap(self):
+        doc = minimal(query={"t_range": {"min": 1, "max": 2, "count": MAX_T_COUNT + 1}})
+        with pytest.raises(ScenarioError, match=f"at most {MAX_T_COUNT}"):
             parse_scenario(doc)
 
     def test_nonpositive_t(self):

@@ -625,11 +625,9 @@ class TestRegimes:
     )
     @settings(max_examples=100, deadline=None)
     def test_edges_scale_exactly(self, shapes, j):
-        # L is scale-free and R scales by c^2.  For c a power of two the walk
-        # is exact: every edge is exactly c times the unscaled one.  The scaled
-        # supports' own (L, R) may differ in the last bit, because phi ** 2 and
-        # a ** 4 are libm's pow, which is not always correctly rounded; their
-        # regimes keep the same winners.
+        # L is scale-free and R scales by c^2.  For c a power of two both are
+        # exact (bounds square by products, not libm's pow), and so is the
+        # walk: every edge is exactly c times the unscaled one.
         c = 2.0 ** j
         variables, scaled = [], []
         for left, right, f2, f4, odd in shapes:
@@ -644,14 +642,12 @@ class TestRegimes:
         front = pareto_front(variables, 8)
         big = pareto_front(scaled, 8)
         assert big.ks == front.ks
-        np.testing.assert_allclose(big.L, front.L, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(big.R, c * c * front.R, rtol=1e-15, atol=0.0)
+        assert np.array_equal(big.L, front.L)
+        assert np.array_equal(big.R, c * c * front.R)
         lo, hi = 0.05, 2.0 * sum(v.b for v in variables)
         want = regimes(front.L, front.R, lo, hi)
-        got = regimes(front.L, c * c * front.R, c * lo, c * hi)
-        assert got == [(c * start, c * end, i) for start, end, i in want]
         got = regimes(big.L, big.R, c * lo, c * hi)
-        assert [i for _, _, i in got] == [i for _, _, i in want]
+        assert got == [(c * start, c * end, i) for start, end, i in want]
 
     def test_edges_are_closed_form(self):
         # the example 5 sweep groups 1|1|1|1, 1|2|1|1 and 1|2|1|2
