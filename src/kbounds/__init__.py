@@ -54,9 +54,7 @@ from .tails import (
     Side,
     SumScenario,
     TailCertificate,
-    chernoff_curve,
     lower_tail,
-    mean_tail,
     mirror,
     mirror_scenario,
     one_sided_tail,

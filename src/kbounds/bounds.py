@@ -90,6 +90,10 @@ class BoundedSupport:
         if not (self.a < 0.0 < self.b):
             raise ValueError(f"support requires a < 0 < b, got [{self.a}, {self.b}]")
         cap2, cap4 = moment_caps(self)
+        if not math.isfinite(cap4):  # also inf or nan whenever cap2 is inf
+            raise ValueError(
+                f"support [{self.a}, {self.b}] is too wide: its moment caps overflow"
+            )
         if self.m2 is not None:
             if not 0.0 <= self.m2 <= cap2 * (1.0 + MOMENT_SLACK):
                 raise ValueError(f"m2={self.m2} outside [0, |a|b={cap2}]")

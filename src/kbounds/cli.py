@@ -8,19 +8,21 @@ Subcommands::
     verify   oracle sweep: exact MGFs and Monte Carlo vs. the certificates
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
-`verify --random` draws each support's pmfs as (xs, ps) stacks, one per
-atom count.  The bounds that read no moments are built once per support, the
-applicable moment-reading ones per pmf on its measured support, and all are
-checked against the exact log-MGF rows as (pmf x family x s) tables.  A bad
-`--k-max` or `--samples` exits 2 before any pmf is drawn.
+`verify --random` draws each support's pmfs from one seeded generator, as
+(xs, ps) stacks, one per atom count.  The bounds that read no moments are
+built once per support, the applicable moment-reading ones per pmf on its
+measured support, and all are checked against the exact log-MGF rows as
+(pmf x family x s) tables.  A bad `--k-max` or `--samples` exits 2 before
+any pmf is drawn.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
 the least to the greatest t, whatever the number or order of the t values.
 All numeric CSV cells use 12 significant digits and LF line endings, so the
 output is byte-stable for fixed inputs and seed.  Every command runs in one
-thread.  Float options must be finite.  Exit codes: 0 success, 2 input error,
-4 verification failure.
+thread.  Float options must be finite, and so must every bound `tail`,
+`select`, `sweep` and `bound` print at a t or s.  Exit codes: 0 success,
+2 input error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -150,13 +152,21 @@ def _applicable_bounds(support: BoundedSupport, tags) -> list[tuple[FamilyTag, M
     return pairs
 
 
+def _finite_at_s(bound: MgfBound, s: float) -> float:
+    """The bound at s, which is finite only if its (log A, rho) are too."""
+    value = eval_log_mgf_bound(bound, s)
+    if not math.isfinite(value):
+        raise ValueError(f"s={g12(s)}: the {bound.family_tag.label()} bound is not finite")
+    return value
+
+
 def cmd_bound(args) -> int:
     support = _support_from_args(args)
     header = "family,log_multiplier,rate,eval_at_s"
     if args.compare:
         rows = []
         for tag, bound in _applicable_bounds(support, _catalog_tags(args.k_max)):
-            rows.append((eval_log_mgf_bound(bound, args.s), tag.label(), bound))
+            rows.append((_finite_at_s(bound, args.s), tag.label(), bound))
         rows.sort(key=lambda row: (row[0], row[1]))
         lines = [header] + [
             f"{label},{g12(bound.log_multiplier)},{g12(bound.rate)},{g12(value)}"
@@ -167,7 +177,7 @@ def cmd_bound(args) -> int:
     if args.family is None:
         raise ValueError("give --family or --compare")
     bound = mgf_bound(support, _tag_from_args(args))
-    value = eval_log_mgf_bound(bound, args.s)
+    value = _finite_at_s(bound, args.s)
     _emit(
         args,
         [
@@ -236,6 +246,8 @@ def cmd_tail(args) -> int:
             cert = lower_tail(chosen, t)
         else:
             cert = two_sided_tail(chosen, t, mirrored)
+        if not (math.isfinite(cert.log_bound) and math.isfinite(cert.s_star)):
+            raise ValueError(f"t={g12(t)}: the certificate is not finite")
         cell = _choice_cell(chosen.choices)
         line = f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)},{cell}"
         if two_sided:
@@ -258,6 +270,8 @@ def cmd_select(args) -> int:
             raise ValueError("select needs a single t (--t or a one-value query.t)")
         t = ts[0]
     selection = optimize_exact(scenario.variables, t, args.k_max)
+    if not math.isfinite(selection.log_bound):
+        raise ValueError(f"t={g12(t)}: the log bound is not finite")
     lines = [
         "k," + "|".join(map(str, selection.ks)),
         f"log_bound,{g12(selection.log_bound)}",
@@ -342,7 +356,11 @@ def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
 
 def _verify_pmfs(args, scenario: Scenario | None, seed: int):
     """The (support, stacks) batches whose MGF gaps are swept, and the group
-    whose sum is sampled."""
+    whose sum is sampled.
+
+    Under --random one generator, seeded by ``seed``, draws each support's
+    ``count`` atom counts and then one stack per distinct count.
+    """
     if scenario is not None:
         given = [f"--{flag}" for flag in ("a", "b", "pmfs")
                  if getattr(args, flag) is not None]
@@ -366,13 +384,10 @@ def _verify_pmfs(args, scenario: Scenario | None, seed: int):
     group = [extremal_two_point(support) for support in supports]
     batches = []
     for support, extremal in zip(supports, group):
-        seeds: dict[int, list[int]] = {}
-        for _ in range(count):
-            atoms = int(rng.integers(2, 9))
-            seeds.setdefault(atoms, []).append(int(rng.integers(2 ** 63)))
+        atom_counts = rng.integers(2, 9, count)
         stacks = [extremal.stack()]
-        for atoms, row_seeds in seeds.items():
-            stack = random_mean_zero_stack(support, atoms, row_seeds)
+        for atoms, rows in zip(*np.unique(atom_counts, return_counts=True)):
+            stack = random_mean_zero_stack(support, int(atoms), int(rows), rng)
             check_pmf_stack(*stack, support)
             stacks.append(stack)
         batches.append((support, stacks))
@@ -457,7 +472,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 
     big_l, big_r = np.array([totals(s) for s in scenarios]).T
-    curves = log_bound(big_l[:, None], big_r[:, None], ts)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        curves = log_bound(big_l[:, None], big_r[:, None], ts)
+    bad = ~np.isfinite(curves).all(axis=0)
+    if bad.any():
+        raise ValueError(f"t={g12(ts[bad.argmax()])}: the log bound is not finite")
     names = [f"group{i + 1}" for i in range(len(scenarios))]
     lines = ["t," + ",".join(names)]
     for t, column in zip(ts.tolist(), curves.T.tolist()):

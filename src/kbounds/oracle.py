@@ -7,10 +7,12 @@ finite pmfs plus seeded Monte Carlo for sum tails.  Nothing in this module
 uses the bound formulas it is meant to check.
 
 Pmfs travel as (xs[N, n], ps[N, n]) stacks: ``random_mean_zero_stack`` draws
-them, ``check_pmf_stack`` checks them, and ``exact_log_mgf_rows`` and
-``moment_rows`` evaluate them.  ``random_mean_zero_pmf``, ``FinitePmf``,
-``exact_log_mgf`` and ``moments`` are their one-row calls, and every row of a
-stack is bit for bit the number its one-row call gives.
+a whole stack from one generator, ``check_pmf_stack`` checks them, and
+``exact_log_mgf_rows`` and ``moment_rows`` evaluate them.
+``random_mean_zero_pmf`` is the one-row stack from ``default_rng(seed)``.
+``FinitePmf``, ``exact_log_mgf`` and ``moments`` are the one-row calls of the
+others, and every row they evaluate is bit for bit the number its one-row call
+gives.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ MC_CHUNK = 2 ** 16
 # Verification grid: log-spaced to cover both the multiplier-dominated small-s
 # regime and the rate-dominated large-s regime.
 S_GRID = np.geomspace(1e-3, 50.0, 40)
-
-# np.sign(x) == _SIGNS splits a stack's atoms into (x > 0, x < 0, x == 0)
-_SIGNS = np.array([1.0, -1.0, 0.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -62,20 +61,6 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     elementwise product summed along the row.
     """
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _row_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """values[i][mask[i]].sum() for every row i of each mask, in numpy's own order.
-
-    numpy adds fewer than 8 terms left to right, which a running sum along the
-    row, with zeros in place of the unselected entries, repeats exactly.  It
-    adds 8 or more pairwise, so such a row is summed over its own entries.
-    """
-    out = np.add.accumulate(np.where(masks, values, 0.0), axis=-1)[..., -1]
-    if values.shape[-1] >= 8:  # only then can a row select 8 entries
-        for m, i in zip(*(masks.sum(axis=-1) >= 8).nonzero()):
-            out[m, i] = values[i][masks[m, i]].sum()
-    return out
 
 
 def check_pmf_stack(xs, ps, support: BoundedSupport) -> None:
@@ -157,57 +142,44 @@ def extremal_two_point(support: BoundedSupport) -> FinitePmf:
 
 
 def random_mean_zero_stack(
-    support: BoundedSupport, atom_count: int, seeds
+    support: BoundedSupport, atom_count: int, rows: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-deterministic random mean-zero pmfs on the support interval.
+    """``rows`` random mean-zero pmfs on the support interval, drawn from ``rng``.
 
-    Row i of the (xs[N, atom_count], ps[N, atom_count]) stack is drawn from
-    its own ``default_rng(seeds[i])``.  Atom locations are uniform on [a, b];
-    with probability 1/2 the endpoints a and b are forced in.  Positive
-    random weights are projected to zero mean by rescaling the positive-x mass
-    against the negative-x mass (redrawing when all atoms share one sign), and
-    a final transfer between the extreme atoms cancels the floating-point
-    residual.  The draws and the sign-split dots run row by row, the rest of
-    the projection on the whole stack; every dot is the one the row's own
-    ``@`` gives.  The rows are not checked here: ``check_pmf_stack`` is
-    FinitePmf's check for a whole stack.
+    Atom locations are uniform on [a, b]; with probability 1/2 a row has the
+    endpoints a and b forced in.  Each round draws one coin per open row, then
+    the forced rows' other atom_count - 2 atoms, then the other rows' atoms;
+    a row whose atoms all share one sign stays open for the next round.  One
+    (rows, atom_count) draw of weights uniform on [0.05, 1] follows.  With
+    P = sum_{x>0} w x and N = -sum_{x<=0} w x, the masses w N (x > 0) and
+    w P (x <= 0) have mean zero and are normalized; a final transfer between
+    the extreme atoms cancels the floating-point residual.  For one row these
+    are the draws of a one-pmf loop: a coin, the atoms (again until both signs
+    are in), then the weights.  The rows are not checked here:
+    ``check_pmf_stack`` is FinitePmf's check for a whole stack.
     """
     if atom_count < 2:
         raise ValueError("need at least 2 atoms for a mean-zero distribution")
     a, b = support.a, support.b
-    rows = len(seeds)
     xs = np.empty((rows, atom_count))
-    w = np.empty((rows, atom_count))
-    p_sum = np.empty(rows)
-    n_sum = np.empty(rows)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        x = xs[i]
-        for _ in range(1000):
-            if rng.random() < 0.5:
-                x[:2] = a, b
-                x[2:] = rng.uniform(a, b, atom_count - 2)
-                break  # a < 0 < b: both signs are in
-            x[:] = rng.uniform(a, b, atom_count)
-            if x.min() < 0.0 < x.max():
-                break
-        else:
-            raise RuntimeError("could not draw atoms with both signs (degenerate support?)")
-        w[i] = rng.uniform(0.05, 1.0, atom_count)
-        pos = x > 0.0
-        neg = x < 0.0
-        p_sum[i] = w[i][pos] @ x[pos]
-        n_sum[i] = -(w[i][neg] @ x[neg])
-    # Scale the positive-x weights by beta and the negative-x weights by gamma
-    # so that beta*P = gamma*N (zero mean) and the mass is 1; atoms at exactly
-    # 0 keep their raw share of the total weight.
-    masks = np.sign(xs) == _SIGNS
-    pos, neg, zero = masks
-    total = w.sum(axis=1)
-    pos_w, neg_w, zero_w = _row_sums(w, masks)
-    kappa = (1.0 - zero_w / total) / (n_sum * pos_w + p_sum * neg_w)
-    ps = w * np.where(pos, (n_sum * kappa)[:, None], (p_sum * kappa)[:, None])
-    np.divide(w, total[:, None], out=ps, where=zero)
+    open_rows = np.arange(rows)
+    for _ in range(1000):
+        forced = rng.random(open_rows.size) < 0.5
+        pinned, free = open_rows[forced], open_rows[~forced]
+        xs[pinned, :2] = a, b  # a < 0 < b: both signs are in
+        xs[pinned, 2:] = rng.uniform(a, b, (pinned.size, atom_count - 2))
+        xs[free] = rng.uniform(a, b, (free.size, atom_count))
+        open_rows = free[(xs[free].min(axis=1) >= 0.0) | (xs[free].max(axis=1) <= 0.0)]
+        if not open_rows.size:
+            break
+    else:
+        raise RuntimeError("could not draw atoms with both signs (degenerate support?)")
+    w = rng.uniform(0.05, 1.0, (rows, atom_count))
+    pos = xs > 0.0
+    wx = w * xs
+    p_sum = np.where(pos, wx, 0.0).sum(axis=1, keepdims=True)
+    n_sum = -np.where(pos, 0.0, wx).sum(axis=1, keepdims=True)
+    ps = w * np.where(pos, n_sum, p_sum)
     ps /= ps.sum(axis=1, keepdims=True)
     # transfer between the extreme atoms to cancel the rounding residual
     every = np.arange(rows)
@@ -222,8 +194,8 @@ def random_mean_zero_stack(
 def random_mean_zero_pmf(
     support: BoundedSupport, atom_count: int, seed: int
 ) -> FinitePmf:
-    """The one-row ``random_mean_zero_stack``: a random mean-zero pmf."""
-    xs, ps = random_mean_zero_stack(support, atom_count, [seed])
+    """The one-row ``random_mean_zero_stack`` from ``default_rng(seed)``."""
+    xs, ps = random_mean_zero_stack(support, atom_count, 1, np.random.default_rng(seed))
     return FinitePmf(tuple(xs[0].tolist()), tuple(ps[0].tolist()), support)
 
 

@@ -86,7 +86,8 @@ def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
         raise ValueError("threshold t must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    phi2 = phi(support) ** 2
+    h = phi(support)
+    phi2 = h * h
     best_k, best_obj = 1, math.inf
     for k in range(1, k_max + 1):
         obj = multiplier_log(support, k) - t * t * k / (2.0 * phi2)
@@ -216,8 +217,9 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
         raise ValueError("threshold t must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    phis2 = np.array([phi(v) ** 2 for v in variables])
-    c = np.sqrt(phis2) / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
+    phis = np.array([phi(v) for v in variables])
+    phis2 = phis * phis
+    c = phis / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
     fractional = tuple(float(x) for x in c * (t / float(np.sum(phis2))))
 
     options = []

@@ -140,13 +140,6 @@ def lower_tail(
     return cert
 
 
-def mean_tail(scenario: SumScenario, l: float) -> TailCertificate:
-    """Certificate for log P(S_n / n >= l), i.e. the t = n*l upper tail."""
-    if not l > 0.0:
-        raise ValueError("mean threshold l must be positive")
-    return one_sided_tail(scenario, scenario.n * l)
-
-
 def two_sided_tail(
     scenario: SumScenario,
     t: float,
@@ -160,9 +153,11 @@ def two_sided_tail(
     upper = one_sided_tail(scenario, t)
     lower = lower_tail(scenario, t, mirrored_choices)
     hi = max(upper.log_bound, lower.log_bound)
-    log_bound = hi + math.log(
-        math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi)
-    )
+    log_bound = hi  # both sides -inf: their difference would be nan
+    if hi > -math.inf:
+        log_bound += math.log(
+            math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi)
+        )
     return TailCertificate(
         t=t,
         log_bound=log_bound,
@@ -173,22 +168,12 @@ def two_sided_tail(
     )
 
 
-def chernoff_curve(scenario: SumScenario, t: float, s: float) -> float:
-    """The pre-optimization exponent L + R s^2 - s t; minimized at s* = t/(2R)."""
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    log_mult, rate = totals(scenario)
-    return log_mult + rate * s * s - s * t
-
-
 __all__ = [
     "Side",
     "SumScenario",
     "TailCertificate",
-    "chernoff_curve",
     "log_bound",
     "lower_tail",
-    "mean_tail",
     "mirror",
     "mirror_scenario",
     "one_sided_tail",

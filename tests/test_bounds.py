@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,12 @@ class TestSupport:
             BoundedSupport(-5, 1, m4=106.0)  # cap is 105
         with pytest.raises(ValueError):
             BoundedSupport(-1, 1, m2=0.9, m4=0.5)  # m4 < m2^2
+
+    @pytest.mark.parametrize("a, b", [(-1e200, 1e200), (-1.0, 1e103), (-1e160, 1e160)])
+    def test_rejects_intervals_whose_caps_overflow(self, a, b):
+        # |a|b(a^2+ab+b^2) is inf or nan; the message names the interval
+        with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}]")):
+            BoundedSupport(a, b)
 
     def test_accepts_moments_at_cap(self):
         BoundedSupport(-5, 1, m2=5.0, m4=105.0)

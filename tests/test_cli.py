@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from kbounds import cli
 from kbounds.bounds import BoundedSupport, Family, mgf_bound
 from kbounds.cli import g12, main
-from kbounds.oracle import S_GRID, FinitePmf
+from kbounds.oracle import S_GRID, FinitePmf, random_mean_zero_stack
 from kbounds.scenario import MAX_T_COUNT, load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
@@ -277,6 +278,29 @@ class TestNonFiniteInput:
             ["sweep", scenario, "--t-range", text, "2", "4", "--group", "1"],
         ):
             assert exit_code(argv) == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["tail", "example5.json", "--t", "1e170", "--side", "two_sided"], "t=1e+170"),
+            (["tail", "example1.json", "--t", "1e200"], "t=1e+200"),
+            (["select", "example5.json", "--t", "1e200"], "t=1e+200"),
+            (["sweep", "example5.json", "--group", "1,1,1,1", "--group", "2,2,2,2",
+              "--t-range", "1e200", "1e201", "2"], "t=1e+200"),
+            (["bound", "--a=-2", "--b", "1", "--compare", "--s", "1e200"], "s=1e+200"),
+            (["bound", "--a=-1e200", "--b", "1e200", "--family", "classic", "--s", "1"],
+             "[-1e+200, 1e+200]"),
+            (["verify", "--random", "--a=-1e200", "--b", "1e200"], "[-1e+200, 1e+200]"),
+        ],
+    )
+    def test_non_finite_output_exits_2(self, fixtures_dir, capsys, argv, names):
+        argv = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning either
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert names in err
 
 
 class TestSelect:
@@ -557,6 +581,28 @@ class TestVerify:
         mc = [row for row in rows(out) if row[0] == "mc"]
         assert len(mc) == 3
         assert {row[2] for row in mc} == {"1|1|1|1"}
+
+    def test_random_stdout_is_a_function_of_the_seed(self, capsys):
+        argv = ["verify", "--random", "--pmfs", "100", "--samples", "2000", "--seed"]
+        outs = [run_cli([*argv, seed], capsys)[1] for seed in ("5", "5", "6")]
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_one_stack_per_atom_count_per_support(self, capsys, monkeypatch):
+        calls = []
+
+        def recording_stack(support, atom_count, rows, rng):
+            calls.append((support, atom_count, rows, rng))
+            return random_mean_zero_stack(support, atom_count, rows, rng)
+
+        monkeypatch.setattr(cli, "random_mean_zero_stack", recording_stack)
+        code, _, _ = run_cli(["verify", "--random", "--pmfs", "300", "--samples", "2000"],
+                             capsys)
+        assert code == 0
+        assert len({(support, atoms) for support, atoms, _, _ in calls}) == len(calls)
+        assert len({id(rng) for *_, rng in calls}) == 1  # one generator for every stack
+        for a, b in cli.CANONICAL_SUPPORTS:
+            drawn = [rows for support, _, rows, _ in calls if support == BoundedSupport(a, b)]
+            assert sum(drawn) == 300
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)

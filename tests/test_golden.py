@@ -1,0 +1,77 @@
+"""Golden stdout of the shipped fixture commands, pinned by sha256.
+
+Each command runs in-process through ``cli.main``.  A change that moves a
+printed digit updates the hash here and lists the moved lines in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from kbounds.cli import main
+
+GOLDEN = [
+    (["tail", "example1.json", "--side", "upper"],
+     "61c57ad716f5228e4f2d85daa155ae69c7cdd8d70ee30a9d60a3ac4c524bc754"),
+    (["tail", "example1.json", "--side", "lower"],
+     "61c57ad716f5228e4f2d85daa155ae69c7cdd8d70ee30a9d60a3ac4c524bc754"),
+    (["tail", "example1.json", "--side", "two_sided"],
+     "e7721ca54503154da03610996d6b19ed43cc73eaea193ec0215330b0d03bc550"),
+    (["tail", "example2.json", "--side", "upper"],
+     "e50bb8a3bb77eb5c256f733ac5feb85213efd0eba74234164ae86ca332359e8a"),
+    (["tail", "example2.json", "--side", "lower"],
+     "dd7ac168cf82e27dcbff16de61ad1a492d4d26390d47bb2ee396ee6d35cbc82f"),
+    (["tail", "example2.json", "--side", "two_sided"],
+     "274c81a6b651d35403b12c1b786de9746a471e8f04b4e610e7ab2ed8a8c3653e"),
+    (["tail", "example3.json", "--side", "upper"],
+     "36ac4ce8b3c9c8ee6d9ebd7b088eec82355f4edb08be55b11ea72e3663dfe9a1"),
+    (["tail", "example3.json", "--side", "lower"],
+     "524e1f59e2dc427436ab9f6f5256d9dac9014a3eceb3d8836d10ac94e37e2e73"),
+    (["tail", "example3.json", "--side", "two_sided"],
+     "d0694e92ce84d7d5c3e550d691677901e77ebc8896f5cf80ba487b16b0399436"),
+    (["tail", "example4.json", "--side", "upper"],
+     "9f054c57de69d3abc0f5c075330877d103865b1b2830e401b55c996b088569b9"),
+    (["tail", "example4.json", "--side", "lower"],
+     "9f054c57de69d3abc0f5c075330877d103865b1b2830e401b55c996b088569b9"),
+    (["tail", "example4.json", "--side", "two_sided"],
+     "847c020b5378b8d8a40b61d7bf3cc9a00c6415bbd6f4a62a91c402aae1e9dad9"),
+    (["tail", "example5.json", "--side", "upper"],
+     "fdcb9053893eb6847f4bff2acfcd5fa5c2b13e42e8e5a04dbcedf71e6bfcb113"),
+    (["tail", "example5.json", "--side", "lower"],
+     "db7f66b57acd6eb9c62542aa0cfb45d0eeaeb8b3275e830aef0c0860a271dc0b"),
+    (["tail", "example5.json", "--side", "two_sided"],
+     "291dea587bb6d1093e8a9980f7aa6199b878df65f3dedec8105005671240e837"),
+    (["select", "example1.json", "--t", "1.5"],
+     "61c84d8a1719f4ab2e7fa9a97208e7ee28687ecaa82ee5d9af5f707cc516e1c7"),
+    (["select", "example2.json", "--t", "4.5"],
+     "36b598ad30dc69cee9a6fb4b6ed3cbcbad1dd30d189ebf10e9c3aa7747293f1b"),
+    (["select", "example3.json", "--t", "2.5"],
+     "16fe3acd9a9d87e1e6ab50728c4ee40f1cde50bcf6e6ce8f00b2372e1f18f6a7"),
+    (["select", "example4.json", "--t", "5"],
+     "8c99e36be029610379563784df63cc4acaf1242b029678ab986fa6c03b03b578"),
+    (["select", "example5.json", "--t", "6"],
+     "b2570c196f317a70f1dc5bb020d2fedfa61b56d25344d52a2f534c6a13e246ba"),
+    (["sweep", "example5.json", "--group", "1,1,1,1", "--group", "1,2,1,1",
+      "--group", "1,2,1,2"],
+     "05e7e5a0c3c4187b4d294b688066b918e2d45312bbf1a93c4867c0420d7bf905"),
+    (["bound", "--a=-2", "--b", "1", "--compare", "--s", "3"],
+     "f70ba24f46709f121a8a3b422e491679478d7a614d699c1645624a48c1dca388"),
+    (["verify", "example1.json", "--samples", "20000"],
+     "1feffff2792faa42404406434284dbbd5c501ae500d9a92258e228acbdbf2675"),
+    (["verify", "example2.json", "--samples", "20000"],
+     "6e1040c5e5b6920f5da20392d1e4772b9ddac51537bc1ee6e1e31fc450c5ed27"),
+    (["verify", "example3.json", "--samples", "20000"],
+     "8ccfa629aef85cd69abfd84a890ba4df5797a43408ed63225b82463c29e0c2a3"),
+    (["verify", "example4.json", "--samples", "20000"],
+     "1fd0724a7ba77c2bf380f26a456fb9861028639d4c9221d51401db719022a7ea"),
+    (["verify", "example5.json", "--samples", "20000"],
+     "ddce9beefd61fdaf80d4a1725de812e237247c94099a932f94883d51c3d78fa2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_stdout_is_pinned(fixtures_dir, capsys, argv, digest):
+    argv = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbounds.bounds import (
@@ -295,63 +295,164 @@ class TestRandomPmf:
         assert np.all(ps >= 0.0)
 
 
-class TestRandomStack:
-    """The stack kernel against the one-pmf reference, bit for bit."""
+class RecordingRng:
+    """A generator that records, in order, what ``random_mean_zero_stack``
+    draws from it: ("coins", array) and ("uniform", array) pairs."""
 
-    def check_rows(self, support, atoms, seeds):
-        xs, ps = random_mean_zero_stack(support, atoms, seeds)
-        assert xs.shape == ps.shape == (len(seeds), atoms)
-        draws = []
-        for i, seed in enumerate(seeds):
-            ref_xs, ref_ps, forced, attempts = reference_random_pmf(support, atoms, seed)
-            assert np.array_equal(xs[i], ref_xs) and np.array_equal(ps[i], ref_ps), seed
-            draws.append((forced, attempts))
-        check_pmf_stack(xs, ps, support)
-        return draws
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, size):
+        self.draws.append(("coins", self.rng.random(size)))
+        return self.draws[-1][1]
+
+    def uniform(self, low, high, size):
+        self.draws.append(("uniform", self.rng.uniform(low, high, size)))
+        return self.draws[-1][1]
+
+
+def replay_rounds(draws, xs, support) -> int:
+    """Check a stack's atoms against its recorded draws; return the rounds.
+
+    Each round draws one coin per open row, then the forced rows' other
+    atom_count - 2 atoms, then the other rows' atoms; rows with atoms of
+    both signs close.  One (rows, atom_count) weight draw ends the stack.
+    """
+    draws = iter(draws)
+    open_rows = np.arange(len(xs))
+    rounds = 0
+    while open_rows.size:
+        rounds += 1
+        kind, coins = next(draws)
+        assert kind == "coins" and coins.shape == (open_rows.size,)
+        forced = coins < 0.5
+        pinned, free = open_rows[forced], open_rows[~forced]
+        (_, pinned_atoms), (_, free_atoms) = next(draws), next(draws)
+        assert (xs[pinned, :2] == (support.a, support.b)).all()
+        assert np.array_equal(xs[pinned, 2:], pinned_atoms)
+        closed = (free_atoms.min(axis=1) < 0.0) & (free_atoms.max(axis=1) > 0.0)
+        assert np.array_equal(xs[free[closed]], free_atoms[closed])
+        open_rows = free[~closed]
+    kind, weights = next(draws)
+    assert kind == "uniform" and weights.shape == xs.shape
+    assert next(draws, None) is None
+    return rounds
+
+
+def assert_one_row_is_the_reference(support, atoms, seed):
+    """The one-row stack from default_rng(seed) against the one-pmf reference.
+
+    The atoms are the same numbers; the masses, projected in another order,
+    agree to 1e-13 relative.  Returns the reference's (forced, attempts).
+    """
+    xs, ps = random_mean_zero_stack(support, atoms, 1, np.random.default_rng(seed))
+    ref_xs, ref_ps, forced, attempts = reference_random_pmf(support, atoms, seed)
+    assert np.array_equal(xs[0], ref_xs), seed
+    np.testing.assert_allclose(ps[0], ref_ps, rtol=1e-13, atol=0.0)
+    return forced, attempts
+
+
+class TestRandomStack:
+    """The one-generator stack kernel: the one-row call against the one-pmf
+    reference, and whole stacks against the pmf checks."""
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_rows_match_the_reference(self, scale):
-        forced = set()
+        draws = set()
         for a, b in ((-1, 1), (-1, 5), (-5, 1), (-2, 3)):
             support = BoundedSupport(a * scale, b * scale)
             for atoms in range(2, 9):
-                seeds = [1000 * atoms + i for i in range(25)]
-                forced |= {f for f, _ in self.check_rows(support, atoms, seeds)}
-        assert forced == {True, False}  # both coin branches
+                for seed in range(1000 * atoms, 1000 * atoms + 25):
+                    draws.add(assert_one_row_is_the_reference(support, atoms, seed))
+        assert {forced for forced, _ in draws} == {True, False}  # both coin branches
+        assert max(attempts for _, attempts in draws) >= 2  # a retry
+
+    @pytest.mark.parametrize("atoms", [3, 8])
+    def test_draws_follow_the_documented_order(self, atoms):
+        support = BoundedSupport(-1, 5)
+        rng = RecordingRng(atoms)
+        xs, _ = random_mean_zero_stack(support, atoms, 300, rng)
+        assert replay_rounds(rng.draws, xs, support) >= 2
 
     @pytest.mark.parametrize("a, b", [(-1, 5), (-5, 1)])
     def test_retry_heavy_supports(self, a, b):
         # two uniform atoms share a sign 72 % of the time on these intervals
-        draws = self.check_rows(BoundedSupport(a, b), 2, list(range(200)))
-        assert max(attempts for _, attempts in draws) >= 3
+        support = BoundedSupport(a, b)
+        rng = RecordingRng(0)
+        xs, ps = random_mean_zero_stack(support, 2, 200, rng)
+        assert replay_rounds(rng.draws, xs, support) >= 3
+        assert xs.shape == ps.shape == (200, 2)
+        assert (xs.min(axis=1) < 0.0).all() and (xs.max(axis=1) > 0.0).all()
+        check_pmf_stack(xs, ps, support)
 
     def test_eight_or_more_atoms_of_one_sign(self):
-        # rows with 8+ positive atoms: numpy sums those weights pairwise
-        self.check_rows(BoundedSupport(-1, 30), 11, list(range(60)))
-        self.check_rows(BoundedSupport(-1, 30), 9, list(range(60)))
+        # rows with 8 or more positive atoms, whose sums numpy adds pairwise:
+        # the stack still passes every check and matches the reference
+        support = BoundedSupport(-1, 30)
+        for atoms in (9, 11):
+            xs, ps = random_mean_zero_stack(support, atoms, 60, np.random.default_rng(atoms))
+            assert ((xs > 0.0).sum(axis=1) >= 8).any()
+            check_pmf_stack(xs, ps, support)
+            assert (ps > 0.0).all()
+            for seed in range(60):
+                assert_one_row_is_the_reference(support, atoms, seed)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_residual_transfer_matches_the_row_loop(self, scale):
-        # the stacked transfer against the reference's per-row one, up to 40
-        # atoms, where the residual dot sums pairwise
+        # the stacked transfer against a per-row one on the same projected
+        # masses, up to 40 atoms, where the residual dot sums pairwise
         support = BoundedSupport(-2.0 * scale, 3.0 * scale)
         for atoms in (2, 3, 7, 8, 9, 16, 40):
-            self.check_rows(support, atoms, [7000 + 31 * atoms + i for i in range(40)])
+            rng = RecordingRng(7000 + atoms)
+            xs, ps = random_mean_zero_stack(support, atoms, 40, rng)
+            _, w = rng.draws[-1]
+            pos = xs > 0.0
+            p_sum = np.where(pos, w * xs, 0.0).sum(axis=1, keepdims=True)
+            n_sum = -np.where(pos, 0.0, w * xs).sum(axis=1, keepdims=True)
+            want = w * np.where(pos, n_sum, p_sum)
+            want /= want.sum(axis=1, keepdims=True)
+            for row_xs, row_ps in zip(xs, want):
+                hi, lo = int(np.argmax(row_xs)), int(np.argmin(row_xs))
+                delta = -float(row_ps @ row_xs) / (row_xs[hi] - row_xs[lo])
+                row_ps[hi] += delta
+                row_ps[lo] -= delta
+            assert np.array_equal(ps, want)
 
     def test_one_row_call_is_the_reference(self):
         for seed in range(40):
             support = BoundedSupport(-3e-6 * (1 + seed % 3), 2e6)
             pmf = random_mean_zero_pmf(support, 2 + seed % 7, seed)
-            ref_xs, ref_ps, _, _ = reference_random_pmf(support, 2 + seed % 7, seed)
-            assert np.array_equal(pmf.xs, ref_xs) and np.array_equal(pmf.ps, ref_ps)
+            xs, ps = random_mean_zero_stack(
+                support, 2 + seed % 7, 1, np.random.default_rng(seed)
+            )
+            assert pmf.xs == tuple(xs[0].tolist()) and pmf.ps == tuple(ps[0].tolist())
+            assert_one_row_is_the_reference(support, 2 + seed % 7, seed)
+
+    @given(
+        st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+        st.floats(1 / 30, 30),
+        st.integers(2, 40),
+        st.integers(1, 50),
+        st.integers(0, 2 ** 32),
+    )
+    @example(1.0, 30.0, 11, 50, 0)  # most rows hold 8+ positive atoms
+    @example(1e6, 1 / 30, 40, 50, 1)  # and 8+ negative ones
+    @settings(max_examples=60, deadline=None)
+    def test_every_stack_is_a_positive_pmf_stack(self, scale, ratio, atoms, rows, seed):
+        support = BoundedSupport(-scale, ratio * scale)
+        xs, ps = random_mean_zero_stack(support, atoms, rows, np.random.default_rng(seed))
+        assert xs.shape == ps.shape == (rows, atoms)
+        check_pmf_stack(xs, ps, support)
+        assert (ps > 0.0).all()
 
     def test_rejects_single_atom(self):
         with pytest.raises(ValueError, match="at least 2 atoms"):
-            random_mean_zero_stack(S11, 1, [0, 1])
+            random_mean_zero_stack(S11, 1, 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("poison", ["negative", "outside", "sum", "mean"])
     def test_poisoned_row_fails_with_the_finite_pmf_message(self, poison):
-        xs, ps = random_mean_zero_stack(S51, 4, list(range(6)))
+        xs, ps = random_mean_zero_stack(S51, 4, 6, np.random.default_rng(0))
         check_pmf_stack(xs, ps, S51)
         row = 3
         if poison == "negative":

@@ -521,6 +521,31 @@ class TestOptimizeRelaxed:
         assert max(solution.fractional) > 2
         assert max(solution.rounded.ks) <= 2
 
+    @staticmethod
+    def assert_scales_exactly(variables, t, j):
+        # phi is squared by a product, not libm's pow, so scaling [a, b] and t
+        # by c = 2^j scales every step of both objectives exactly
+        c = 2.0 ** j
+        scaled = tuple(BoundedSupport(c * v.a, c * v.b) for v in variables)
+        for v, w in zip(variables, scaled):
+            assert best_k_single(w, c * t) == best_k_single(v, t)
+        want = optimize_relaxed(variables, t).fractional  # scale-free
+        assert optimize_relaxed(scaled, c * t).fractional == want
+
+    @given(st.lists(supports, min_size=1, max_size=4), st.floats(0.05, 30.0),
+           st.integers(-20, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_scales_exactly(self, variables, t, j):
+        self.assert_scales_exactly(tuple(variables), t, j)
+
+    def test_scales_exactly_where_pow_did_not(self):
+        # with phi(..) ** 2 this two-variable profile moved under c = 2^18,
+        # and best_k_single went from k = 1 to 2 at a tie under c = 2^-4
+        support = BoundedSupport(-3.5445024577042576, 1.1129394069964875)
+        self.assert_scales_exactly((support, support), 2.0, 18)
+        tie = BoundedSupport(-3.666643414926747, 9.675063619159673)
+        self.assert_scales_exactly((tie,), 10.721696409819481, -4)
+
 
 class TestRegimes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
