@@ -13,6 +13,7 @@ k is caller-selectable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,6 +94,10 @@ class BoundedSupport:
         if not math.isfinite(cap4):  # also inf or nan whenever cap2 is inf
             raise ValueError(
                 f"support [{self.a}, {self.b}] is too wide: its moment caps overflow"
+            )
+        if cap2 < sys.float_info.min:  # rates, caps and moments lose their digits
+            raise ValueError(
+                f"support [{self.a}, {self.b}] is too narrow: |a|b underflows"
             )
         if self.m2 is not None:
             if not 0.0 <= self.m2 <= cap2 * (1.0 + MOMENT_SLACK):

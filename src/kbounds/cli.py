@@ -8,12 +8,19 @@ Subcommands::
     verify   oracle sweep: exact MGFs and Monte Carlo vs. the certificates
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
+Each subcommand parses its flags, hands every value rule to the module that
+owns it and prints CSV: ``scenario.Query`` checks t values and ranges,
+``scenario.parse_family_tag`` the `bound --family/--k` tag, and
+``bounds.BoundedSupport`` the interval and moments, so a flag and a scenario
+file break a rule with the same message.  What is left here is about flags
+alone: which go together, and that a `--t-range` COUNT is an integer.
+
 `verify --random` draws each support's pmfs from one seeded generator, as
-(xs, ps) stacks, one per atom count.  The bounds that read no moments are
-built once per support, the applicable moment-reading ones per pmf on its
-measured support, and all are checked against the exact log-MGF rows as
-(pmf x family x s) tables.  A bad `--k-max` or `--samples` exits 2 before
-any pmf is drawn.
+(xs, ps) stacks, one per atom count.  Which families apply and their rates
+are found once per support; the log multipliers that read moments come from
+each pmf's measured support, and all are checked against the exact log-MGF
+rows as (pmf x family x s) tables.  A bad `--k-max`, `--samples` or
+`--poison-rate` exits 2 before any pmf is drawn.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
@@ -52,18 +59,16 @@ from .bounds import (
 from .oracle import (
     MIN_SAMPLES,
     S_GRID,
-    FinitePmf,
     check_pmf_stack,
     exact_log_mgf_rows,
     extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
-    moments,
     random_mean_zero_stack,
     validity_gaps,
 )
-from .scenario import MAX_T_COUNT, Query, Scenario, ScenarioError, load_scenario
+from .scenario import Query, Scenario, ScenarioError, load_scenario, parse_family_tag
 from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
@@ -113,21 +118,6 @@ def _support_from_args(args) -> BoundedSupport:
     )
 
 
-def _tag_from_args(args) -> FamilyTag:
-    try:
-        family = Family(args.family)
-    except ValueError:
-        valid = ", ".join(f.value for f in Family)
-        raise ValueError(f"--family must be one of: {valid}") from None
-    if family is Family.ORDER_K:
-        if args.k is None:
-            raise ValueError("--family order_k requires --k")
-        return order_k(args.k)
-    if args.k is not None:
-        raise ValueError(f"--k only applies to order_k, not {family.value}")
-    return FamilyTag(family)
-
-
 def _catalog_tags(k_max: int) -> list[FamilyTag]:
     """The families `bound --compare` and `verify` check, order_k up to k_max."""
     if k_max < 1:
@@ -162,53 +152,40 @@ def _finite_at_s(bound: MgfBound, s: float) -> float:
 
 def cmd_bound(args) -> int:
     support = _support_from_args(args)
-    header = "family,log_multiplier,rate,eval_at_s"
     if args.compare:
-        rows = []
-        for tag, bound in _applicable_bounds(support, _catalog_tags(args.k_max)):
-            rows.append((_finite_at_s(bound, args.s), tag.label(), bound))
-        rows.sort(key=lambda row: (row[0], row[1]))
-        lines = [header] + [
-            f"{label},{g12(bound.log_multiplier)},{g12(bound.rate)},{g12(value)}"
-            for value, label, bound in rows
-        ]
-        _emit(args, lines)
-        return 0
-    if args.family is None:
-        raise ValueError("give --family or --compare")
-    bound = mgf_bound(support, _tag_from_args(args))
-    value = _finite_at_s(bound, args.s)
-    _emit(
-        args,
-        [
-            header,
-            f"{bound.family_tag.label()},{g12(bound.log_multiplier)},"
-            f"{g12(bound.rate)},{g12(value)}",
-        ],
+        if args.k is not None:
+            raise ValueError("--k applies only to --family order_k, not --compare")
+        k_max = 8 if args.k_max is None else args.k_max
+        pairs = _applicable_bounds(support, _catalog_tags(k_max))
+    else:
+        if args.k_max is not None:
+            raise ValueError("--k-max applies only to --compare")
+        tag = parse_family_tag({"family": args.family, "k": args.k})
+        pairs = [(tag, mgf_bound(support, tag))]
+    rows = sorted(
+        ((_finite_at_s(bound, args.s), tag.label(), bound) for tag, bound in pairs),
+        key=lambda row: row[:2],
     )
+    lines = ["family,log_multiplier,rate,eval_at_s"] + [
+        f"{label},{g12(bound.log_multiplier)},{g12(bound.rate)},{g12(value)}"
+        for value, label, bound in rows
+    ]
+    _emit(args, lines)
     return 0
 
 
 def _resolve_query(scenario: Scenario, args) -> Query:
+    """The scenario's query with the t values and side the flags give."""
     query = scenario.query
-    ts = query.ts
-    t_range = query.t_range
+    ts, t_range = query.ts, query.t_range
     if getattr(args, "t", None):
         ts, t_range = tuple(args.t), None
-        if any(not t > 0.0 for t in ts):
-            raise ValueError("--t values must be positive")
     if getattr(args, "t_range", None):
         lo, hi, count = args.t_range
         if not count.is_integer():
             raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
-        if not 0.0 < lo < hi or int(count) < 2:
-            raise ValueError("--t-range needs 0 < MIN < MAX and COUNT >= 2")
-        if count > MAX_T_COUNT:
-            raise ValueError(f"--t-range COUNT must be at most {MAX_T_COUNT}")
         ts, t_range = None, (lo, hi, int(count))
-    side = query.side
-    if getattr(args, "side", None):
-        side = Side(args.side)
+    side = Side(args.side) if getattr(args, "side", None) else query.side
     return dataclasses.replace(query, ts=ts, t_range=t_range, side=side)
 
 
@@ -262,13 +239,10 @@ def cmd_tail(args) -> int:
 
 def cmd_select(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.t is not None:
-        t = args.t
-    else:
-        ts = scenario.query.resolve_ts()
-        if len(ts) != 1:
-            raise ValueError("select needs a single t (--t or a one-value query.t)")
-        t = ts[0]
+    ts = _resolve_query(scenario, args).resolve_ts()
+    if len(ts) != 1:
+        raise ValueError("select needs a single t (--t or a one-value query.t)")
+    t = ts[0]
     selection = optimize_exact(scenario.variables, t, args.k_max)
     if not math.isfinite(selection.log_bound):
         raise ValueError(f"t={g12(t)}: the log bound is not finite")
@@ -284,17 +258,11 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _measured_support(pmf: FinitePmf) -> BoundedSupport:
-    base = pmf.support
-    return BoundedSupport(
-        a=base.a, b=base.b, m2=moments(pmf, 2), m4=moments(pmf, 4)
-    )
-
-
-def _poison(bound: MgfBound, factor: float) -> MgfBound:
-    if factor == 1.0:
-        return bound
-    return MgfBound(bound.log_multiplier, bound.rate * factor, bound.family_tag)
+def _measured_supports(support: BoundedSupport, xs, ps) -> list[BoundedSupport]:
+    """The support of each (xs, ps) row: [a, b] with the row's m2 and m4."""
+    m2s = moment_rows(xs, ps, 2).tolist()
+    m4s = moment_rows(xs, ps, 4).tolist()
+    return [BoundedSupport(support.a, support.b, m2, m4) for m2, m4 in zip(m2s, m4s)]
 
 
 def _family_label(tag: FamilyTag) -> str:
@@ -304,53 +272,45 @@ def _family_label(tag: FamilyTag) -> str:
 def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
     """Max (exact - bound) gap per family label over every pmf.
 
-    ``batches`` pairs each support with its (xs[N, n], ps[N, n]) stacks.  A
-    family that reads no moments has one bound per support, built on [a, b]
-    and checked against every pmf as one (pmf x family x s) table.  Which
-    moment-reading families apply is decided once per support; each is built
-    per pmf on its measured support, one (row x s) table per stack, whose rows
-    go one count of atoms with p > 0 at a time, as ``exact_log_mgf_rows`` needs.
+    ``batches`` pairs each support with its (xs[N, n], ps[N, n]) stacks.  The
+    families that apply, their labels and their rates times ``poison`` are
+    found once per support, on a measured-shaped support (m2 and m4 known, no
+    odd moments asserted): a rate depends on [a, b] alone.  A family that
+    reads no moments has one log multiplier per support, checked against
+    every pmf as one (pmf x family x s) table; one that does reads each pmf's
+    measured support, in a (pmf x family x s) table of its own.  Rows go one
+    count of atoms with p > 0 at a time, as ``exact_log_mgf_rows`` needs.
     """
     tags = _catalog_tags(k_max)
     max_gap: dict[str, float] = {}
 
-    def note(labels, gaps) -> None:
+    def note(labels, exact, log_a, rates) -> None:
+        gaps = validity_gaps(exact, log_a, rates, S_GRID).max(axis=0)
         for label, gap in zip(labels, gaps.tolist()):
             if label not in max_gap or gap > max_gap[label]:
                 max_gap[label] = gap
 
     for support, stacks in batches:
-        a, b = support.a, support.b
-        interval = BoundedSupport(a, b)
-        moment_tags = [tag for tag in tags if reads_moments(interval, tag)]
-        shared = _applicable_bounds(interval, [tag for tag in tags if tag not in moment_tags])
-        # measured supports all know m2 and m4 and assert no odd moments
-        shape = BoundedSupport(a, b, m2=0.0, m4=0.0)
-        measured_tags = [tag for tag, _ in _applicable_bounds(shape, moment_tags)]
-        shared_labels = [_family_label(tag) for tag, _ in shared]
-        shared = [_poison(bound, poison) for _, bound in shared]
-        shared_log_a = [bound.log_multiplier for bound in shared]
-        shared_rates = [bound.rate for bound in shared]
+        shape = BoundedSupport(support.a, support.b, m2=0.0, m4=0.0)
+        fixed = _applicable_bounds(shape, [t for t in tags if not reads_moments(shape, t)])
+        measured = _applicable_bounds(shape, [t for t in tags if reads_moments(shape, t)])
+        fixed_labels = [_family_label(tag) for tag, _ in fixed]
+        measured_labels = [_family_label(tag) for tag, _ in measured]
+        fixed_log_a = [bound.log_multiplier for _, bound in fixed]
+        fixed_rates = [bound.rate * poison for _, bound in fixed]
+        measured_rates = [bound.rate * poison for _, bound in measured]
         for stack_xs, stack_ps in stacks:
             counts = np.count_nonzero(stack_ps > 0.0, axis=1)
             for count in set(counts.tolist()):
                 same = counts == count
                 xs, ps = stack_xs[same], stack_ps[same]
-                exact = exact_log_mgf_rows(xs, ps, S_GRID)
-                table = validity_gaps(exact[:, None, :], shared_log_a, shared_rates, S_GRID)
-                note(shared_labels, table.max(axis=0))
-                rows, labels, log_a, rates = [], [], [], []
-                m2s = moment_rows(xs, ps, 2).tolist()
-                m4s = moment_rows(xs, ps, 4).tolist()
-                for i, (m2, m4) in enumerate(zip(m2s, m4s)):
-                    measured = BoundedSupport(a, b, m2=m2, m4=m4)
-                    for tag in measured_tags:
-                        bound = _poison(mgf_bound(measured, tag), poison)
-                        rows.append(i)
-                        labels.append(_family_label(tag))
-                        log_a.append(bound.log_multiplier)
-                        rates.append(bound.rate)
-                note(labels, validity_gaps(exact[rows], log_a, rates, S_GRID))
+                exact = exact_log_mgf_rows(xs, ps, S_GRID)[:, None, :]
+                note(fixed_labels, exact, fixed_log_a, fixed_rates)
+                log_a = [
+                    [mgf_bound(row, tag).log_multiplier for tag, _ in measured]
+                    for row in _measured_supports(support, xs, ps)
+                ]
+                note(measured_labels, exact, log_a, measured_rates)
     return max_gap
 
 
@@ -404,6 +364,8 @@ def cmd_verify(args) -> int:
     samples = query.samples if args.samples is None else args.samples
     # input errors exit before any pmf is drawn
     _catalog_tags(args.k_max)
+    if not args.poison_rate > 0.0:
+        raise ValueError("--poison-rate must be positive")
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
     batches, group = _verify_pmfs(args, scenario, seed)
@@ -418,7 +380,7 @@ def cmd_verify(args) -> int:
 
     # Monte Carlo side: the group's sum vs. its certificates.
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")
-    variables = tuple(_measured_support(p) for p in group)
+    variables = tuple(_measured_supports(p.support, *p.stack())[0] for p in group)
     reach = sum(v.b for v in variables)
     ts = tuple(f * reach for f in (0.25, 0.5, 0.75))
     if scenario is not None and (scenario.query.ts or scenario.query.t_range):
@@ -498,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True, k_max=True):
-        if out:
-            p.add_argument("--out", help="write output to this file instead of stdout")
+    def add_common(p, k_max=True):
+        p.add_argument("--out", help="write output to this file instead of stdout")
         if k_max:
             p.add_argument("--k-max", type=int, default=8, dest="k_max")
 
@@ -510,11 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--m2", type=finite_float)
     p_bound.add_argument("--m4", type=finite_float)
     p_bound.add_argument("--odd-moments-zero", action="store_true")
-    p_bound.add_argument("--family", help="classic, hertz, order_k, ...")
-    p_bound.add_argument("--k", type=int)
+    which = p_bound.add_mutually_exclusive_group(required=True)
+    which.add_argument("--family", help="classic, hertz, order_k, ...")
+    which.add_argument("--compare", action="store_true")
+    p_bound.add_argument("--k", type=int, help="the order of --family order_k")
     p_bound.add_argument("--s", type=finite_float, required=True)
-    p_bound.add_argument("--compare", action="store_true")
-    add_common(p_bound)
+    p_bound.add_argument("--k-max", type=int, dest="k_max",
+                         help="default 8; only with --compare")
+    add_common(p_bound, k_max=False)
     p_bound.set_defaults(func=cmd_bound)
 
     p_tail = sub.add_parser("tail", help="tail certificates over t")
@@ -529,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="order selection + crossover table")
     p_select.add_argument("scenario")
-    p_select.add_argument("--t", type=finite_float)
+    p_select.add_argument("--t", type=finite_float, nargs=1)
     add_common(p_select)
     p_select.set_defaults(func=cmd_select)
 

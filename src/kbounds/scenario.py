@@ -19,6 +19,11 @@ Example::
 ``choices`` is either the string "auto" or a list of per-variable objects
 {"family": ..., "k": ...} with family one of classic, hertz, order_k,
 order2_moment, order4_moment, symmetric_order4 (order_k requires "k").
+
+The rules a CLI flag shares with a scenario file live here once: ``Query``
+checks t values and t ranges whether they come from ``query`` or from
+`--t`/`--t-range`, and ``parse_family_tag`` reads a choice or `bound`'s
+`--family`/`--k`.  The parsers below check only JSON types and shapes.
 """
 
 from __future__ import annotations
@@ -50,11 +55,25 @@ _TOP_KEYS = {"format_version", "variables", "choices", "query"}
 
 @dataclass(frozen=True)
 class Query:
+    """The t values or t range, side, sample count and seed of a scenario."""
+
     ts: tuple[float, ...] | None = None
     t_range: tuple[float, float, int] | None = None
     side: Side = Side.UPPER
     samples: int = 10 ** 6
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.ts is not None and self.t_range is not None:
+            raise ScenarioError("query has both t and t_range; give one")
+        if self.ts is not None and (not self.ts or any(not t > 0.0 for t in self.ts)):
+            raise ScenarioError("t values must be positive")
+        if self.t_range is not None:
+            lo, hi, count = self.t_range
+            if not 0.0 < lo < hi:
+                raise ScenarioError("t_range requires 0 < min < max")
+            if not 2 <= count <= MAX_T_COUNT:
+                raise ScenarioError(f"t_range count must be >= 2 and at most {MAX_T_COUNT}")
 
     def resolve_ts(self) -> tuple[float, ...]:
         if self.ts is not None:
@@ -118,23 +137,24 @@ def _parse_variable(obj, index: int) -> BoundedSupport:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def parse_family_tag(obj, where: str = "choice") -> FamilyTag:
+def parse_family_tag(obj) -> FamilyTag:
+    """The tag of a {"family": ..., "k": ...} choice, from a file or from flags."""
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be an object with a 'family' key")
-    _reject_unknown(obj, {"family", "k"}, where)
+        raise ScenarioError("a choice must be an object with a 'family' key")
+    _reject_unknown(obj, {"family", "k"}, "a choice")
     name = obj.get("family")
     try:
         family = Family(name)
     except ValueError:
         valid = ", ".join(f.value for f in Family)
-        raise ScenarioError(f"{where}.family must be one of: {valid}") from None
+        raise ScenarioError(f"family must be one of: {valid}; got {name!r}") from None
     k = obj.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-        raise ScenarioError(f"{where}.k must be an integer")
+        raise ScenarioError("k must be an integer")
     try:
         return FamilyTag(family, k)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(str(exc)) from exc
 
 
 def _parse_query(obj) -> Query:
@@ -143,14 +163,10 @@ def _parse_query(obj) -> Query:
     if not isinstance(obj, dict):
         raise ScenarioError("query must be an object")
     _reject_unknown(obj, _QUERY_KEYS, "query")
-    if "t" in obj and "t_range" in obj:
-        raise ScenarioError("query has both t and t_range; give one")
     ts = None
     if "t" in obj:
         raw = obj["t"] if isinstance(obj["t"], list) else [obj["t"]]
         ts = tuple(_number(v, "query.t") for v in raw)
-        if not ts or any(t <= 0.0 for t in ts):
-            raise ScenarioError("query.t values must be positive")
     t_range = None
     if "t_range" in obj:
         rng = obj["t_range"]
@@ -163,12 +179,8 @@ def _parse_query(obj) -> Query:
         lo = _number(rng["min"], "t_range.min")
         hi = _number(rng["max"], "t_range.max")
         count = rng["count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 2:
-            raise ScenarioError("t_range.count must be an integer >= 2")
-        if count > MAX_T_COUNT:
-            raise ScenarioError(f"t_range.count must be at most {MAX_T_COUNT}")
-        if not 0.0 < lo < hi:
-            raise ScenarioError("t_range requires 0 < min < max")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ScenarioError("t_range.count must be an integer")
         t_range = (lo, hi, count)
     side = Side.UPPER
     if "side" in obj:
@@ -205,9 +217,7 @@ def parse_scenario(doc) -> Scenario:
             raise ScenarioError(
                 f"{len(raw_choices)} choices for {len(variables)} variables"
             )
-        choices = tuple(
-            parse_family_tag(c, f"choices[{i}]") for i, c in enumerate(raw_choices)
-        )
+        choices = tuple(parse_family_tag(c) for c in raw_choices)
     else:
         raise ScenarioError("choices must be \"auto\" or a list of choice objects")
 

@@ -55,6 +55,19 @@ class TestSupport:
         with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}]")):
             BoundedSupport(a, b)
 
+    @pytest.mark.parametrize(
+        "a, b", [(-1e-200, 1e-200), (-1e-170, 1e-170), (-1e-154, 1e-154), (-1e-300, 1e-9)]
+    )
+    def test_rejects_intervals_whose_caps_underflow(self, a, b):
+        # |a|b is below the smallest normal float; the message names the interval
+        with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}] is too narrow")):
+            BoundedSupport(a, b)
+
+    @pytest.mark.parametrize("a, b", [(-1e-100, 1e-100), (-1e-153, 1e-153), (-1e-300, 1e-7)])
+    def test_accepts_the_narrowest_normal_caps(self, a, b):
+        support = BoundedSupport(a, b)
+        assert mgf_bound(support, CLASSIC).rate > 0.0
+
     def test_accepts_moments_at_cap(self):
         BoundedSupport(-5, 1, m2=5.0, m4=105.0)
 

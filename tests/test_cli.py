@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from kbounds import cli
-from kbounds.bounds import BoundedSupport, Family, mgf_bound
+from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
-from kbounds.oracle import S_GRID, FinitePmf, random_mean_zero_stack
+from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
 from kbounds.scenario import MAX_T_COUNT, load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
@@ -88,6 +88,44 @@ class TestBound:
         )
         assert code == 2
         assert "m2" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--compare", "--family", "hertz"],
+            [],
+            ["--compare", "--k", "3"],
+            ["--family", "hertz", "--k-max", "3"],
+            ["--family", "order_k", "--k", "3", "--k-max", "3"],
+        ],
+        ids=["family-and-compare", "neither", "k-with-compare", "k-max-with-family",
+             "k-max-with-order-k"],
+    )
+    def test_flags_it_would_ignore_exit_2(self, capsys, flags):
+        assert exit_code(["bound", "--a=-2", "--b", "1", "--s", "3", *flags]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_k_max_is_read_under_compare(self, capsys):
+        _, out, _ = run_cli(
+            ["bound", "--a=-2", "--b", "1", "--s", "3", "--compare", "--k-max", "2"], capsys
+        )
+        labels = {row[0] for row in rows(out)[1:]}
+        assert "order_k[2]" in labels and "order_k[3]" not in labels
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--a=-1e-100", "--b", "1e-100", "--compare", "--s", "1"],
+            ["verify", "--random", "--a=-1e-100", "--b", "1e-100", "--pmfs", "10",
+             "--samples", "1000"],
+        ],
+    )
+    def test_narrow_interval_with_normal_caps_works(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "inf" not in out and "nan" not in out
 
 
 class TestTail:
@@ -291,6 +329,10 @@ class TestNonFiniteInput:
             (["bound", "--a=-1e200", "--b", "1e200", "--family", "classic", "--s", "1"],
              "[-1e+200, 1e+200]"),
             (["verify", "--random", "--a=-1e200", "--b", "1e200"], "[-1e+200, 1e+200]"),
+            (["bound", "--a=-1e-200", "--b", "1e-200", "--compare", "--s", "1"],
+             "[-1e-200, 1e-200] is too narrow"),
+            (["verify", "--random", "--a=-1e-170", "--b", "1e-170", "--pmfs", "10",
+              "--samples", "1000"], "[-1e-170, 1e-170] is too narrow"),
         ],
     )
     def test_non_finite_output_exits_2(self, fixtures_dir, capsys, argv, names):
@@ -352,10 +394,11 @@ class TestSelect:
 def sweep_one_pmf(pmf, k_max, poison):
     """Max (exact - bound) gap per family label for one pmf: the per-pmf loop
     the batched sweep replaced, kept as its reference."""
-    measured = cli._measured_support(pmf)
+    a, b = pmf.support.a, pmf.support.b
+    measured = BoundedSupport(a, b, m2=moments(pmf, 2), m4=moments(pmf, 4))
     gaps = {}
     for tag, bound in cli._applicable_bounds(measured, cli._catalog_tags(k_max)):
-        bound = cli._poison(bound, poison)
+        bound = MgfBound(bound.log_multiplier, bound.rate * poison, tag)
         label = "order_k" if tag.family is Family.ORDER_K else tag.label()
         gap = list_validity_gap(pmf, bound, S_GRID)
         if label not in gaps or gap > gaps[label]:
@@ -557,7 +600,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--samples", "10"], "samples"), (["--samples", "999"], "samples"),
-         (["--k-max", "0"], "k_max"), (["--k-max", "-3"], "k_max")],
+         (["--k-max", "0"], "k_max"), (["--k-max", "-3"], "k_max"),
+         (["--poison-rate", "0"], "--poison-rate"), (["--poison-rate", "-1"], "--poison-rate")],
     )
     def test_bad_input_exits_2_before_any_pmf_is_drawn(self, capsys, monkeypatch,
                                                        fixtures_dir, flags, message):
@@ -607,6 +651,40 @@ class TestVerify:
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
+
+
+# A rule the scenario file and a CLI flag share, broken both ways: the
+# scenario fields that break it, and the flags that break it.
+SHARED_RULES = {
+    "t <= 0": ({"query": {"t": [0.0]}}, ["--t", "0"]),
+    "min >= max": (
+        {"query": {"t_range": {"min": 2, "max": 2, "count": 5}}}, ["--t-range", "2", "2", "5"]
+    ),
+    "count 1": ({"query": {"t_range": {"min": 1, "max": 2, "count": 1}}},
+                ["--t-range", "1", "2", "1"]),
+    "count > MAX_T_COUNT": (
+        {"query": {"t_range": {"min": 1, "max": 2, "count": MAX_T_COUNT + 1}}},
+        ["--t-range", "1", "2", str(MAX_T_COUNT + 1)],
+    ),
+    "unknown family": ({"choices": [{"family": "bernstein"}]}, ["--family", "bernstein"]),
+    "k on hertz": ({"choices": [{"family": "hertz", "k": 2}]}, ["--family", "hertz", "--k", "2"]),
+    "order_k without k": ({"choices": [{"family": "order_k"}]}, ["--family", "order_k"]),
+}
+
+
+@pytest.mark.parametrize("fields, flags", SHARED_RULES.values(), ids=SHARED_RULES)
+def test_file_and_flag_break_a_rule_alike(fixtures_dir, tmp_path, capsys, fields, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [{"a": -1, "b": 1}], **fields}))
+    from_file = run_cli(["tail", str(path)], capsys)
+    if "--family" in flags:
+        argv = ["bound", "--a=-1", "--b", "1", "--s", "1", *flags]
+    else:
+        argv = ["tail", str(fixtures_dir / "example1.json"), *flags]
+    assert run_cli(argv, capsys) == from_file
+    code, out, err = from_file
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def bisection_crossovers(scenarios, ts):

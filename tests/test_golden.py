@@ -1,14 +1,41 @@
-"""Golden stdout of the shipped fixture commands, pinned by sha256.
+"""Golden stdout of the shipped fixture commands and of a fixed-choice
+scenario, `bound --family` and `verify --random` runs, pinned by sha256.
 
 Each command runs in-process through ``cli.main``.  A change that moves a
 printed digit updates the hash here and lists the moved lines in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from kbounds.cli import main
+
+# A fixed-choice scenario with one variable per family, written by the test
+# as fixed.json.
+FIXED = {
+    "format_version": 1,
+    "variables": [
+        {"a": -1, "b": 2},
+        {"a": -3, "b": 1},
+        {"a": -2, "b": 4},
+        {"a": -1, "b": 3, "m2": 1.5},
+        {"a": -2, "b": 2, "m2": 1, "m4": 2, "odd_moments_zero": True},
+        {"a": -1.5, "b": 1.5, "odd_moments_zero": True},
+    ],
+    "choices": [
+        {"family": "classic"},
+        {"family": "hertz"},
+        {"family": "order_k", "k": 3},
+        {"family": "order2_moment"},
+        {"family": "order4_moment"},
+        {"family": "symmetric_order4"},
+    ],
+    "query": {"t_range": {"min": 0.5, "max": 12, "count": 60}},
+}
+# One support with every moment declared, so every family applies.
+MOMENTS = ["--a=-5", "--b", "5", "--m2", "5", "--m4", "100", "--odd-moments-zero", "--s", "0.5"]
 
 GOLDEN = [
     (["tail", "example1.json", "--side", "upper"],
@@ -66,12 +93,41 @@ GOLDEN = [
      "1fd0724a7ba77c2bf380f26a456fb9861028639d4c9221d51401db719022a7ea"),
     (["verify", "example5.json", "--samples", "20000"],
      "ddce9beefd61fdaf80d4a1725de812e237247c94099a932f94883d51c3d78fa2"),
+    (["tail", "fixed.json", "--side", "upper"],
+     "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
+    (["tail", "fixed.json", "--side", "lower"],
+     "d09abb504e53f181a830c1a5293960f06a027581dd1d4da73d11b72de97473e6"),
+    (["tail", "fixed.json", "--side", "two_sided"],
+     "32b96bae7c8f412dcd69f3ef655bab37652d76b042653d6b5baa52e5883ceb30"),
+    (["sweep", "fixed.json"],
+     "8e70f58868230db3e226df7338a5da7437db925f0ce2d3a770d0bcd01da647a9"),
+    (["bound", "--family", "classic", *MOMENTS],
+     "97106900b6b11be190b81626becbc42d9180bc2ce2230c0acc5d6d956ab81159"),
+    (["bound", "--family", "hertz", *MOMENTS],
+     "cceed813aa11315c665d4b4556a0551cdf4fb577c66bd3ff72cf5382110ddb3b"),
+    (["bound", "--family", "order_k", "--k", "2", *MOMENTS],
+     "7a567980c36993ee19977d53b70deaf779fb4b1978f832d7e8248c131161262c"),
+    (["bound", "--family", "order_k", "--k", "4", *MOMENTS],
+     "66987ea06630484243d2be08e4b2f9856cf7a6e068dc9a3a3da5878a2e3fd9f8"),
+    (["bound", "--family", "order2_moment", *MOMENTS],
+     "c6006a0ffb3e284495eb0844ad0932778392a0f04e5f3926efd9fe66ed5dfe63"),
+    (["bound", "--family", "order4_moment", *MOMENTS],
+     "86daa5032bd52fb8168184136868a854a834553bfe711171c89973cf494ebd68"),
+    (["bound", "--family", "symmetric_order4", *MOMENTS],
+     "eb114a8a69a6bd511701dc74a96c27b7de657002c3ee4094ebb442886bb4173d"),
+    (["verify", "--random", "--pmfs", "200", "--samples", "1000", "--seed", "5"],
+     "aed0ceba38381dbd168b9d43159b94f10fae4ebae378519a0edebd26be3051a3"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
-def test_stdout_is_pinned(fixtures_dir, capsys, argv, digest):
-    argv = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+def test_stdout_is_pinned(fixtures_dir, tmp_path, capsys, argv, digest):
+    (tmp_path / "fixed.json").write_text(json.dumps(FIXED))
+    argv = [
+        str((tmp_path if arg == "fixed.json" else fixtures_dir) / arg)
+        if arg.endswith(".json") else arg
+        for arg in argv
+    ]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbounds.bounds import BoundedSupport, mgf_bound, multiplier_log, order_k, phi
@@ -39,7 +39,7 @@ def lattice_totals(variables, k_max):
     The sums run in variable order, as the objective in the tail engine does.
     """
     mults = [[multiplier_log(v, k) for k in range(1, k_max + 1)] for v in variables]
-    rates = [[phi(v) ** 2 / (2.0 * k) for k in range(1, k_max + 1)] for v in variables]
+    rates = [[phi(v) * phi(v) / (2.0 * k) for k in range(1, k_max + 1)] for v in variables]
     for ks in itertools.product(range(k_max), repeat=len(variables)):
         log_mult = 0.0
         rate = 0.0
@@ -81,7 +81,7 @@ def floor_ceil_rows(variables, fractional, k_max):
         rate = 0.0
         for support, k in zip(variables, ks):
             log_mult += multiplier_log(support, k)
-            rate += phi(support) ** 2 / (2.0 * k)
+            rate += phi(support) * phi(support) / (2.0 * k)
         yield ks, log_mult, rate
 
 
@@ -401,6 +401,9 @@ class TestParetoFront:
         st.floats(0.01, 1.5),
         st.floats(1e-6, 1e6),
     )
+    # the reference once squared phi with ``**``, one ulp off the product here
+    @example([BoundedSupport(-5.0249543020383935, 7.502413272942808)], 0.01171875,
+             448310.4566307943)
     @settings(max_examples=100, deadline=None)
     def test_scale_coherence_across_scales(self, variables, t_frac, scale):
         t = t_frac * sum(v.b for v in variables)
