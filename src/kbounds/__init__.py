@@ -10,6 +10,7 @@ from .bounds import (
     Family,
     FamilyTag,
     MgfBound,
+    catalog,
     endpoint_ratio,
     eval_log_mgf_bound,
     mgf_bound,

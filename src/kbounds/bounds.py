@@ -6,6 +6,10 @@ bound with rate (b-a)^2/8, the geometric-mean refinement with rate Phi^2/2, and
 the order-k family that trades a larger multiplier A_k for a rate divided by k,
 optionally sharpened by known even moments m2 = E[X^2] and m4 = E[X^4].
 
+``catalog(support, k_max)`` alone decides which families apply to a support:
+the moment families need m2, m4 or symmetry, and ``mgf_bound`` raises the
+reason ``catalog`` leaves a family out for.
+
 All multiplier arithmetic is done on logarithms: (1+r)^k overflows quickly and
 k is caller-selectable.
 """
@@ -92,12 +96,19 @@ class BoundedSupport:
             raise ValueError(f"support requires a < 0 < b, got [{self.a}, {self.b}]")
         cap2, cap4 = moment_caps(self)
         if not math.isfinite(cap4):  # also inf or nan whenever cap2 is inf
+            raise ValueError(f"support [{self.a}, {self.b}] is too wide: its moment caps overflow")
+        # rates and caps lose their digits, and so do a declared m2 divided by
+        # a^2 and a declared m4 under odd_moments_zero divided by a^4
+        if cap2 < sys.float_info.min:
+            raise ValueError(f"support [{self.a}, {self.b}] is too narrow: |a|b underflows")
+        a2 = self.a * self.a
+        if self.m2 is not None and a2 < sys.float_info.min:
+            raise ValueError(f"support [{self.a}, {self.b}] is too narrow for m2: a^2 underflows")
+        if self.m4 is not None and self.odd_moments_zero and a2 * a2 < sys.float_info.min:
+            raise ValueError(f"support [{self.a}, {self.b}] is too narrow for m4: a^4 underflows")
+        if self.b / -self.a > sys.float_info.max:  # exactly when endpoint_ratio overflows
             raise ValueError(
-                f"support [{self.a}, {self.b}] is too wide: its moment caps overflow"
-            )
-        if cap2 < sys.float_info.min:  # rates, caps and moments lose their digits
-            raise ValueError(
-                f"support [{self.a}, {self.b}] is too narrow: |a|b underflows"
+                f"support [{self.a}, {self.b}] is too lopsided: max(|a|, b)/|a| overflows"
             )
         if self.m2 is not None:
             if not 0.0 <= self.m2 <= cap2 * (1.0 + MOMENT_SLACK):
@@ -221,6 +232,33 @@ def reads_moments(support: BoundedSupport, tag: FamilyTag) -> bool:
     return tag.family not in (Family.CLASSIC, Family.HERTZ)
 
 
+def _unmet(support: BoundedSupport, tag: FamilyTag) -> str | None:
+    """Why the support does not meet the family's preconditions; None if it does."""
+    fam = tag.family
+    if fam is Family.ORDER2_MOMENT and support.m2 is None:
+        return "order2_moment requires a known m2"
+    if fam is Family.ORDER4_MOMENT and (support.m2 is None or support.m4 is None):
+        return "order4_moment requires known m2 and m4"
+    if fam is Family.SYMMETRIC_ORDER4 and -support.a != support.b:
+        return "symmetric_order4 requires |a| = b"
+    if fam in (Family.ORDER4_MOMENT, Family.SYMMETRIC_ORDER4) and not support.odd_moments_zero:
+        return f"{fam.value} requires odd_moments_zero"
+    return None
+
+
+def catalog(support: BoundedSupport, k_max: int) -> list[MgfBound]:
+    """Every bound whose preconditions the support meets, each built once.
+
+    In catalog order: classic, hertz, order_k for k = 1..k_max, order2_moment,
+    order4_moment, symmetric_order4.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    orders = map(order_k, range(1, k_max + 1))
+    tags = [CLASSIC, HERTZ, *orders, ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
+    return [mgf_bound(support, tag) for tag in tags if _unmet(support, tag) is None]
+
+
 def mgf_bound(support: BoundedSupport, tag: FamilyTag) -> MgfBound:
     """Build the (log multiplier, rate) pair for one family on one support.
 
@@ -237,21 +275,14 @@ def mgf_bound(support: BoundedSupport, tag: FamilyTag) -> MgfBound:
     if fam is Family.ORDER_K:
         k = tag.k
         return MgfBound(multiplier_log(support, k), h * h / (2.0 * k), tag)
+    unmet = _unmet(support, tag)  # the families below read moments or symmetry
+    if unmet is not None:
+        raise ValueError(unmet)
     if fam is Family.ORDER2_MOMENT:
-        if support.m2 is None:
-            raise ValueError("order2_moment requires a known m2")
         return MgfBound(math.log1p(support.m2 / (a * a)), h * h / 4.0, tag)
     if fam is Family.ORDER4_MOMENT:
-        if support.m2 is None or support.m4 is None:
-            raise ValueError("order4_moment requires known m2 and m4")
-        if not support.odd_moments_zero:
-            raise ValueError("order4_moment requires odd_moments_zero")
         return MgfBound(_order4_moment_log(support), h * h / 8.0, tag)
     if fam is Family.SYMMETRIC_ORDER4:
-        if -a != b:
-            raise ValueError("symmetric_order4 requires |a| = b")
-        if not support.odd_moments_zero:
-            raise ValueError("symmetric_order4 requires odd_moments_zero")
         return MgfBound(math.log(8.0), a * a / 8.0, tag)
     raise ValueError(f"unknown family {fam}")
 

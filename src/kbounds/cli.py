@@ -9,18 +9,20 @@ Subcommands::
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
 Each subcommand parses its flags, hands every value rule to the module that
-owns it and prints CSV: ``scenario.Query`` checks t values and ranges,
-``scenario.parse_family_tag`` the `bound --family/--k` tag, and
-``bounds.BoundedSupport`` the interval and moments, so a flag and a scenario
-file break a rule with the same message.  What is left here is about flags
-alone: which go together, and that a `--t-range` COUNT is an integer.
+owns it and prints CSV: ``scenario.Query`` checks t values and ranges (`--t`
+and `--t-range` together break its rule as a file's t and t_range do),
+``scenario.parse_family_tag`` the `bound --family/--k` tag,
+``bounds.BoundedSupport`` the interval and moments, and ``bounds.catalog``
+which families `bound --compare` and `verify` check.  What is left here is
+about flags alone: which go together, and that a `--t-range` COUNT is an
+integer.
 
-`verify --random` draws each support's pmfs from one seeded generator, as
-(xs, ps) stacks, one per atom count.  Which families apply and their rates
-are found once per support; the log multipliers that read moments come from
-each pmf's measured support, and all are checked against the exact log-MGF
-rows as (pmf x family x s) tables.  A bad `--k-max`, `--samples` or
-`--poison-rate` exits 2 before any pmf is drawn.
+`verify` builds each support's catalog, labels and rates before it draws any
+pmf, so a bad `--k-max`, `--samples`, `--poison-rate` or interval exits 2
+first.  `verify --random` draws each support's pmfs from one seeded generator,
+as (xs, ps) stacks, one per atom count.  The log multipliers that read moments
+come from each pmf's measured support, and all are checked against the exact
+log-MGF rows as (pmf x family x s) tables.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
@@ -42,15 +44,10 @@ import sys
 import numpy as np
 
 from .bounds import (
-    CLASSIC,
-    HERTZ,
-    ORDER2_MOMENT,
-    ORDER4_MOMENT,
-    SYMMETRIC_ORDER4,
     BoundedSupport,
     Family,
-    FamilyTag,
     MgfBound,
+    catalog,
     eval_log_mgf_bound,
     mgf_bound,
     order_k,
@@ -108,40 +105,6 @@ def _emit(args, lines) -> None:
         sys.stdout.write(text)
 
 
-def _support_from_args(args) -> BoundedSupport:
-    return BoundedSupport(
-        a=args.a,
-        b=args.b,
-        m2=args.m2,
-        m4=args.m4,
-        odd_moments_zero=args.odd_moments_zero,
-    )
-
-
-def _catalog_tags(k_max: int) -> list[FamilyTag]:
-    """The families `bound --compare` and `verify` check, order_k up to k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    orders = [order_k(k) for k in range(1, k_max + 1)]
-    return [CLASSIC, HERTZ, *orders, ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
-
-
-def _applicable_bounds(support: BoundedSupport, tags) -> list[tuple[FamilyTag, MgfBound]]:
-    """(tag, bound) for every tag that applies to the support, each built once.
-
-    A moment family whose preconditions the support does not meet is left
-    out; any other bound that cannot be built is an input error.
-    """
-    pairs = []
-    for tag in tags:
-        try:
-            pairs.append((tag, mgf_bound(support, tag)))
-        except ValueError:
-            if tag.family in (Family.CLASSIC, Family.HERTZ, Family.ORDER_K):
-                raise
-    return pairs
-
-
 def _finite_at_s(bound: MgfBound, s: float) -> float:
     """The bound at s, which is finite only if its (log A, rho) are too."""
     value = eval_log_mgf_bound(bound, s)
@@ -151,19 +114,17 @@ def _finite_at_s(bound: MgfBound, s: float) -> float:
 
 
 def cmd_bound(args) -> int:
-    support = _support_from_args(args)
+    support = BoundedSupport(args.a, args.b, args.m2, args.m4, args.odd_moments_zero)
     if args.compare:
         if args.k is not None:
             raise ValueError("--k applies only to --family order_k, not --compare")
-        k_max = 8 if args.k_max is None else args.k_max
-        pairs = _applicable_bounds(support, _catalog_tags(k_max))
+        bounds = catalog(support, 8 if args.k_max is None else args.k_max)
     else:
         if args.k_max is not None:
             raise ValueError("--k-max applies only to --compare")
-        tag = parse_family_tag({"family": args.family, "k": args.k})
-        pairs = [(tag, mgf_bound(support, tag))]
+        bounds = [mgf_bound(support, parse_family_tag({"family": args.family, "k": args.k}))]
     rows = sorted(
-        ((_finite_at_s(bound, args.s), tag.label(), bound) for tag, bound in pairs),
+        ((_finite_at_s(bound, args.s), bound.family_tag.label(), bound) for bound in bounds),
         key=lambda row: row[:2],
     )
     lines = ["family,log_multiplier,rate,eval_at_s"] + [
@@ -178,13 +139,14 @@ def _resolve_query(scenario: Scenario, args) -> Query:
     """The scenario's query with the t values and side the flags give."""
     query = scenario.query
     ts, t_range = query.ts, query.t_range
-    if getattr(args, "t", None):
-        ts, t_range = tuple(args.t), None
-    if getattr(args, "t_range", None):
-        lo, hi, count = args.t_range
-        if not count.is_integer():
-            raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
-        ts, t_range = None, (lo, hi, int(count))
+    flag_ts, flag_range = getattr(args, "t", None), getattr(args, "t_range", None)
+    if flag_ts or flag_range:  # the flags replace both, so Query sees them together
+        ts, t_range = flag_ts and tuple(flag_ts), None
+        if flag_range:
+            lo, hi, count = flag_range
+            if not count.is_integer():
+                raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
+            t_range = (lo, hi, int(count))
     side = Side(args.side) if getattr(args, "side", None) else query.side
     return dataclasses.replace(query, ts=ts, t_range=t_range, side=side)
 
@@ -265,23 +227,30 @@ def _measured_supports(support: BoundedSupport, xs, ps) -> list[BoundedSupport]:
     return [BoundedSupport(support.a, support.b, m2, m4) for m2, m4 in zip(m2s, m4s)]
 
 
-def _family_label(tag: FamilyTag) -> str:
-    return "order_k" if tag.family is Family.ORDER_K else tag.label()
+def _gap_tables(support: BoundedSupport, k_max: int, poison: float):
+    """(labels, bounds, rates times ``poison``) of the families that read no
+    moments, then of those that do, on the support's measured supports.
+
+    A measured support is [a, b] with a pmf's m2 and m4 and no odd moments
+    asserted, so its catalog is that of [a, b] with m2 = m4 = 0.  A rate
+    depends on [a, b] alone, and so does a log multiplier that reads no moments.
+    """
+    shape = BoundedSupport(support.a, support.b, m2=0.0, m4=0.0)
+    bounds = catalog(shape, k_max)
+    fixed = [b for b in bounds if not reads_moments(shape, b.family_tag)]
+    measured = [b for b in bounds if reads_moments(shape, b.family_tag)]
+    return [([b.family_tag.family.value for b in t], t, [b.rate * poison for b in t])
+            for t in (fixed, measured)]
 
 
-def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
+def _family_max_gaps(batches) -> dict[str, float]:
     """Max (exact - bound) gap per family label over every pmf.
 
-    ``batches`` pairs each support with its (xs[N, n], ps[N, n]) stacks.  The
-    families that apply, their labels and their rates times ``poison`` are
-    found once per support, on a measured-shaped support (m2 and m4 known, no
-    odd moments asserted): a rate depends on [a, b] alone.  A family that
-    reads no moments has one log multiplier per support, checked against
-    every pmf as one (pmf x family x s) table; one that does reads each pmf's
-    measured support, in a (pmf x family x s) table of its own.  Rows go one
-    count of atoms with p > 0 at a time, as ``exact_log_mgf_rows`` needs.
+    ``batches`` holds one (support, ``_gap_tables``, (xs, ps) stacks) per
+    support.  Each table is checked as one (pmf x family x s) table: the log
+    multipliers that read no moments are one per support, the others each
+    pmf's own, on its measured support.
     """
-    tags = _catalog_tags(k_max)
     max_gap: dict[str, float] = {}
 
     def note(labels, exact, log_a, rates) -> None:
@@ -290,59 +259,51 @@ def _family_max_gaps(batches, k_max: int, poison: float) -> dict[str, float]:
             if label not in max_gap or gap > max_gap[label]:
                 max_gap[label] = gap
 
-    for support, stacks in batches:
-        shape = BoundedSupport(support.a, support.b, m2=0.0, m4=0.0)
-        fixed = _applicable_bounds(shape, [t for t in tags if not reads_moments(shape, t)])
-        measured = _applicable_bounds(shape, [t for t in tags if reads_moments(shape, t)])
-        fixed_labels = [_family_label(tag) for tag, _ in fixed]
-        measured_labels = [_family_label(tag) for tag, _ in measured]
-        fixed_log_a = [bound.log_multiplier for _, bound in fixed]
-        fixed_rates = [bound.rate * poison for _, bound in fixed]
-        measured_rates = [bound.rate * poison for _, bound in measured]
-        for stack_xs, stack_ps in stacks:
-            counts = np.count_nonzero(stack_ps > 0.0, axis=1)
-            for count in set(counts.tolist()):
-                same = counts == count
-                xs, ps = stack_xs[same], stack_ps[same]
-                exact = exact_log_mgf_rows(xs, ps, S_GRID)[:, None, :]
-                note(fixed_labels, exact, fixed_log_a, fixed_rates)
-                log_a = [
-                    [mgf_bound(row, tag).log_multiplier for tag, _ in measured]
-                    for row in _measured_supports(support, xs, ps)
-                ]
-                note(measured_labels, exact, log_a, measured_rates)
+    for support, (fixed, measured), stacks in batches:
+        for xs, ps in stacks:
+            exact = exact_log_mgf_rows(xs, ps, S_GRID)[:, None, :]
+            labels, bounds, rates = fixed
+            note(labels, exact, [bound.log_multiplier for bound in bounds], rates)
+            labels, bounds, rates = measured
+            log_a = [
+                [mgf_bound(row, bound.family_tag).log_multiplier for bound in bounds]
+                for row in _measured_supports(support, xs, ps)
+            ]
+            note(labels, exact, log_a, rates)
     return max_gap
 
 
-def _verify_pmfs(args, scenario: Scenario | None, seed: int):
-    """The (support, stacks) batches whose MGF gaps are swept, and the group
-    whose sum is sampled.
-
-    Under --random one generator, seeded by ``seed``, draws each support's
-    ``count`` atom counts and then one stack per distinct count.
-    """
+def _verify_supports(args, scenario: Scenario | None) -> list[BoundedSupport]:
+    """The supports whose pmfs `verify` sweeps: the scenario's variables, or
+    under --random the --a/--b interval, else the canonical ones."""
     if scenario is not None:
         given = [f"--{flag}" for flag in ("a", "b", "pmfs")
                  if getattr(args, flag) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} can only be used with --random")
-        pmfs = [
-            moment_matched_pmf(support, seed=seed + i)
-            for i, support in enumerate(scenario.variables)
-        ]
-        return [(pmf.support, [pmf.stack()]) for pmf in pmfs], pmfs
+        return list(scenario.variables)
     if (args.a is None) != (args.b is None):
         raise ValueError("give both --a and --b, or neither")
-    count = 1000 if args.pmfs is None else args.pmfs
-    if count < 0:
-        raise ValueError(f"--pmfs must be >= 0, got {count}")
+    if args.pmfs is not None and args.pmfs < 0:
+        raise ValueError(f"--pmfs must be >= 0, got {args.pmfs}")
     if args.a is not None:
-        supports = [BoundedSupport(args.a, args.b)]
-    else:
-        supports = [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
+        return [BoundedSupport(args.a, args.b)]
+    return [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
+
+
+def _verify_pmfs(supports, random: bool, count: int, seed: int):
+    """Each support's (xs, ps) stacks whose MGF gaps are swept, and the group
+    whose sum is sampled.
+
+    Under --random one generator, seeded by ``seed``, draws each support's
+    ``count`` atom counts and then one stack per distinct count.
+    """
+    if not random:
+        pmfs = [moment_matched_pmf(support, seed=seed + i) for i, support in enumerate(supports)]
+        return [[pmf.stack()] for pmf in pmfs], pmfs
     rng = np.random.default_rng(seed)
     group = [extremal_two_point(support) for support in supports]
-    batches = []
+    every_stack = []
     for support, extremal in zip(supports, group):
         atom_counts = rng.integers(2, 9, count)
         stacks = [extremal.stack()]
@@ -350,8 +311,8 @@ def _verify_pmfs(args, scenario: Scenario | None, seed: int):
             stack = random_mean_zero_stack(support, int(atoms), int(rows), rng)
             check_pmf_stack(*stack, support)
             stacks.append(stack)
-        batches.append((support, stacks))
-    return batches, group
+        every_stack.append(stacks)
+    return every_stack, group
 
 
 def cmd_verify(args) -> int:
@@ -363,14 +324,16 @@ def cmd_verify(args) -> int:
     seed = query.seed if args.seed is None else args.seed
     samples = query.samples if args.samples is None else args.samples
     # input errors exit before any pmf is drawn
-    _catalog_tags(args.k_max)
     if not args.poison_rate > 0.0:
         raise ValueError("--poison-rate must be positive")
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
-    batches, group = _verify_pmfs(args, scenario, seed)
+    supports = _verify_supports(args, scenario)
+    tables = [_gap_tables(support, args.k_max, args.poison_rate) for support in supports]
+    count = 1000 if args.pmfs is None else args.pmfs
+    stacks, group = _verify_pmfs(supports, args.random, count, seed)
 
-    max_gap = _family_max_gaps(batches, args.k_max, args.poison_rate)
+    max_gap = _family_max_gaps(zip(supports, tables, stacks))
     lines = ["family,max_gap,violations"]
     violations = 0
     for label in sorted(max_gap):

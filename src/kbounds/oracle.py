@@ -8,7 +8,8 @@ uses the bound formulas it is meant to check.
 
 Pmfs travel as (xs[N, n], ps[N, n]) stacks: ``random_mean_zero_stack`` draws
 a whole stack from one generator, ``check_pmf_stack`` checks them, and
-``exact_log_mgf_rows`` and ``moment_rows`` evaluate them.
+``exact_log_mgf_rows`` and ``moment_rows`` evaluate them, whatever number of
+atoms with p > 0 each row has.
 ``random_mean_zero_pmf`` is the one-row stack from ``default_rng(seed)``.
 ``FinitePmf``, ``exact_log_mgf`` and ``moments`` are the one-row calls of the
 others, and every row they evaluate is bit for bit the number its one-row call
@@ -92,23 +93,25 @@ def check_pmf_stack(xs, ps, support: BoundedSupport) -> None:
 def exact_log_mgf_rows(xs, ps, s_values) -> np.ndarray:
     """log E[exp(sX)] for a (xs[N, n], ps[N, n]) stack: one row per pmf, one column per s.
 
-    Every row must have the same number of atoms with p > 0, because the rows
-    are one (pmf, s, atom) logsumexp over those atoms.  They are not padded to
-    a common count: numpy sums 8 or more terms pairwise, so a padded sum could
-    differ in the last bit from the sum over the pmf's own atoms.
+    Rows with the same number of atoms with p > 0 are one (pmf, s, atom)
+    logsumexp over those atoms, and come back in stack order.  They are not
+    padded to a common count: numpy sums 8 or more terms pairwise, so a padded
+    sum could differ in the last bit from the sum over the pmf's own atoms.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    s_arr = np.asarray(s_values, dtype=float)
     keep = ps > 0.0
     if not keep.all():
         counts = keep.sum(axis=1)
-        if (counts != counts[0]).any():
-            raise ValueError("pmfs must have the same number of atoms with p > 0")
-        # each row's atoms with p > 0, in their own order
-        order = np.argsort(~keep, axis=1, kind="stable")[:, : counts[0]]
-        xs = np.take_along_axis(xs, order, axis=1)
-        ps = np.take_along_axis(ps, order, axis=1)
-    s_arr = np.asarray(s_values, dtype=float)
+        out = np.empty((len(xs), s_arr.size))
+        for count in np.unique(counts).tolist():
+            same = counts == count
+            # each row's atoms with p > 0, in their own order: all p > 0 now
+            order = np.argsort(~keep[same], axis=1, kind="stable")[:, :count]
+            x, p = (np.take_along_axis(v[same], order, axis=1) for v in (xs, ps))
+            out[same] = exact_log_mgf_rows(x, p, s_arr)
+        return out
     terms = np.log(ps)[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
     peak = terms.max(axis=2, keepdims=True)
     return peak[:, :, 0] + np.log(np.exp(terms - peak).sum(axis=2))

@@ -15,6 +15,7 @@ from kbounds.bounds import (
     FamilyTag,
     Family,
     MgfBound,
+    catalog,
     endpoint_ratio,
     eval_log_mgf_bound,
     mgf_bound,
@@ -67,6 +68,29 @@ class TestSupport:
     def test_accepts_the_narrowest_normal_caps(self, a, b):
         support = BoundedSupport(a, b)
         assert mgf_bound(support, CLASSIC).rate > 0.0
+
+    @pytest.mark.parametrize(
+        "a, b, moments, reason",
+        [
+            # |a|b is normal but a^2 is not, and m2 is divided by a^2
+            (-1e-170, 1e-130, dict(m2=1e-301), "too narrow for m2"),
+            # a^2 is normal but a^4 is not, and m4 is divided by a^4
+            (-1e-90, 1e-90, dict(m2=1e-181, m4=0.0, odd_moments_zero=True), "too narrow for m4"),
+            (-1e-153, 1e-153, dict(m4=0.0, odd_moments_zero=True), "too narrow for m4"),
+            # max(|a|, b)/|a| overflows, and the order-k multipliers read it
+            (-1e-300, 1e10, {}, "too lopsided"),
+            (-1e-250, 1e60, {}, "too lopsided"),
+        ],
+    )
+    def test_rejects_what_a_multiplier_cannot_evaluate(self, a, b, moments, reason):
+        with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}] is {reason}")):
+            BoundedSupport(a, b, **moments)
+
+    def test_accepts_those_moments_where_no_multiplier_reads_them(self):
+        BoundedSupport(-1e-170, 1e-130)
+        BoundedSupport(-1e-90, 1e-90, m2=1e-181, m4=0.0)  # without odd_moments_zero
+        BoundedSupport(-1e-153, 1e-153, m2=1e-306, odd_moments_zero=True)
+        BoundedSupport(-1e-300, 1e8)
 
     def test_accepts_moments_at_cap(self):
         BoundedSupport(-5, 1, m2=5.0, m4=105.0)
@@ -251,13 +275,58 @@ def measured_supports(draw):
     cap2, cap4 = moment_caps(BoundedSupport(a, b))
     m2 = draw(st.none() | st.floats(0.0, 1.0).map(lambda f: f * cap2))
     m4 = None
-    if m2 is not None and draw(st.booleans()):
-        m4 = m2 * m2 + draw(st.floats(0.0, 1.0)) * (cap4 - m2 * m2)
+    if draw(st.booleans()):
+        low = 0.0 if m2 is None else m2 * m2
+        m4 = low + draw(st.floats(0.0, 1.0)) * (cap4 - low)
     return BoundedSupport(a, b, m2=m2, m4=m4, odd_moments_zero=draw(st.booleans()))
 
 
 CATALOG = [CLASSIC, HERTZ, *(order_k(k) for k in range(1, 9)),
            ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
+
+
+def reference_catalog(support, k_max):
+    """The try/except filter ``catalog`` replaced, kept as its reference: every
+    family whose bound builds, where only a moment family may fail to."""
+    bounds = []
+    for tag in [CLASSIC, HERTZ, *(order_k(k) for k in range(1, k_max + 1)),
+                ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]:
+        try:
+            bounds.append(mgf_bound(support, tag))
+        except ValueError:
+            if tag.family in (Family.CLASSIC, Family.HERTZ, Family.ORDER_K):
+                raise
+    return bounds
+
+
+class TestCatalog:
+    @given(measured_supports(), st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_try_except_filter(self, support, k_max):
+        assert catalog(support, k_max) == reference_catalog(support, k_max)
+
+    @pytest.mark.parametrize(
+        "support, moment_families",
+        [
+            (BoundedSupport(-1, 3), []),
+            (BoundedSupport(-1, 3, m2=1.5), ["order2_moment"]),
+            (BoundedSupport(-2, 2, m2=1, m4=2), ["order2_moment"]),
+            (BoundedSupport(-1, 3, m2=1.5, m4=4, odd_moments_zero=True),
+             ["order2_moment", "order4_moment"]),
+            (BoundedSupport(-1.5, 1.5, odd_moments_zero=True), ["symmetric_order4"]),
+            (BoundedSupport(-2, 2, m2=1, m4=2, odd_moments_zero=True),
+             ["order2_moment", "order4_moment", "symmetric_order4"]),
+        ],
+    )
+    def test_moment_families_in_catalog_order(self, support, moment_families):
+        labels = [bound.family_tag.label() for bound in catalog(support, 3)]
+        assert labels == ["classic", "hertz", "order_k[1]", "order_k[2]", "order_k[3]",
+                          *moment_families]
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_rejects_k_max_below_one(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            catalog(BoundedSupport(-1, 2), k_max)
 
 
 class TestReadsMoments:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
 from kbounds.scenario import MAX_T_COUNT, load_scenario
 from kbounds.tails import one_sided_tail, order_k_scenario
+from test_bounds import reference_catalog
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
 from test_selection import staircase_front
 
@@ -333,6 +335,17 @@ class TestNonFiniteInput:
              "[-1e-200, 1e-200] is too narrow"),
             (["verify", "--random", "--a=-1e-170", "--b", "1e-170", "--pmfs", "10",
               "--samples", "1000"], "[-1e-170, 1e-170] is too narrow"),
+            # a^2 underflows under a declared m2, here each pmf's measured one
+            (["verify", "--random", "--a=-1e-170", "--b", "1e-130", "--pmfs", "10",
+              "--samples", "1000"], "[-1e-170, 1e-130] is too narrow for m2"),
+            (["bound", "--a=-1e-90", "--b", "1e-90", "--m2", "1e-181", "--m4", "1e-362",
+              "--odd-moments-zero", "--compare", "--s", "1"], "[-1e-90, 1e-90] is too narrow"),
+            (["bound", "--a=-1e-300", "--b", "1e10", "--compare", "--s", "1"],
+             "[-1e-300, 10000000000.0] is too lopsided"),
+            (["bound", "--a=-1e-300", "--b", "1e10", "--family", "classic", "--s", "1"],
+             "[-1e-300, 10000000000.0] is too lopsided"),
+            (["verify", "--random", "--a=-1e-300", "--b", "1e10", "--pmfs", "10",
+              "--samples", "1000"], "[-1e-300, 10000000000.0] is too lopsided"),
         ],
     )
     def test_non_finite_output_exits_2(self, fixtures_dir, capsys, argv, names):
@@ -343,6 +356,23 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert names in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--a=-1e-153", "--b", "1e-153", "--compare", "--s", "1"],
+            ["verify", "--random", "--a=-1e-153", "--b", "1e-153", "--pmfs", "20",
+             "--samples", "1000"],
+            ["verify", "--random", "--a=-1e-90", "--b", "1e-90", "--pmfs", "20",
+             "--samples", "1000"],
+        ],
+    )
+    def test_narrow_supports_with_normal_squares_still_run(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "nan" not in out and "inf" not in out
 
 
 class TestSelect:
@@ -397,7 +427,8 @@ def sweep_one_pmf(pmf, k_max, poison):
     a, b = pmf.support.a, pmf.support.b
     measured = BoundedSupport(a, b, m2=moments(pmf, 2), m4=moments(pmf, 4))
     gaps = {}
-    for tag, bound in cli._applicable_bounds(measured, cli._catalog_tags(k_max)):
+    for bound in reference_catalog(measured, k_max):
+        tag = bound.family_tag
         bound = MgfBound(bound.log_multiplier, bound.rate * poison, tag)
         label = "order_k" if tag.family is Family.ORDER_K else tag.label()
         gap = list_validity_gap(pmf, bound, S_GRID)
@@ -406,13 +437,15 @@ def sweep_one_pmf(pmf, k_max, poison):
     return gaps
 
 
-def batches_of(pmfs):
-    """The pmfs as ``_family_max_gaps`` takes them: per support, one stack per atom count."""
+def batches_of(pmfs, k_max, poison):
+    """The pmfs as ``_family_max_gaps`` takes them: per support, its gap tables
+    and one stack per atom count."""
     by_support = {}
     for pmf in pmfs:
         by_support.setdefault(pmf.support, {}).setdefault(len(pmf.xs), []).append(pmf)
     return [
-        (support, [stack_of(group) for group in by_count.values()])
+        (support, cli._gap_tables(support, k_max, poison),
+         [stack_of(group) for group in by_count.values()])
         for support, by_count in by_support.items()
     ]
 
@@ -437,7 +470,7 @@ class TestVerify:
         )
         pmfs = mixed_pmfs(scale) + [sparse]
         for k_max in (1, 8):
-            batched = cli._family_max_gaps(batches_of(pmfs), k_max, poison)
+            batched = cli._family_max_gaps(batches_of(pmfs, k_max, poison))
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
 
@@ -669,6 +702,10 @@ SHARED_RULES = {
     "unknown family": ({"choices": [{"family": "bernstein"}]}, ["--family", "bernstein"]),
     "k on hertz": ({"choices": [{"family": "hertz", "k": 2}]}, ["--family", "hertz", "--k", "2"]),
     "order_k without k": ({"choices": [{"family": "order_k"}]}, ["--family", "order_k"]),
+    "t and t_range": (
+        {"query": {"t": [1], "t_range": {"min": 1, "max": 2, "count": 3}}},
+        ["--t", "1", "--t-range", "1", "2", "3"],
+    ),
 }
 
 
@@ -867,6 +904,20 @@ class TestSweep:
             capsys,
         )
         assert code == 2
+
+
+def test_cli_option_count_is_pinned():
+    # every flag is a knob a user must learn: a new one updates this pin and
+    # says why in CHANGES.md
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    counts = {
+        name: sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+                  for a in sub._actions)
+        for name, sub in subparsers.choices.items()
+    }
+    assert counts == {"bound": 11, "tail": 5, "select": 3, "verify": 9, "sweep": 3}
+    assert sum(counts.values()) == 31
 
 
 def test_module_entry_point(fixtures_dir):

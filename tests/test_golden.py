@@ -115,6 +115,18 @@ GOLDEN = [
      "86daa5032bd52fb8168184136868a854a834553bfe711171c89973cf494ebd68"),
     (["bound", "--family", "symmetric_order4", *MOMENTS],
      "eb114a8a69a6bd511701dc74a96c27b7de657002c3ee4094ebb442886bb4173d"),
+    # each moment family applies on some of these supports and not on others
+    (["bound", "--a=-1", "--b", "3", "--compare", "--s", "0.7"],
+     "dfe4e47531b1e210ee5df35327ff938ac28d812fbcd8a7e682c13180f27a8d89"),
+    (["bound", "--a=-1", "--b", "3", "--m2", "1.5", "--compare", "--s", "0.7"],
+     "3566ca0e8875101f140e8c5d22ca43c5db049ca34682c02d8d800f37c3b066f0"),
+    (["bound", "--a=-2", "--b", "2", "--m2", "1", "--m4", "2", "--compare", "--s", "0.7"],
+     "6a82cfd75bf644ef974601077ff56568323587cfa7e18b2817d75c9bcbdec3dc"),
+    (["bound", "--a=-1", "--b", "3", "--m2", "1.5", "--m4", "4", "--odd-moments-zero",
+      "--compare", "--s", "0.7", "--k-max", "5"],
+     "9825b9b73a15b7e967ab9ca3fe38a0c68b545d35653ecd52b2709abea299a97c"),
+    (["bound", "--a=-1.5", "--b", "1.5", "--odd-moments-zero", "--compare", "--s", "0.7"],
+     "31ede6af7d30f513513e3c6aa393ad2eac4f9f325040bd14dd28d1cbfa77834f"),
     (["verify", "--random", "--pmfs", "200", "--samples", "1000", "--seed", "5"],
      "aed0ceba38381dbd168b9d43159b94f10fae4ebae378519a0edebd26be3051a3"),
 ]

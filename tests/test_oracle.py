@@ -215,11 +215,22 @@ class TestExactLogMgf:
         assert np.array_equal(rows[0], exact_log_mgf_rows(*dense.stack(), S_GRID)[0])
         assert np.array_equal(rows[0], per_pmf_log_mgf(sparse, S_GRID))
 
-    def test_kernel_rejects_mixed_atom_counts(self):
-        two = FinitePmf((-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), S11)
-        three = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
-        with pytest.raises(ValueError, match="same number of atoms"):
-            exact_log_mgf_rows(*stack_of([two, three]), S_GRID)
+    def test_kernel_groups_mixed_atom_counts(self):
+        # rows of 2..8 atoms with p > 0, interleaved and padded to 8 columns by
+        # zero-mass atoms at seeded places, each come back as their one-row result
+        for scale in (1e-6, 1.0, 1e6):
+            pmfs = mixed_pmfs(scale)
+            xs = np.zeros((len(pmfs), 8))
+            ps = np.zeros_like(xs)
+            for i, pmf in enumerate(pmfs):
+                cols = np.sort(np.random.default_rng(i).choice(8, len(pmf.xs), replace=False))
+                xs[i, cols] = pmf.xs
+                ps[i, cols] = pmf.ps
+            rows = exact_log_mgf_rows(xs, ps, S_GRID)
+            assert rows.shape == (len(pmfs), S_GRID.size)
+            for pmf, row in zip(pmfs, rows):
+                assert np.array_equal(row, per_pmf_log_mgf(pmf, S_GRID))
+                assert np.array_equal(row, exact_log_mgf(pmf, S_GRID))
 
     def test_extremal_stays_under_every_applicable_bound(self):
         pmf = extremal_two_point(S51)
