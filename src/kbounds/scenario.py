@@ -24,6 +24,9 @@ The rules a CLI flag shares with a scenario file live here once: ``Query``
 checks t values and t ranges whether they come from ``query`` or from
 `--t`/`--t-range`, and ``parse_family_tag`` reads a choice or `bound`'s
 `--family`/`--k`.  The parsers below check only JSON types and shapes.
+
+Files are read as UTF-8.  Nothing here imports numpy except ``Query.resolve_ts``
+building a t_range grid, so explicit t values never load it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import BoundedSupport, Family, FamilyTag
 from .tails import Side, SumScenario
@@ -79,6 +80,8 @@ class Query:
         if self.ts is not None:
             return self.ts
         if self.t_range is not None:
+            import numpy as np  # only a t_range grid loads numpy
+
             lo, hi, count = self.t_range
             return tuple(float(t) for t in np.linspace(lo, hi, count))
         raise ScenarioError("no t values: give query.t, query.t_range or --t")
@@ -232,8 +235,8 @@ def parse_scenario(doc) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -18,14 +18,18 @@ a minimum over its few points.  A continuous relaxation gives the cheap
 near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
 rounded by the hull over each variable's floor and ceiling.  Two vectors tie
 where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free.
+
+The hull, ``ParetoFront.best`` and ``regimes`` are plain Python on tuples of
+floats, with the float expressions, summation order and first-minimum ties
+that numpy gave them, so `select` and `tail` start without numpy.  Only the
+library's ``optimize_relaxed`` imports it, when called, for the digits of its
+``log1p``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bounds import BoundedSupport, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
 from .tails import log_bound
@@ -107,16 +111,16 @@ class ParetoFront:
     """
 
     ks: tuple[tuple[int, ...], ...]
-    L: np.ndarray
-    R: np.ndarray
+    L: tuple[float, ...]
+    R: tuple[float, ...]
 
     def best(self, t: float) -> KSelection:
         """Minimum over the front at t; exact ties go to the smaller vector."""
         if not t > 0.0:
             raise ValueError("threshold t must be positive")
-        obj = log_bound(self.L, self.R, t)
-        i = int(np.argmin(obj))  # first minimum: the lexicographically smallest
-        return KSelection(self.ks[i], float(obj[i]))
+        obj = [log_bound(l, r, t) for l, r in zip(self.L, self.R)]
+        i = obj.index(min(obj))  # the first minimum: the lexicographically smallest
+        return KSelection(self.ks[i], obj[i])
 
 
 def pareto_front(variables, k_max: int = 8) -> ParetoFront:
@@ -163,27 +167,34 @@ def _hull(variables, orders) -> ParetoFront:
     """The lower-left hull of the product of ``orders[i]``, each list ascending.
 
     Every prefix of the per-variable edges merged by slope is one candidate;
-    each vertex of the sum's hull is among them.
+    each vertex of the sum's hull is among them.  Each move advances one
+    chain's cursor and raises one order, so the candidates come in
+    lexicographic order.
     """
     chains = [_chain(support, ks_i) for support, ks_i in zip(variables, orders)]
     moves = sorted(
         ((slope, i) for i, (_, slopes) in enumerate(chains) for slope in slopes),
         key=lambda move: move[0],
     )
-    steps = np.zeros((len(moves) + 1, len(chains)), dtype=np.intp)
-    steps[np.arange(1, len(moves) + 1), [i for _, i in moves]] = 1
-    # each candidate's vertex on each chain; every move raises one order, so
-    # the candidates come in lexicographic order
-    at = np.cumsum(steps, axis=0)
-    ks = np.empty_like(at)
-    big_l = np.zeros(len(at))
-    big_r = np.zeros(len(at))
-    for i, (vertices, _) in enumerate(chains):
-        k_i, l_i, r_i = (np.array(column) for column in zip(*vertices))
-        ks[:, i] = k_i[at[:, i]]
-        big_l += l_i[at[:, i]]  # in variable order, as the tail engine sums
-        big_r += r_i[at[:, i]]
-    return ParetoFront(tuple(map(tuple, ks.tolist())), big_l, big_r)
+    cursors = [0] * len(chains)
+    points = [vertices[0] for vertices, _ in chains]
+    rows = [_summed(points)]
+    for _, i in moves:
+        cursors[i] += 1
+        points[i] = chains[i][0][cursors[i]]
+        rows.append(_summed(points))
+    ks, big_l, big_r = zip(*rows)
+    return ParetoFront(ks, big_l, big_r)
+
+
+def _summed(points) -> tuple[tuple[int, ...], float, float]:
+    """(ks, L, R) of one vertex per variable, summed in variable order from 0.0
+    as the tail engine sums."""
+    big_l = big_r = 0.0
+    for _, l_i, r_i in points:
+        big_l += l_i
+        big_r += r_i
+    return tuple(k for k, _, _ in points), big_l, big_r
 
 
 def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
@@ -217,6 +228,8 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
         raise ValueError("threshold t must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    import numpy as np  # its log1p and sum give the profile's digits
+
     phis = np.array([phi(v) for v in variables])
     phis2 = phis * phis
     c = phis / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
@@ -233,26 +246,28 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
 def regimes(L, R, t_lo: float, t_hi: float) -> list[tuple[float, float, int]]:
     """(t_start, t_end, i) runs of the candidate i minimizing L[i] - t^2/(4 R[i]).
 
-    ``L`` and ``R`` are numpy arrays; the runs tile [t_lo, t_hi], each of positive
-    width if t_lo < t_hi.  In u = t^2 each candidate is the line L - u/(4R), so
-    the winner's R never rises with t: from the first minimum at t_lo the walk
-    moves to the smaller-R candidate whose tie with the current winner,
-    t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)), comes first (at a shared edge the
-    smallest R, then index), and ends at the first tie at or past t_hi.
+    ``L`` and ``R`` are sequences of floats; the runs tile [t_lo, t_hi], each of
+    positive width if t_lo < t_hi.  In u = t^2 each candidate is the line
+    L - u/(4R), so the winner's R never rises with t: from the first minimum at
+    t_lo the walk moves to the smaller-R candidate whose tie with the current
+    winner, t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)), comes first (at a shared
+    edge the smallest R, then index), and ends at the first tie at or past t_hi.
     """
-    inv_r = 1.0 / R
-    i = int(np.argmin(log_bound(L, R, t_lo)))  # ties to the smaller index
+    inv_r = [1.0 / r for r in R]
+    objs = [log_bound(l, r, t_lo) for l, r in zip(L, R)]
+    i = objs.index(min(objs))  # ties to the smaller index
     runs, start = [], t_lo
-    while (later := np.flatnonzero(inv_r > inv_r[i])).size:
+    while later := [j for j, inv in enumerate(inv_r) if inv > inv_r[i]]:
         # a later candidate that is no worse in L already wins: its tie is 0
-        ties = 4.0 * np.minimum(L[i] - L[later], 0.0) / (inv_r[i] - inv_r[later])
-        edge = math.sqrt(ties.min())
+        ties = [4.0 * min(L[i] - L[j], 0.0) / (inv_r[i] - inv_r[j]) for j in later]
+        lowest = min(ties)
+        edge = math.sqrt(lowest)
         if edge >= t_hi:
             break
         if edge > start:
             runs.append((start, edge, i))
             start = edge
-        i = min(later[ties == ties.min()].tolist(), key=lambda j: (R[j], j))
+        i = min((j for j, tie in zip(later, ties) if tie == lowest), key=lambda j: (R[j], j))
     runs.append((start, t_hi, i))
     return runs
 

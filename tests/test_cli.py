@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbounds import cli
+from kbounds import cli, verify
 from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
@@ -444,7 +444,7 @@ def batches_of(pmfs, k_max, poison):
     for pmf in pmfs:
         by_support.setdefault(pmf.support, {}).setdefault(len(pmf.xs), []).append(pmf)
     return [
-        (support, cli._gap_tables(support, k_max, poison),
+        (support, verify._gap_tables(support, k_max, poison),
          [stack_of(group) for group in by_count.values()])
         for support, by_count in by_support.items()
     ]
@@ -470,7 +470,7 @@ class TestVerify:
         )
         pmfs = mixed_pmfs(scale) + [sparse]
         for k_max in (1, 8):
-            batched = cli._family_max_gaps(batches_of(pmfs, k_max, poison))
+            batched = verify._family_max_gaps(batches_of(pmfs, k_max, poison))
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
 
@@ -486,12 +486,12 @@ class TestVerify:
                 failed.append(tag)
                 raise
 
-        monkeypatch.setattr(cli, "mgf_bound", counting_mgf_bound)
+        monkeypatch.setattr(verify, "mgf_bound", counting_mgf_bound)
         code, _, _ = run_cli(
             ["verify", "--random", "--pmfs", "50", "--samples", "1000"], capsys
         )
         assert code == 0
-        assert len(failed) <= 2 * len(cli.CANONICAL_SUPPORTS)
+        assert len(failed) <= 2 * len(verify.CANONICAL_SUPPORTS)
 
     def test_random_sweep_is_clean(self, capsys):
         code, out, _ = run_cli(
@@ -621,7 +621,7 @@ class TestVerify:
         def no_sweep(*args):
             raise AssertionError("swept gaps under --k-max 0")
 
-        monkeypatch.setattr(cli, "exact_log_mgf_rows", no_sweep)
+        monkeypatch.setattr(verify, "exact_log_mgf_rows", no_sweep)
         code, out, err = run_cli(
             ["verify", "--random", "--pmfs", "5", "--samples", "2000", "--k-max", "0"],
             capsys,
@@ -641,8 +641,8 @@ class TestVerify:
         def no_pmfs(*args, **kwargs):
             raise AssertionError("drew pmfs for a rejected command")
 
-        monkeypatch.setattr(cli, "random_mean_zero_stack", no_pmfs)
-        monkeypatch.setattr(cli, "moment_matched_pmf", no_pmfs)
+        monkeypatch.setattr(verify, "random_mean_zero_stack", no_pmfs)
+        monkeypatch.setattr(verify, "moment_matched_pmf", no_pmfs)
         for source in (["--random"], [str(fixtures_dir / "example5.json")]):
             code, out, err = run_cli(["verify", *source, *flags], capsys)
             assert code == 2
@@ -671,13 +671,13 @@ class TestVerify:
             calls.append((support, atom_count, rows, rng))
             return random_mean_zero_stack(support, atom_count, rows, rng)
 
-        monkeypatch.setattr(cli, "random_mean_zero_stack", recording_stack)
+        monkeypatch.setattr(verify, "random_mean_zero_stack", recording_stack)
         code, _, _ = run_cli(["verify", "--random", "--pmfs", "300", "--samples", "2000"],
                              capsys)
         assert code == 0
         assert len({(support, atoms) for support, atoms, _, _ in calls}) == len(calls)
         assert len({id(rng) for *_, rng in calls}) == 1  # one generator for every stack
-        for a, b in cli.CANONICAL_SUPPORTS:
+        for a, b in verify.CANONICAL_SUPPORTS:
             drawn = [rows for support, _, rows, _ in calls if support == BoundedSupport(a, b)]
             assert sum(drawn) == 300
 
@@ -920,28 +920,58 @@ def test_cli_option_count_is_pinned():
     assert sum(counts.values()) == 31
 
 
-def test_module_entry_point(fixtures_dir):
+# one small run of each subcommand; a path inside the fixtures directory is
+# a file name there
+SUBCOMMANDS = {
+    "bound": ["bound", "--a", "-1", "--b", "1", "--family", "hertz", "--s", "2"],
+    "tail": ["tail", "example1.json", "--t", "1"],
+    "select": ["select", "example5.json", "--t", "6.5"],
+    "verify": ["verify", "--random", "--pmfs", "5", "--samples", "1000"],
+    "sweep": ["sweep", "example5.json", "--t-range", "1", "2", "3", "--group", "1,1,1,1"],
+}
+
+
+def in_fixtures(fixtures_dir, argv):
+    return [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_out_exits_2(fixtures_dir, tmp_path, capsys, command, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    argv = in_fixtures(fixtures_dir, SUBCOMMANDS[command]) + ["--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# the module entry point loads numpy only for verify, sweep and t_range grids:
+# each of those paths must print what the in-process front end prints
+ENTRY_POINT_COMMANDS = {
+    "bound": SUBCOMMANDS["bound"],
+    "select": SUBCOMMANDS["select"],
+    "tail-t": ["tail", "example5.json", "--t", "3", "6.5", "9", "--side", "two_sided"],
+    "tail-t_range": ["tail", "example5.json"],
+    "sweep": ["sweep", "example5.json", "--group", "1,1,1,1", "--group", "1,2,1,2"],
+    "verify": ["verify", "--random", "--pmfs", "50", "--samples", "1000", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINT_COMMANDS))
+def test_module_entry_point(fixtures_dir, capsys, name):
+    argv = in_fixtures(fixtures_dir, ENTRY_POINT_COMMANDS[name])
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "kbounds",
-            "bound",
-            "--a",
-            "-1",
-            "--b",
-            "1",
-            "--family",
-            "hertz",
-            "--s",
-            "2",
-        ],
+        [sys.executable, "-m", "kbounds", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[1] == "hertz,0,0.5,2"
+    code, out, err = run_cli(argv, capsys)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    assert code == 0 and out

@@ -1,0 +1,109 @@
+"""Which commands load numpy, read from `python -X importtime -m kbounds`.
+
+The bounds, scenarios, selection and tails are plain Python; numpy loads only
+where a command builds or reads arrays: `verify`, `sweep`'s (group x t) table
+and `t_range` grids.  The package keeps every name it exported when it
+imported the oracle eagerly.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kbounds
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+EXAMPLE5 = str(FIXTURES / "example5.json")
+# a fixed-choice scenario, written by the test as fixed.json
+FIXED = {
+    "format_version": 1,
+    "variables": [{"a": -1, "b": 2}, {"a": -2, "b": 2, "m2": 1}],
+    "choices": [{"family": "hertz"}, {"family": "order2_moment"}],
+}
+
+# (python arguments, exit code); each runs with importtime on
+WITHOUT_NUMPY = {
+    "--help": (["-m", "kbounds", "--help"], 0),
+    "bound": (["-m", "kbounds", "bound", "--a=-2", "--b", "1", "--compare", "--s", "3"], 0),
+    "select": (["-m", "kbounds", "select", EXAMPLE5, "--t", "6.5"], 0),
+    "tail auto": (["-m", "kbounds", "tail", EXAMPLE5, "--t", "3", "6.5", "--side",
+                   "two_sided"], 0),
+    "tail fixed": (["-m", "kbounds", "tail", "fixed.json", "--t", "0.5", "1", "2",
+                    "--side", "two_sided"], 0),
+    "tail t <= 0": (["-m", "kbounds", "tail", EXAMPLE5, "--t", "-1"], 2),
+    "import kbounds": (["-c", "import kbounds"], 0),
+}
+WITH_NUMPY = {
+    "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",
+                "1000"], 0),
+    "sweep": (["-m", "kbounds", "sweep", EXAMPLE5, "--t-range", "1", "2", "3",
+               "--group", "1,1,1,1"], 0),
+    "tail t_range": (["-m", "kbounds", "tail", EXAMPLE5, "--t-range", "1", "2", "3"], 0),
+    "oracle name": (["-c", "from kbounds import FinitePmf"], 0),
+}
+
+# every name kbounds/__init__.py exported while it imported oracle eagerly
+EXPORTED = """
+    CLASSIC HERTZ ORDER2_MOMENT ORDER4_MOMENT SYMMETRIC_ORDER4 BoundedSupport
+    Family FamilyTag MgfBound catalog endpoint_ratio eval_log_mgf_bound mgf_bound
+    moment_caps multiplier_log order_k phi psi reads_moments upsilon_log
+    FinitePmf check_pmf_stack exact_log_mgf exact_log_mgf_rows extremal_two_point
+    mc_sum_tail moment_matched_pmf moment_rows moments random_mean_zero_pmf
+    random_mean_zero_stack validity_gap validity_gaps
+    Query Scenario ScenarioError load_scenario parse_scenario
+    CrossoverTable KSelection ParetoFront RelaxedSolution best_k_single
+    best_region_partition crossover_table crossover_threshold optimize_exact
+    optimize_relaxed pareto_front
+    Side SumScenario TailCertificate lower_tail mirror mirror_scenario
+    one_sided_tail order_k_scenario two_sided_tail
+    __version__ bounds oracle scenario selection tails
+""".split()
+
+
+def imported_modules(tmp_path, args, code):
+    """The top-level names of every module the run imported."""
+    (tmp_path / "fixed.json").write_text(json.dumps(FIXED))
+    args = [str(tmp_path / arg) if arg == "fixed.json" else arg for arg in args]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == code, result.stderr[-500:]
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.mark.parametrize("name", list(WITHOUT_NUMPY))
+def test_starts_without_numpy(tmp_path, name):
+    modules = imported_modules(tmp_path, *WITHOUT_NUMPY[name])
+    assert "kbounds" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("name", list(WITH_NUMPY))
+def test_array_paths_load_numpy(tmp_path, name):
+    assert "numpy" in imported_modules(tmp_path, *WITH_NUMPY[name])
+
+
+def test_exported_names_resolve():
+    listed = dir(kbounds)
+    for name in EXPORTED:
+        namespace = {}
+        exec(f"from kbounds import {name}", namespace)
+        assert namespace[name] is getattr(kbounds, name), name
+        assert name in listed, name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kbounds.no_such_name

@@ -146,6 +146,16 @@ class TestFixtures:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "nope.json")
 
+    def test_non_utf8_file_is_named(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff" + json.dumps(minimal()).encode())
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(bad)
+        assert str(caught.value) == (
+            f"cannot read scenario file {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        )
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

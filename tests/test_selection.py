@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kbounds.bounds import BoundedSupport, mgf_bound, multiplier_log, order_k, phi
 from kbounds.selection import (
     KSelection,
-    ParetoFront,
+    _chain,
     best_k_single,
     best_region_partition,
     crossover_table,
@@ -85,6 +86,62 @@ def floor_ceil_rows(variables, fractional, k_max):
         yield ks, log_mult, rate
 
 
+@dataclass(frozen=True, eq=False)
+class NumpyFront:
+    """The front as numpy arrays, with the first-``argmin`` ``best`` that
+    ``ParetoFront`` had before it moved to tuples: a reference."""
+
+    ks: tuple[tuple[int, ...], ...]
+    L: np.ndarray
+    R: np.ndarray
+
+    def best(self, t):
+        obj = log_bound(self.L, self.R, t)
+        i = int(np.argmin(obj))
+        return KSelection(self.ks[i], float(obj[i]))
+
+
+def numpy_hull(variables, orders):
+    """Reference hull: the slope-merged moves as a cumulative (move x chain)
+    index table, summed in variable order from 0.0, as numpy arrays."""
+    chains = [_chain(support, ks_i) for support, ks_i in zip(variables, orders)]
+    moves = sorted(
+        ((slope, i) for i, (_, slopes) in enumerate(chains) for slope in slopes),
+        key=lambda move: move[0],
+    )
+    steps = np.zeros((len(moves) + 1, len(chains)), dtype=np.intp)
+    steps[np.arange(1, len(moves) + 1), [i for _, i in moves]] = 1
+    at = np.cumsum(steps, axis=0)
+    ks = np.empty_like(at)
+    big_l = np.zeros(len(at))
+    big_r = np.zeros(len(at))
+    for i, (vertices, _) in enumerate(chains):
+        k_i, l_i, r_i = (np.array(column) for column in zip(*vertices))
+        ks[:, i] = k_i[at[:, i]]
+        big_l += l_i[at[:, i]]
+        big_r += r_i[at[:, i]]
+    return NumpyFront(tuple(map(tuple, ks.tolist())), big_l, big_r)
+
+
+def numpy_regimes(L, R, t_lo, t_hi):
+    """Reference regimes: the envelope walk on numpy arrays."""
+    L, R = np.asarray(L), np.asarray(R)
+    inv_r = 1.0 / R
+    i = int(np.argmin(log_bound(L, R, t_lo)))
+    runs, start = [], t_lo
+    while (later := np.flatnonzero(inv_r > inv_r[i])).size:
+        ties = 4.0 * np.minimum(L[i] - L[later], 0.0) / (inv_r[i] - inv_r[later])
+        edge = math.sqrt(ties.min())
+        if edge >= t_hi:
+            break
+        if edge > start:
+            runs.append((start, edge, i))
+            start = edge
+        i = min(later[ties == ties.min()].tolist(), key=lambda j: (R[j], j))
+    runs.append((start, t_hi, i))
+    return runs
+
+
 def staircase_front(variables, orders):
     """Reference front of the product of ``orders[i]``, each list ascending.
 
@@ -116,7 +173,7 @@ def staircase_front(variables, orders):
                 kept.append((ks + (k,), l, r))
         states = kept
     ks, big_l, big_r = zip(*states)
-    return ParetoFront(ks, np.array(big_l), np.array(big_r))
+    return NumpyFront(ks, np.array(big_l), np.array(big_r))
 
 
 def grid_regimes(L, R, ts):
@@ -125,6 +182,7 @@ def grid_regimes(L, R, ts):
     The grid decides which runs are found; the edge between neighboring
     winners i and j is their tie, t = sqrt(4 (L_i - L_j) / (1/R_i - 1/R_j)).
     """
+    L, R = np.asarray(L), np.asarray(R)
     winners = [int(np.argmin(log_bound(L, R, t))) for t in ts.tolist()]
     runs = []
     start = float(ts[0])
@@ -372,7 +430,7 @@ class TestParetoFront:
             front = pareto_front(variables, 8)
             assert len(front.ks) <= n * 7 + 1
             grid = np.linspace(0.01, 2.0 * sum(v.b for v in variables), 300)
-            edges = [hi for _, hi, _ in regimes(want.L, want.R, grid[0], grid[-1])[:-1]]
+            edges = [hi for _, hi, _ in numpy_regimes(want.L, want.R, grid[0], grid[-1])[:-1]]
             ts = grid.tolist() + [
                 e + i * math.ulp(e) for e in edges for i in range(-40, 41)
             ]
@@ -578,7 +636,7 @@ class TestRegimes:
                 slack = 1e-12 * edge
                 assert ts[j] - slack <= edge <= ts[j + 1] + slack
             for t in ts:
-                objs = log_bound(front.L, front.R, t)
+                objs = log_bound(np.asarray(front.L), np.asarray(front.R), t)
                 ties += int(np.count_nonzero(objs == objs.min())) > 1
         if n > 1:
             assert ties > 0
@@ -671,7 +729,7 @@ class TestRegimes:
         big = pareto_front(scaled, 8)
         assert big.ks == front.ks
         assert np.array_equal(big.L, front.L)
-        assert np.array_equal(big.R, c * c * front.R)
+        assert np.array_equal(big.R, c * c * np.asarray(front.R))
         lo, hi = 0.05, 2.0 * sum(v.b for v in variables)
         want = regimes(front.L, front.R, lo, hi)
         got = regimes(big.L, big.R, c * lo, c * hi)
@@ -687,6 +745,79 @@ class TestRegimes:
         second = math.sqrt(math.log(6 / 5) / (1 / 50 - 1 / 55))
         assert runs[0][1] == pytest.approx(first, rel=0, abs=1e-12)
         assert runs[1][1] == pytest.approx(second, rel=0, abs=1e-12)
+
+
+def scaled(support, c):
+    """The support of c X: [ca, cb] with m2 and m4 scaled to match."""
+    return BoundedSupport(
+        c * support.a, c * support.b,
+        None if support.m2 is None else c * c * support.m2,
+        None if support.m4 is None else c * c * c * c * support.m4,
+        support.odd_moments_zero,
+    )
+
+
+@st.composite
+def near_duplicates(draw):
+    """1-9 variables from one of ``POOLS``, some with b one ulp wider, all
+    scaled by one c in [1e-6, 1e6]: permuted vectors tie exactly or nearly."""
+    pool = draw(st.sampled_from(POOLS))
+    c = draw(st.floats(1e-6, 1e6))
+    variables = []
+    for _ in range(draw(st.integers(1, 9))):
+        v = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            v = BoundedSupport(v.a, math.nextafter(v.b, math.inf), v.m2, v.m4,
+                               v.odd_moments_zero)
+        variables.append(scaled(v, c))
+    return tuple(variables)
+
+
+class TestMatchesNumpy:
+    """The plain-Python hull, ``best`` and ``regimes`` against the numpy
+    versions they replaced, bit for bit."""
+
+    @given(near_duplicates(), st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_front_best_and_regimes(self, variables, k_max, data):
+        front = pareto_front(variables, k_max)
+        want = numpy_hull(variables, [range(1, k_max + 1)] * len(variables))
+        assert front.ks == want.ks
+        assert front.L == tuple(want.L.tolist())
+        assert front.R == tuple(want.R.tolist())
+
+        reach = sum(v.b for v in variables)
+        lo, hi = 0.01 * reach, 2.0 * reach
+        runs = numpy_regimes(want.L, want.R, lo, hi)
+        assert regimes(front.L, front.R, lo, hi) == runs
+        assert regimes(want.L, want.R, lo, hi) == runs  # numpy arrays in, as in sweep
+        # every edge and the floats one ulp either side, where vectors tie
+        edges = [end for _, end, _ in runs[:-1]]
+        ts = [lo, hi] + [
+            t for e in edges for t in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))
+        ]
+        ts += data.draw(st.lists(st.floats(lo, hi), max_size=10))
+        for t in ts:
+            assert front.best(t) == want.best(t), (variables, t)
+
+        # sweep's candidates are any groups, in any order, repeats included
+        order = data.draw(st.lists(st.integers(0, len(front.ks) - 1), min_size=1))
+        big_l = [front.L[i] for i in order]
+        big_r = [front.R[i] for i in order]
+        assert regimes(big_l, big_r, lo, hi) == numpy_regimes(big_l, big_r, lo, hi)
+
+    def test_ties_are_probed(self):
+        # pooled copies of one support make permuted vectors tie exactly
+        variables = (S15, S51, S15, S51)
+        front = pareto_front(variables, 8)
+        want = numpy_hull(variables, [range(1, 9)] * 4)
+        ties = 0
+        for _, edge, _ in numpy_regimes(want.L, want.R, 0.05, 20.0)[:-1]:
+            for t in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                assert front.best(t) == want.best(t)
+                objs = log_bound(want.L, want.R, t)
+                ties += int(np.count_nonzero(objs == objs.min())) > 1
+        assert ties > 0
 
 
 class TestBestRegionPartition:
