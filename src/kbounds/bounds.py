@@ -110,15 +110,20 @@ class BoundedSupport:
             raise ValueError(
                 f"support [{self.a}, {self.b}] is too lopsided: max(|a|, b)/|a| overflows"
             )
-        if self.m2 is not None:
-            if not 0.0 <= self.m2 <= cap2 * (1.0 + MOMENT_SLACK):
-                raise ValueError(f"m2={self.m2} outside [0, |a|b={cap2}]")
-        if self.m4 is not None:
-            if not 0.0 <= self.m4 <= cap4 * (1.0 + MOMENT_SLACK):
-                raise ValueError(f"m4={self.m4} outside [0, |a|b(a^2+ab+b^2)={cap4}]")
-        if self.m2 is not None and self.m4 is not None:
-            if self.m4 < self.m2 ** 2 * (1.0 - MOMENT_SLACK):
-                raise ValueError(f"m4={self.m4} < m2^2={self.m2 ** 2} violates Jensen")
+        _check_moments(self.m2, self.m4, cap2, cap4)
+
+
+def _check_moments(m2: float | None, m4: float | None, cap2: float, cap4: float) -> None:
+    """Declared (finite) m2 and m4 within their caps and Jensen's m4 >= m2^2."""
+    if m2 is not None:
+        if not 0.0 <= m2 <= cap2 * (1.0 + MOMENT_SLACK):
+            raise ValueError(f"m2={m2} outside [0, |a|b={cap2}]")
+    if m4 is not None:
+        if not 0.0 <= m4 <= cap4 * (1.0 + MOMENT_SLACK):
+            raise ValueError(f"m4={m4} outside [0, |a|b(a^2+ab+b^2)={cap4}]")
+    if m2 is not None and m4 is not None:
+        if m4 < m2 ** 2 * (1.0 - MOMENT_SLACK):
+            raise ValueError(f"m4={m4} < m2^2={m2 ** 2} violates Jensen")
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ def multiplier_log(support: BoundedSupport, k: int) -> float:
     a = support.a
     if k == 2:
         if support.m2 is not None:
-            return math.log1p(support.m2 / (a * a))
+            return m2_log_multipliers(a, [support.m2])[0]
         return math.log1p(support.b / -a)
     log_a_k = upsilon_log(support, k)
     if (
@@ -217,6 +222,30 @@ def _order4_moment_log(support: BoundedSupport) -> float:
     """
     a2 = support.a * support.a
     return math.log1p(6.0 * support.m2 / a2 + support.m4 / (a2 * a2))
+
+
+def m2_log_multipliers(a: float, m2s) -> list[float]:
+    """log(1 + m2/a^2) for each m2: the log multiplier of order2_moment and of
+    order_k[2] with a known m2."""
+    a2 = a * a
+    return [math.log1p(m2 / a2) for m2 in m2s]
+
+
+def measured_m2_log_multipliers(a: float, b: float, m2s, m4s) -> list[float]:
+    """``m2_log_multipliers`` of (m2, m4) rows measured on [a, b]: without
+    odd_moments_zero, the log multiplier of every family that reads moments.
+
+    Each row gets the checks and messages of ``BoundedSupport(a, b, m2, m4)``
+    with no support built per row: the interval's once, with m2 and m4
+    declared, then per row finiteness, the caps and Jensen.
+    """
+    cap2, cap4 = moment_caps(BoundedSupport(a, b, m2=0.0, m4=0.0))
+    for m2, m4 in zip(m2s, m4s):
+        for name, value in (("m2", m2), ("m4", m4)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        _check_moments(m2, m4, cap2, cap4)
+    return m2_log_multipliers(a, m2s)
 
 
 def reads_moments(support: BoundedSupport, tag: FamilyTag) -> bool:
@@ -279,7 +308,7 @@ def mgf_bound(support: BoundedSupport, tag: FamilyTag) -> MgfBound:
     if unmet is not None:
         raise ValueError(unmet)
     if fam is Family.ORDER2_MOMENT:
-        return MgfBound(math.log1p(support.m2 / (a * a)), h * h / 4.0, tag)
+        return MgfBound(multiplier_log(support, 2), h * h / 4.0, tag)
     if fam is Family.ORDER4_MOMENT:
         return MgfBound(_order4_moment_log(support), h * h / 8.0, tag)
     if fam is Family.SYMMETRIC_ORDER4:

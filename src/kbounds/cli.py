@@ -19,12 +19,11 @@ integer.
 
 `verify` builds each support's catalog, labels and rates before it draws any
 pmf, so a bad `--k-max`, `--samples`, `--poison-rate` or interval exits 2
-first.  Its oracle machinery (pmf stacks, gap tables, Monte Carlo) is
+first.  Its oracle machinery (pmf stacks, gap tables, Monte Carlo rows) is
 ``kbounds.verify``, which imports numpy; `cmd_verify` imports it when it runs
-and `cmd_sweep` imports numpy for its (group x t) table.  Everything else here
-is pure Python, so `--help`, `bound`, `select`, `tail` at given t values and
-every input error before those points start without numpy; only a `t_range`
-grid (``scenario.Query.resolve_ts``) loads it there.
+and writes its rows as CSV.  Everything else here is pure Python, `t_range`
+grids (``scenario.grid``) and `sweep`'s (group x t) table included, so every
+command but `verify` starts without numpy.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
@@ -208,16 +207,7 @@ def cmd_select(args) -> int:
 
 def cmd_verify(args) -> int:
     # the oracle's pmf stacks and Monte Carlo sum are numpy arrays: load them here
-    from .oracle import MIN_SAMPLES, mc_sum_tail
-    from .verify import (
-        GAP_TOL,
-        _family_max_gaps,
-        _gap_tables,
-        _mc_thresholds,
-        _measured_supports,
-        _verify_pmfs,
-        _verify_supports,
-    )
+    from . import verify
 
     if args.random == (args.scenario is not None):
         raise ValueError("give a scenario file or --random (not both)")
@@ -229,42 +219,30 @@ def cmd_verify(args) -> int:
     # input errors exit before any pmf is drawn
     if not args.poison_rate > 0.0:
         raise ValueError("--poison-rate must be positive")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
-    supports = _verify_supports(args, scenario)
-    tables = [_gap_tables(support, args.k_max, args.poison_rate) for support in supports]
+    if samples < verify.MIN_SAMPLES:
+        raise ValueError(f"use at least {verify.MIN_SAMPLES} samples, got {samples}")
+    supports = verify._verify_supports(args, scenario)
+    tables = [verify._gap_tables(support, args.k_max, args.poison_rate) for support in supports]
     count = 1000 if args.pmfs is None else args.pmfs
-    stacks, group = _verify_pmfs(supports, args.random, count, seed)
+    stacks, group = verify._verify_pmfs(supports, args.random, count, seed)
 
-    max_gap = _family_max_gaps(zip(supports, tables, stacks))
+    max_gap = verify._family_max_gaps(zip(supports, tables, stacks))
     lines = ["family,max_gap,violations"]
     violations = 0
     for label in sorted(max_gap):
-        bad = 1 if max_gap[label] > GAP_TOL else 0
+        bad = 1 if max_gap[label] > verify.GAP_TOL else 0
         violations += bad
         lines.append(f"{label},{g12(max_gap[label])},{bad}")
 
-    # Monte Carlo side: the group's sum vs. its certificates.
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")
-    variables = tuple(_measured_supports(p.support, *p.stack())[0] for p in group)
-    ts = _mc_thresholds(scenario, variables)
-    front = pareto_front(variables, args.k_max)
-    tail_estimates = mc_sum_tail(group, ts, samples, seed)
-    for t, (estimate, se) in zip(ts, tail_estimates):
-        candidates = [(k,) * len(group) for k in (1, 2) if k <= args.k_max]
-        best = front.best(t).ks
-        if best not in candidates:
-            candidates.append(best)
-        for ks in candidates:
-            cert = one_sided_tail(order_k_scenario(variables, ks), t)
-            certificate = math.exp(min(cert.log_bound, 0.0))
-            ok = estimate <= certificate + 3.0 * se
-            if not ok:
-                violations += 1
-            lines.append(
-                f"mc,{g12(t)},{'|'.join(map(str, ks))},{g12(estimate)},"
-                f"{g12(se)},{g12(certificate)},{int(ok)}"
-            )
+    for t, ks, estimate, se, certificate, ok in verify._mc_rows(
+        scenario, group, args.k_max, samples, seed
+    ):
+        violations += not ok
+        lines.append(
+            f"mc,{g12(t)},{'|'.join(map(str, ks))},{g12(estimate)},"
+            f"{g12(se)},{g12(certificate)},{int(ok)}"
+        )
     lines.append("verdict," + ("ok" if violations == 0 else "violation"))
     _emit(args, lines)
     return 0 if violations == 0 else 4
@@ -281,11 +259,9 @@ def _parse_group(text: str, n: int) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np  # the (group x t) table
-
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
-    ts = np.asarray(query.resolve_ts())
+    ts = query.resolve_ts()
     variables = scenario.variables
     if args.group:
         groups = [_parse_group(g, len(variables)) for g in args.group]
@@ -295,19 +271,18 @@ def cmd_sweep(args) -> int:
     else:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 
-    big_l, big_r = np.array([totals(s) for s in scenarios]).T
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        curves = log_bound(big_l[:, None], big_r[:, None], ts)
-    bad = ~np.isfinite(curves).all(axis=0)
-    if bad.any():
-        raise ValueError(f"t={g12(ts[bad.argmax()])}: the log bound is not finite")
+    pairs = [totals(s) for s in scenarios]
     names = [f"group{i + 1}" for i in range(len(scenarios))]
     lines = ["t," + ",".join(names)]
-    for t, column in zip(ts.tolist(), curves.T.tolist()):
+    for t in ts:
+        column = [log_bound(big_l, big_r, t) for big_l, big_r in pairs]
+        if not all(map(math.isfinite, column)):
+            raise ValueError(f"t={g12(t)}: the log bound is not finite")
         lines.append(g12(t) + "," + ",".join(g12(c) for c in column))
 
     # crossovers of the lower envelope over the t span, in closed form
-    runs = regimes(big_l, big_r, ts.min(), ts.max())
+    big_l, big_r = zip(*pairs)
+    runs = regimes(big_l, big_r, min(ts), max(ts))
     for (_, edge, before), (_, _, after) in zip(runs, runs[1:]):
         lines.append(f"crossover,{names[before]}->{names[after]},{g12(edge)}")
     _emit(args, lines)

@@ -25,8 +25,8 @@ checks t values and t ranges whether they come from ``query`` or from
 `--t`/`--t-range`, and ``parse_family_tag`` reads a choice or `bound`'s
 `--family`/`--k`.  The parsers below check only JSON types and shapes.
 
-Files are read as UTF-8.  Nothing here imports numpy except ``Query.resolve_ts``
-building a t_range grid, so explicit t values never load it.
+Files are read as UTF-8.  A t_range is resolved by ``grid``, numpy's
+``linspace`` in plain Python, so nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -80,11 +80,24 @@ class Query:
         if self.ts is not None:
             return self.ts
         if self.t_range is not None:
-            import numpy as np  # only a t_range grid loads numpy
-
-            lo, hi, count = self.t_range
-            return tuple(float(t) for t in np.linspace(lo, hi, count))
+            return tuple(grid(*self.t_range))
         raise ScenarioError("no t values: give query.t, query.t_range or --t")
+
+
+def grid(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` >= 2 evenly spaced floats from lo to hi, both included.
+
+    The same floats as numpy's ``linspace``, by its own expressions: i * step
+    + lo with step = (hi - lo) / (count - 1), then hi.  Where the step
+    underflows to 0.0 numpy takes i / (count - 1) * (hi - lo) + lo instead,
+    and so does this; without that branch subnormal ranges would differ.
+    """
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,38 @@
-"""The oracle side of `verify`: pmf stacks, gap tables and the Monte Carlo group.
+"""The oracle side of `verify`: pmf stacks, gap tables and the Monte Carlo rows.
 
 `verify` is the one command that draws pmfs, so this module imports numpy and
 ``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
 commands start without numpy.  Each support's catalog, labels and poisoned
 rates come first (``_gap_tables``), then its pmfs: under --random one seeded
 generator draws them as (xs, ps) stacks, one per atom count.  The log
-multipliers that read moments come from each pmf's measured support, and all
-are checked against the exact log-MGF rows as (pmf x family x s) tables.
+multipliers that read moments come from each pmf's measured m2 and m4
+(``bounds.measured_m2_log_multipliers``), and all are checked against the
+exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` then samples
+the group's sum against its certificates; ``cli`` writes both as CSV.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bounds import BoundedSupport, catalog, mgf_bound, reads_moments
+from .bounds import BoundedSupport, catalog, measured_m2_log_multipliers, reads_moments
 from .oracle import (
+    MIN_SAMPLES,
     S_GRID,
     check_pmf_stack,
     exact_log_mgf_rows,
     extremal_two_point,
+    mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
     random_mean_zero_stack,
     validity_gaps,
 )
-from .scenario import Scenario
+from .scenario import Scenario, grid
+from .selection import pareto_front
+from .tails import one_sided_tail, order_k_scenario
 
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
@@ -61,7 +69,8 @@ def _family_max_gaps(batches) -> dict[str, float]:
     ``batches`` holds one (support, ``_gap_tables``, (xs, ps) stacks) per
     support.  Each table is checked as one (pmf x family x s) table: the log
     multipliers that read no moments are one per support, the others each
-    pmf's own, on its measured support.
+    pmf's own log(1 + m2/a^2), which is every such family's on a measured
+    support (it asserts no odd moments).
     """
     max_gap: dict[str, float] = {}
 
@@ -77,11 +86,9 @@ def _family_max_gaps(batches) -> dict[str, float]:
             labels, bounds, rates = fixed
             note(labels, exact, [bound.log_multiplier for bound in bounds], rates)
             labels, bounds, rates = measured
-            log_a = [
-                [mgf_bound(row, bound.family_tag).log_multiplier for bound in bounds]
-                for row in _measured_supports(support, xs, ps)
-            ]
-            note(labels, exact, log_a, rates)
+            m2s, m4s = moment_rows(xs, ps, 2).tolist(), moment_rows(xs, ps, 4).tolist()
+            logs = measured_m2_log_multipliers(support.a, support.b, m2s, m4s)
+            note(labels, exact, [[log] * len(bounds) for log in logs], rates)
     return max_gap
 
 
@@ -136,6 +143,29 @@ def _mc_thresholds(scenario: Scenario | None, variables) -> tuple[float, ...]:
     if scenario is not None and (scenario.query.ts or scenario.query.t_range):
         ts = tuple(t for t in scenario.query.resolve_ts() if t <= reach) or ts
         if len(ts) > 8:
-            idx = np.linspace(0, len(ts) - 1, 8).astype(int)
-            ts = tuple(ts[i] for i in idx)
+            ts = tuple(ts[int(i)] for i in grid(0, len(ts) - 1, 8))
     return ts
+
+
+def _mc_rows(scenario: Scenario | None, group, k_max: int, samples: int, seed: int):
+    """(t, ks, estimate, std_error, certificate, ok) rows: the group's sum
+    sampled at each ``_mc_thresholds`` t against the certificates of all
+    orders 1, all orders 2 (up to ``k_max``) and the front's best at t.
+
+    Each variable is its pmf's measured support; ``ok`` allows the estimate
+    three standard errors above the certificate, capped at 1.
+    """
+    variables = tuple(_measured_supports(p.support, *p.stack())[0] for p in group)
+    ts = _mc_thresholds(scenario, variables)
+    front = pareto_front(variables, k_max)
+    rows = []
+    for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, samples, seed)):
+        candidates = [(k,) * len(group) for k in (1, 2) if k <= k_max]
+        best = front.best(t).ks
+        if best not in candidates:
+            candidates.append(best)
+        for ks in candidates:
+            cert = one_sided_tail(order_k_scenario(variables, ks), t)
+            certificate = math.exp(min(cert.log_bound, 0.0))
+            rows.append((t, ks, estimate, se, certificate, estimate <= certificate + 3.0 * se))
+    return rows

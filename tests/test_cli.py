@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbounds import cli, verify
+from kbounds import cli, oracle, verify
 from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
 from kbounds.scenario import MAX_T_COUNT, load_scenario
-from kbounds.tails import one_sided_tail, order_k_scenario
+from kbounds.selection import regimes
+from kbounds.tails import log_bound, one_sided_tail, order_k_scenario, totals
 from test_bounds import reference_catalog
+from test_golden import FIXED
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
 from test_selection import staircase_front
 
@@ -239,11 +241,11 @@ class TestTail:
         assert "integer" in err
 
     def test_range_count_above_the_cap_exits_2(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        # rejected before any t value is made: linspace is never reached
-        def no_linspace(*args, **kwargs):
-            raise AssertionError("linspace called")
+        # rejected before any t value is made: the grid is never built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
 
-        monkeypatch.setattr(np, "linspace", no_linspace)
+        monkeypatch.setattr("kbounds.scenario.grid", no_grid)
         over = str(MAX_T_COUNT + 1)
         scenario = str(fixtures_dir / "example1.json")
         for argv in (
@@ -476,7 +478,8 @@ class TestVerify:
 
     def test_fourth_order_families_are_not_probed_per_pmf(self, monkeypatch, capsys):
         # no measured support asserts odd_moments_zero, so order4_moment and
-        # symmetric_order4 are tried once per support, never once per pmf
+        # symmetric_order4 are tried once per support, never once per pmf:
+        # per pmf only the measured m2 rows are read, with no bound built
         failed = []
 
         def counting_mgf_bound(support, tag):
@@ -486,12 +489,43 @@ class TestVerify:
                 failed.append(tag)
                 raise
 
-        monkeypatch.setattr(verify, "mgf_bound", counting_mgf_bound)
+        monkeypatch.setattr("kbounds.bounds.mgf_bound", counting_mgf_bound)
         code, _, _ = run_cli(
             ["verify", "--random", "--pmfs", "50", "--samples", "1000"], capsys
         )
         assert code == 0
         assert len(failed) <= 2 * len(verify.CANONICAL_SUPPORTS)
+
+    @pytest.mark.parametrize(
+        "order, corrupt",
+        [(2, lambda m2: 12.5), (2, lambda m2: math.nan), (4, lambda m2: 1e4),
+         (4, lambda m2: -1.0), (4, lambda m2: math.inf), (4, lambda m2: 0.5 * m2 * m2)],
+        ids=["m2 above its cap", "m2 nan", "m4 above its cap", "m4 negative", "m4 inf",
+             "Jensen"],
+    )
+    def test_corrupt_measured_moments_exit_2_as_a_support_would(
+        self, capsys, monkeypatch, order, corrupt
+    ):
+        # one pmf's measured m2 or m4 is corrupted: `verify` fails with the
+        # message a support with those moments gives, before any row is printed
+        seen = {}
+
+        def corrupted_rows(xs, ps, k):
+            values = oracle.moment_rows(xs, ps, k)
+            if k not in seen:  # the first stack's first row
+                if k == order:
+                    values[0] = corrupt(seen.get(2))
+                seen[k] = float(values[0])
+            return values
+
+        monkeypatch.setattr(verify, "moment_rows", corrupted_rows)
+        code, out, err = run_cli(
+            ["verify", "--random", "--a=-2", "--b", "3", "--pmfs", "20", "--samples", "1000"],
+            capsys,
+        )
+        with pytest.raises(ValueError) as support_error:
+            BoundedSupport(-2.0, 3.0, seen[2], seen[4])
+        assert (code, out, err) == (2, "", f"error: {support_error.value}\n")
 
     def test_random_sweep_is_clean(self, capsys):
         code, out, _ = run_cli(
@@ -749,8 +783,73 @@ def bisection_crossovers(scenarios, ts):
     return found
 
 
+def numpy_sweep(args) -> int:
+    """``cmd_sweep`` on a numpy (group x t) table, as it was before the table
+    moved to floats, kept as its reference: the grid is ``np.linspace``, the
+    curves one broadcast ``log_bound`` and the first non-finite t its argmax."""
+    scenario = load_scenario(args.scenario)
+    query = cli._resolve_query(scenario, args)
+    ts = np.asarray(np.linspace(*query.t_range) if query.t_range else query.resolve_ts())
+    variables = scenario.variables
+    if args.group:
+        groups = [cli._parse_group(g, len(variables)) for g in args.group]
+        scenarios = [order_k_scenario(variables, ks) for ks in groups]
+    elif not scenario.auto:
+        scenarios = [scenario.sum_scenario()]
+    else:
+        raise ValueError("sweep needs --group selections (or explicit choices)")
+
+    big_l, big_r = np.array([totals(s) for s in scenarios]).T
+    with np.errstate(over="ignore"):
+        curves = log_bound(big_l[:, None], big_r[:, None], ts)
+    bad = ~np.isfinite(curves).all(axis=0)
+    if bad.any():
+        raise ValueError(f"t={g12(ts[bad.argmax()])}: the log bound is not finite")
+    names = [f"group{i + 1}" for i in range(len(scenarios))]
+    lines = ["t," + ",".join(names)]
+    for t, column in zip(ts.tolist(), curves.T.tolist()):
+        lines.append(g12(t) + "," + ",".join(g12(c) for c in column))
+    runs = regimes(big_l, big_r, ts.min(), ts.max())
+    for (_, edge, before), (_, _, after) in zip(runs, runs[1:]):
+        lines.append(f"crossover,{names[before]}->{names[after]},{g12(edge)}")
+    cli._emit(args, lines)
+    return 0
+
+
+def run_numpy_sweep(argv, capsys):
+    """``run_cli`` with ``numpy_sweep`` in place of ``cmd_sweep``."""
+    try:
+        code = numpy_sweep(cli.build_parser().parse_args(argv))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EXAMPLE5_GROUPS = ["--group", "1,1,1,1", "--group", "1,2,1,1", "--group", "1,2,1,2"]
+# (scenario: a fixture or "fixed", the golden fixed-choice one with its own
+# t_range; a query that replaces the file's or None; flags; exit code)
+SWEEP_CASES = {
+    "file t_range": ("example5.json", None, EXAMPLE5_GROUPS, 0),
+    "flag t_range": ("example5.json", None,
+                     ["--t-range", "0.05", "25", "1000", "--group", "1,2,1,1",
+                      "--group", "1,1,1,1", "--group", "1,2,1,1", "--group", "2,2,2,2"], 0),
+    "fixed choices": ("fixed", None, [], 0),
+    "fixed dense": ("fixed", None, ["--t-range", "0.01", "60", "4000"], 0),
+    "unsorted repeats": ("example5.json", {"t": [11, 2, 8, 2, 0.5, 11, 5.66467951395]},
+                         EXAMPLE5_GROUPS, 0),
+    "fixed unsorted": ("fixed", {"t": [3, 0.25, 3, 40, 1]}, [], 0),
+    "subnormal range": ("example5.json", None,
+                        ["--t-range", "1e-320", "2e-320", "1000", *EXAMPLE5_GROUPS], 0),
+    "overflow": ("example5.json", None,
+                 ["--t-range", "1e150", "1e156", "50", *EXAMPLE5_GROUPS], 2),
+    "fixed overflow": ("fixed", {"t": [1, 1e200, 1e300]}, [], 2),
+}
+
+
 class TestSweep:
-    GROUPS = ["--group", "1,1,1,1", "--group", "1,2,1,1", "--group", "1,2,1,2"]
+    GROUPS = EXAMPLE5_GROUPS
     # a duplicate group ties with its first copy everywhere
     TIED = ["1,2,1,1", "1,1,1,1", "1,2,1,1", "2,2,2,2", "1,2,1,2", "1,3,1,3"]
 
@@ -817,6 +916,25 @@ class TestSweep:
             ["crossover", "group1->group2", "5.66467951395"],
             ["crossover", "group2->group3", "10.0138332439"],
         ]
+
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_matches_numpy_table(self, fixtures_dir, tmp_path, capsys, case):
+        name, query, flags, expected = SWEEP_CASES[case]
+        if name == "fixed":
+            doc = json.loads(json.dumps(FIXED))
+        else:
+            doc = json.loads((fixtures_dir / name).read_text())
+        if query is not None:
+            doc["query"] = query
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", str(path), *flags]
+        got = run_cli(argv, capsys)
+        assert got == run_numpy_sweep(argv, capsys)
+        code, out, err = got
+        assert code == expected
+        if code == 2:
+            assert out == "" and err.endswith(": the log bound is not finite\n")
 
     def test_fractional_range_count_exits_2(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example5.json")
@@ -948,8 +1066,8 @@ def test_unwritable_out_exits_2(fixtures_dir, tmp_path, capsys, command, where):
     assert list(tmp_path.iterdir()) == []
 
 
-# the module entry point loads numpy only for verify, sweep and t_range grids:
-# each of those paths must print what the in-process front end prints
+# the module entry point loads numpy only for verify and the in-process front
+# end has it loaded already: each path must print what the front end prints
 ENTRY_POINT_COMMANDS = {
     "bound": SUBCOMMANDS["bound"],
     "select": SUBCOMMANDS["select"],

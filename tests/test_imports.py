@@ -1,9 +1,9 @@
 """Which commands load numpy, read from `python -X importtime -m kbounds`.
 
-The bounds, scenarios, selection and tails are plain Python; numpy loads only
-where a command builds or reads arrays: `verify`, `sweep`'s (group x t) table
-and `t_range` grids.  The package keeps every name it exported when it
-imported the oracle eagerly.
+The bounds, scenarios, selection and tails are plain Python, `t_range` grids
+and `sweep`'s (group x t) table included; numpy loads only where a command
+draws pmfs: `verify`, and the oracle's own names.  The package keeps every
+name it exported when it imported the oracle eagerly.
 """
 
 import json
@@ -37,13 +37,16 @@ WITHOUT_NUMPY = {
                     "--side", "two_sided"], 0),
     "tail t <= 0": (["-m", "kbounds", "tail", EXAMPLE5, "--t", "-1"], 2),
     "import kbounds": (["-c", "import kbounds"], 0),
+    "sweep": (["-m", "kbounds", "sweep", EXAMPLE5, "--t-range", "1", "2", "3",
+               "--group", "1,1,1,1"], 0),
+    "sweep fixed": (["-m", "kbounds", "sweep", "fixed.json", "--t-range", "0.5", "4",
+                     "20"], 0),
+    "tail t_range": (["-m", "kbounds", "tail", EXAMPLE5, "--t-range", "1", "2", "3"], 0),
+    "tail file t_range": (["-m", "kbounds", "tail", EXAMPLE5], 0),
 }
 WITH_NUMPY = {
     "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",
                 "1000"], 0),
-    "sweep": (["-m", "kbounds", "sweep", EXAMPLE5, "--t-range", "1", "2", "3",
-               "--group", "1,1,1,1"], 0),
-    "tail t_range": (["-m", "kbounds", "tail", EXAMPLE5, "--t-range", "1", "2", "3"], 0),
     "oracle name": (["-c", "from kbounds import FinitePmf"], 0),
 }
 

@@ -1,9 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbounds.bounds import Family
-from kbounds.scenario import MAX_T_COUNT, ScenarioError, load_scenario, parse_scenario
+from kbounds.scenario import MAX_T_COUNT, Query, ScenarioError, load_scenario, parse_scenario
 from kbounds.tails import Side
 
 
@@ -51,6 +55,27 @@ class TestParsing:
         )
         v = parse_scenario(doc).variables[0]
         assert (v.m2, v.m4, v.odd_moments_zero) == (5.0, 60.0, True)
+
+
+@st.composite
+def t_ranges(draw):
+    """(lo, hi, count): lo from the least subnormal to 1e7, hi from one ulp
+    above lo to lo * 10^3, counts from 2 to 5000."""
+    lo = draw(st.floats(5e-324, 1e7))
+    hi = draw(st.floats(math.nextafter(lo, math.inf), lo * 1e3))
+    return lo, hi, draw(st.integers(2, 5000))
+
+
+class TestGrid:
+    @given(t_ranges())
+    @settings(max_examples=300, deadline=None)
+    @example((0.1, 12.0, 10 ** 5))
+    @example((1e-320, 2e-320, 10 ** 5))  # the step underflows to 0.0
+    def test_matches_numpy_linspace(self, t_range):
+        ts = Query(t_range=t_range).resolve_ts()
+        expected = np.linspace(*t_range).tolist()
+        assert [t.hex() for t in ts] == [t.hex() for t in expected]
+        assert all(type(t) is float for t in ts)
 
 
 class TestStrictSchema:
