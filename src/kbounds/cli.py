@@ -17,13 +17,14 @@ which families `bound --compare` and `verify` check.  What is left here is
 about flags alone: which go together, and that a `--t-range` COUNT is an
 integer.
 
-`verify` builds each support's catalog, labels and rates before it draws any
-pmf, so a bad `--k-max`, `--samples`, `--poison-rate` or interval exits 2
-first.  Its oracle machinery (pmf stacks, gap tables, Monte Carlo rows) is
-``kbounds.verify``, which imports numpy; `cmd_verify` imports it when it runs
-and writes its rows as CSV.  Everything else here is pure Python, `t_range`
-grids (``scenario.grid``) and `sweep`'s (group x t) table included, so every
-command but `verify` starts without numpy.
+`verify` passes its values to ``kbounds.verify.run``, which fills in the
+query's seed and sample count, checks every input before it draws any pmf
+(so a bad `--k-max`, `--samples`, `--poison-rate` or interval exits 2 first)
+and returns the gap and Monte Carlo rows with their verdicts.  That module
+imports numpy; `cmd_verify` imports it when it runs and writes the rows as
+CSV.  Everything else here is pure Python, `t_range` grids (``scenario.grid``)
+and `sweep`'s (group x t) table included, so every command but `verify`
+starts without numpy.  `select` rejects a t range before it builds one.
 
 One-sided certificates and `sweep` curves are ``tails.log_bound`` of
 ``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
@@ -186,7 +187,8 @@ def cmd_tail(args) -> int:
 
 def cmd_select(args) -> int:
     scenario = load_scenario(args.scenario)
-    ts = _resolve_query(scenario, args).resolve_ts()
+    query = _resolve_query(scenario, args)
+    ts = () if query.t_range else query.resolve_ts()  # a range has 2 or more t
     if len(ts) != 1:
         raise ValueError("select needs a single t (--t or a one-value query.t)")
     t = ts[0]
@@ -212,40 +214,18 @@ def cmd_verify(args) -> int:
     if args.random == (args.scenario is not None):
         raise ValueError("give a scenario file or --random (not both)")
     scenario = None if args.random else load_scenario(args.scenario)
-    # given flags win over the scenario's query, whose defaults are 0 and 10^6
-    query = Query() if scenario is None else scenario.query
-    seed = query.seed if args.seed is None else args.seed
-    samples = query.samples if args.samples is None else args.samples
-    # input errors exit before any pmf is drawn
-    if not args.poison_rate > 0.0:
-        raise ValueError("--poison-rate must be positive")
-    if samples < verify.MIN_SAMPLES:
-        raise ValueError(f"use at least {verify.MIN_SAMPLES} samples, got {samples}")
-    supports = verify._verify_supports(args, scenario)
-    tables = [verify._gap_tables(support, args.k_max, args.poison_rate) for support in supports]
-    count = 1000 if args.pmfs is None else args.pmfs
-    stacks, group = verify._verify_pmfs(supports, args.random, count, seed)
-
-    max_gap = verify._family_max_gaps(zip(supports, tables, stacks))
+    gaps, mc = verify.run(scenario, args.a, args.b, args.pmfs, args.k_max, args.samples,
+                          args.seed, args.poison_rate)
     lines = ["family,max_gap,violations"]
-    violations = 0
-    for label in sorted(max_gap):
-        bad = 1 if max_gap[label] > verify.GAP_TOL else 0
-        violations += bad
-        lines.append(f"{label},{g12(max_gap[label])},{bad}")
-
+    lines += [f"{label},{g12(gap)},{int(bad)}" for label, gap, bad in gaps]
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")
-    for t, ks, estimate, se, certificate, ok in verify._mc_rows(
-        scenario, group, args.k_max, samples, seed
-    ):
-        violations += not ok
-        lines.append(
-            f"mc,{g12(t)},{'|'.join(map(str, ks))},{g12(estimate)},"
-            f"{g12(se)},{g12(certificate)},{int(ok)}"
-        )
-    lines.append("verdict," + ("ok" if violations == 0 else "violation"))
+    lines += [f"mc,{g12(t)},{'|'.join(map(str, ks))},{g12(estimate)},"
+              f"{g12(se)},{g12(certificate)},{int(ok)}"
+              for t, ks, estimate, se, certificate, ok in mc]
+    clean = not any(bad for *_, bad in gaps) and all(ok for *_, ok in mc)
+    lines.append("verdict," + ("ok" if clean else "violation"))
     _emit(args, lines)
-    return 0 if violations == 0 else 4
+    return 0 if clean else 4
 
 
 def _parse_group(text: str, n: int) -> tuple[int, ...]:

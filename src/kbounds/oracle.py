@@ -205,22 +205,18 @@ def random_mean_zero_pmf(
 def moment_matched_pmf(support: BoundedSupport, seed: int = 0) -> FinitePmf:
     """A concrete distribution honoring the support's declared moments.
 
-    With m2 declared (and odd moments unconstrained): the mixture
-    alpha * extremal-two-point + (1-alpha) * delta_0 with alpha = m2/(|a|b).
-    With odd_moments_zero: symmetric atoms +-c (plus mass at 0), which needs
-    c = sqrt(m4/m2) (or sqrt(m2)) to fit inside the interval.  With nothing
-    declared, a seeded random pmf.
+    Without odd_moments_zero only m2 is matched, since no bound reads m4
+    unless the odd moments vanish: with m2 declared, the mixture
+    alpha * extremal-two-point + (1-alpha) * delta_0 with alpha = m2/(|a|b);
+    without it, a seeded random pmf.  With odd_moments_zero: symmetric atoms
+    +-c (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
+    inside the interval.
     """
     a, b = support.a, support.b
     m2, m4 = support.m2, support.m4
-    if m2 is None and m4 is None and not support.odd_moments_zero:
-        return random_mean_zero_pmf(support, 4, seed)
     if not support.odd_moments_zero:
-        if m4 is not None:
-            raise ValueError(
-                "cannot match a declared m4 without odd_moments_zero; "
-                "drop m4 or declare odd_moments_zero"
-            )
+        if m2 is None:
+            return random_mean_zero_pmf(support, 4, seed)
         alpha = min(1.0, m2 / (-a * b))
         two = extremal_two_point(support)
         return FinitePmf(

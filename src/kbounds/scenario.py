@@ -26,7 +26,8 @@ checks t values and t ranges whether they come from ``query`` or from
 `--family`/`--k`.  The parsers below check only JSON types and shapes.
 
 Files are read as UTF-8.  A t_range is resolved by ``grid``, numpy's
-``linspace`` in plain Python, so nothing here imports numpy.
+``linspace`` in plain Python, so nothing here imports numpy; ``grid`` also
+gives single points of a range without building the rest.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ class Query:
         raise ScenarioError("no t values: give query.t, query.t_range or --t")
 
 
-def grid(lo: float, hi: float, count: int) -> list[float]:
-    """``count`` >= 2 evenly spaced floats from lo to hi, both included.
+def grid(lo: float, hi: float, count: int, indices=None) -> list[float]:
+    """``count`` >= 2 evenly spaced floats from lo to hi, both included, or
+    only those at ``indices``.
 
     The same floats as numpy's ``linspace``, by its own expressions: i * step
     + lo with step = (hi - lo) / (count - 1), then hi.  Where the step
@@ -95,9 +97,11 @@ def grid(lo: float, hi: float, count: int) -> list[float]:
     div = count - 1
     delta = hi - lo
     step = delta / div
+    if indices is None:
+        indices = range(count)
     if step == 0.0:
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
+        return [hi if i == div else i / div * delta + lo for i in indices]
+    return [hi if i == div else i * step + lo for i in indices]
 
 
 @dataclass(frozen=True)

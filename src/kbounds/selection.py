@@ -19,11 +19,11 @@ near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
 rounded by the hull over each variable's floor and ceiling.  Two vectors tie
 where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free.
 
-The hull, ``ParetoFront.best`` and ``regimes`` are plain Python on tuples of
-floats, with the float expressions, summation order and first-minimum ties
-that numpy gave them, so `select` and `tail` start without numpy.  Only the
-library's ``optimize_relaxed`` imports it, when called, for the digits of its
-``log1p``.
+Everything here is plain Python on tuples of floats: the hull,
+``ParetoFront.best`` and ``regimes`` with the float expressions, summation
+order and first-minimum ties that numpy gave them, and ``optimize_relaxed``'s
+profile with ``math.log1p`` and a sum in variable order, so nothing here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -228,12 +228,12 @@ def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
         raise ValueError("threshold t must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    import numpy as np  # its log1p and sum give the profile's digits
-
-    phis = np.array([phi(v) for v in variables])
-    phis2 = phis * phis
-    c = phis / np.sqrt(2.0 * np.log1p([endpoint_ratio(v) for v in variables]))
-    fractional = tuple(float(x) for x in c * (t / float(np.sum(phis2))))
+    phis = [phi(v) for v in variables]
+    scale = t / sum(p * p for p in phis)
+    fractional = tuple(
+        p / math.sqrt(2.0 * math.log1p(endpoint_ratio(v))) * scale
+        for p, v in zip(phis, variables)
+    )
 
     options = []
     for f in fractional:

@@ -45,27 +45,18 @@ class SumScenario:
         for support, tag in zip(self.variables, self.choices):
             mgf_bound(support, tag)  # raises when a precondition is unsatisfied
 
-    @property
-    def n(self) -> int:
-        return len(self.variables)
-
 
 @dataclass(frozen=True)
 class TailCertificate:
     """A certified value of log P(tail event at threshold t).
 
-    ``vacuous`` flags log_bound > 0 (the bound exceeds 1; valid but empty).
-    ``beyond_support`` flags thresholds the sum cannot even reach, where the
-    true probability is 0 and the certificate is merely loose.  For two-sided
-    certificates s_star is the upper side's Chernoff parameter.
+    For two-sided certificates s_star is the upper side's Chernoff parameter.
     """
 
     t: float
     log_bound: float
     s_star: float
     side: Side
-    vacuous: bool
-    beyond_support: bool
 
 
 def order_k_scenario(
@@ -115,16 +106,7 @@ def _one_sided(scenario: SumScenario, t: float, side: Side) -> TailCertificate:
         raise ValueError("threshold t must be positive")
     log_mult, rate = totals(scenario)
     value = log_bound(log_mult, rate, t)
-    s_star = t / (2.0 * rate)
-    reach = sum(v.b for v in scenario.variables)
-    return TailCertificate(
-        t=t,
-        log_bound=value,
-        s_star=s_star,
-        side=side,
-        vacuous=value > 0.0,
-        beyond_support=t > reach,
-    )
+    return TailCertificate(t=t, log_bound=value, s_star=t / (2.0 * rate), side=side)
 
 
 def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
@@ -158,14 +140,7 @@ def two_sided_tail(
         log_bound += math.log(
             math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi)
         )
-    return TailCertificate(
-        t=t,
-        log_bound=log_bound,
-        s_star=upper.s_star,
-        side=Side.TWO_SIDED,
-        vacuous=log_bound > 0.0,
-        beyond_support=upper.beyond_support and lower.beyond_support,
-    )
+    return TailCertificate(t=t, log_bound=log_bound, s_star=upper.s_star, side=Side.TWO_SIDED)
 
 
 __all__ = [

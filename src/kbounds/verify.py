@@ -1,18 +1,23 @@
-"""The oracle side of `verify`: pmf stacks, gap tables and the Monte Carlo rows.
+"""The oracle side of `verify`: ``run`` takes the command's values and
+returns its gap rows and Monte Carlo rows.
 
 `verify` is the one command that draws pmfs, so this module imports numpy and
 ``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
-commands start without numpy.  Each support's catalog, labels and poisoned
-rates come first (``_gap_tables``), then its pmfs: under --random one seeded
-generator draws them as (xs, ps) stacks, one per atom count.  The log
-multipliers that read moments come from each pmf's measured m2 and m4
-(``bounds.measured_m2_log_multipliers``), and all are checked against the
-exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` then samples
-the group's sum against its certificates; ``cli`` writes both as CSV.
+commands start without numpy.  ``run`` checks every input before it draws:
+the poison rate, the sample count, the --a/--b/--pmfs rules, then each
+support's catalog, labels and poisoned rates (``_gap_tables``).  Each
+support's law is its first (xs, ps) stack: the extremal two-point law under
+--random, ``oracle.moment_matched_pmf`` for a scenario variable.  Under
+--random one seeded generator then draws each support's pmfs, one stack per
+atom count.  The log multipliers that read moments come from each pmf's
+measured m2 and m4 (``bounds.measured_m2_log_multipliers``), and all are
+checked against the exact log-MGF rows as (pmf x family x s) tables.
+``_mc_rows`` then samples the sum of the laws against its certificates.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -27,10 +32,11 @@ from .oracle import (
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
+    moments,
     random_mean_zero_stack,
     validity_gaps,
 )
-from .scenario import Scenario, grid
+from .scenario import Query, Scenario, grid
 from .selection import pareto_front
 from .tails import one_sided_tail, order_k_scenario
 
@@ -38,13 +44,6 @@ GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
 # Supports exercised by `verify --random` when none is given explicitly.
 CANONICAL_SUPPORTS = ((-1.0, 1.0), (-1.0, 5.0), (-5.0, 1.0), (-2.0, 3.0))
-
-
-def _measured_supports(support: BoundedSupport, xs, ps) -> list[BoundedSupport]:
-    """The support of each (xs, ps) row: [a, b] with the row's m2 and m4."""
-    m2s = moment_rows(xs, ps, 2).tolist()
-    m4s = moment_rows(xs, ps, 4).tolist()
-    return [BoundedSupport(support.a, support.b, m2, m4) for m2, m4 in zip(m2s, m4s)]
 
 
 def _gap_tables(support: BoundedSupport, k_max: int, poison: float):
@@ -92,62 +91,59 @@ def _family_max_gaps(batches) -> dict[str, float]:
     return max_gap
 
 
-def _verify_supports(args, scenario: Scenario | None) -> list[BoundedSupport]:
-    """The supports whose pmfs `verify` sweeps: the scenario's variables, or
+def _supports(scenario: Scenario | None, a, b, pmfs) -> list[BoundedSupport]:
+    """The supports whose laws `verify` sweeps: the scenario's variables, or
     under --random the --a/--b interval, else the canonical ones."""
     if scenario is not None:
-        given = [f"--{flag}" for flag in ("a", "b", "pmfs")
-                 if getattr(args, flag) is not None]
+        given = [f"--{flag}" for flag, value in (("a", a), ("b", b), ("pmfs", pmfs))
+                 if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)} can only be used with --random")
         return list(scenario.variables)
-    if (args.a is None) != (args.b is None):
+    if (a is None) != (b is None):
         raise ValueError("give both --a and --b, or neither")
-    if args.pmfs is not None and args.pmfs < 0:
-        raise ValueError(f"--pmfs must be >= 0, got {args.pmfs}")
-    if args.a is not None:
-        return [BoundedSupport(args.a, args.b)]
+    if pmfs is not None and pmfs < 0:
+        raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
+    if a is not None:
+        return [BoundedSupport(a, b)]
     return [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
 
 
-def _verify_pmfs(supports, random: bool, count: int, seed: int):
-    """Each support's (xs, ps) stacks whose MGF gaps are swept, and the group
-    whose sum is sampled.
-
-    Under --random one generator, seeded by ``seed``, draws each support's
-    ``count`` atom counts and then one stack per distinct count.
-    """
-    if not random:
-        pmfs = [moment_matched_pmf(support, seed=seed + i) for i, support in enumerate(supports)]
-        return [[pmf.stack()] for pmf in pmfs], pmfs
-    rng = np.random.default_rng(seed)
-    group = [extremal_two_point(support) for support in supports]
-    every_stack = []
-    for support, extremal in zip(supports, group):
-        atom_counts = rng.integers(2, 9, count)
-        stacks = [extremal.stack()]
-        for atoms, rows in zip(*np.unique(atom_counts, return_counts=True)):
-            stack = random_mean_zero_stack(support, int(atoms), int(rows), rng)
-            check_pmf_stack(*stack, support)
-            stacks.append(stack)
-        every_stack.append(stacks)
-    return every_stack, group
+def _random_stacks(support: BoundedSupport, count: int, rng):
+    """``count`` random pmfs on the support as (xs, ps) stacks, one per atom
+    count: ``rng`` draws the atom counts, then each stack."""
+    atom_counts = rng.integers(2, 9, count)
+    for atoms, rows in zip(*np.unique(atom_counts, return_counts=True)):
+        stack = random_mean_zero_stack(support, int(atoms), int(rows), rng)
+        check_pmf_stack(*stack, support)
+        yield stack
 
 
-def _mc_thresholds(scenario: Scenario | None, variables) -> tuple[float, ...]:
-    """The t values at which the group's sum is sampled: the scenario's that
+def _mc_thresholds(query: Query, reach: float) -> tuple[float, ...]:
+    """The t values at which the group's sum is sampled: the query's that
     the sum can reach, at most 8 of them evenly spread by index, else a quarter,
-    half and three quarters of its reach."""
-    reach = sum(v.b for v in variables)
-    ts = tuple(f * reach for f in (0.25, 0.5, 0.75))
-    if scenario is not None and (scenario.query.ts or scenario.query.t_range):
-        ts = tuple(t for t in scenario.query.resolve_ts() if t <= reach) or ts
-        if len(ts) > 8:
-            ts = tuple(ts[int(i)] for i in grid(0, len(ts) - 1, 8))
-    return ts
+    half and three quarters of its reach.
+
+    A t_range's grid never falls, so the t it can reach are a prefix, found by
+    bisection; only the picked t are built.
+    """
+    if query.t_range is not None:
+        lo, hi, count = query.t_range
+
+        def t_at(i: int) -> float:
+            return grid(lo, hi, count, (i,))[0]
+
+        reachable = bisect.bisect_right(range(count), reach, key=t_at)
+    else:
+        ts = [t for t in query.ts or () if t <= reach]
+        t_at, reachable = ts.__getitem__, len(ts)
+    if not reachable:
+        return tuple(f * reach for f in (0.25, 0.5, 0.75))
+    picks = range(reachable) if reachable <= 8 else grid(0, reachable - 1, 8)
+    return tuple(t_at(int(i)) for i in picks)
 
 
-def _mc_rows(scenario: Scenario | None, group, k_max: int, samples: int, seed: int):
+def _mc_rows(query: Query, group, k_max: int, samples: int, seed: int):
     """(t, ks, estimate, std_error, certificate, ok) rows: the group's sum
     sampled at each ``_mc_thresholds`` t against the certificates of all
     orders 1, all orders 2 (up to ``k_max``) and the front's best at t.
@@ -155,8 +151,9 @@ def _mc_rows(scenario: Scenario | None, group, k_max: int, samples: int, seed: i
     Each variable is its pmf's measured support; ``ok`` allows the estimate
     three standard errors above the certificate, capped at 1.
     """
-    variables = tuple(_measured_supports(p.support, *p.stack())[0] for p in group)
-    ts = _mc_thresholds(scenario, variables)
+    variables = tuple(BoundedSupport(p.support.a, p.support.b, moments(p, 2), moments(p, 4))
+                      for p in group)
+    ts = _mc_thresholds(query, sum(v.b for v in variables))
     front = pareto_front(variables, k_max)
     rows = []
     for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, samples, seed)):
@@ -169,3 +166,34 @@ def _mc_rows(scenario: Scenario | None, group, k_max: int, samples: int, seed: i
             certificate = math.exp(min(cert.log_bound, 0.0))
             rows.append((t, ks, estimate, se, certificate, estimate <= certificate + 3.0 * se))
     return rows
+
+
+def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int | None,
+        k_max: int, samples: int | None, seed: int | None, poison: float):
+    """`verify`'s (label, max_gap, violated) rows, sorted by label, and its
+    ``_mc_rows``; ``scenario`` is None under --random.
+
+    ``seed`` and ``samples`` default to the scenario's query, and ``pmfs``
+    (random pmfs per support, --random only) to 1000.  Each support's law is
+    its first stack, and under --random ``pmfs`` random pmfs follow; the laws
+    are the group whose sum is sampled.  A family is violated where its max
+    gap exceeds ``GAP_TOL``.
+    """
+    query = Query() if scenario is None else scenario.query
+    seed = query.seed if seed is None else seed
+    samples = query.samples if samples is None else samples
+    if not poison > 0.0:
+        raise ValueError("--poison-rate must be positive")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
+    supports = _supports(scenario, a, b, pmfs)
+    tables = [_gap_tables(support, k_max, poison) for support in supports]
+    laws = [extremal_two_point(support) if scenario is None
+            else moment_matched_pmf(support, seed=seed + i) for i, support in enumerate(supports)]
+    count = 0 if scenario is not None else 1000 if pmfs is None else pmfs
+    rng = np.random.default_rng(seed)
+    stacks = [[law.stack(), *_random_stacks(support, count, rng)]
+              for support, law in zip(supports, laws)]
+    max_gap = _family_max_gaps(zip(supports, tables, stacks))
+    gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
+    return gaps, _mc_rows(query, laws, k_max, samples, seed)

@@ -9,17 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbounds import cli, oracle, verify
 from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
-from kbounds.scenario import MAX_T_COUNT, load_scenario
+from kbounds.scenario import MAX_T_COUNT, Query, grid, load_scenario
 from kbounds.selection import regimes
 from kbounds.tails import log_bound, one_sided_tail, order_k_scenario, totals
 from test_bounds import reference_catalog
 from test_golden import FIXED
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
+from test_scenario import t_ranges
 from test_selection import staircase_front
 
 
@@ -461,6 +464,27 @@ def per_pmf_max_gaps(pmfs, k_max, poison):
     return max_gap
 
 
+def reference_mc_thresholds(query, reach):
+    """``verify._mc_thresholds`` as it was before it bisected a range: the
+    whole grid resolved, then the t the sum can reach, at most 8 by index."""
+    ts = tuple(f * reach for f in (0.25, 0.5, 0.75))
+    if query.ts or query.t_range:
+        ts = tuple(t for t in query.resolve_ts() if t <= reach) or ts
+        if len(ts) > 8:
+            ts = tuple(ts[int(i)] for i in grid(0, len(ts) - 1, 8))
+    return ts
+
+
+@st.composite
+def ranges_and_reaches(draw):
+    """A t range and a reach that cuts it anywhere: at any of its t or one ulp
+    either side, so below its first t and above its last too."""
+    lo, hi, count = draw(t_ranges())
+    t = grid(lo, hi, count, [draw(st.integers(0, count - 1))])[0]
+    reach = math.nextafter(t, draw(st.sampled_from([-math.inf, t, math.inf])))
+    return Query(t_range=(lo, hi, count)), reach
+
+
 class TestVerify:
     @pytest.mark.parametrize("poison", [1.0, 0.5])
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -631,6 +655,53 @@ class TestVerify:
         code, out, _ = run_cli(["verify", str(path), "--samples", "5000"], capsys)
         assert code == 0
         assert ks in [row[2] for row in rows(out) if row[0] == "mc"]
+
+    @given(ranges_and_reaches())
+    @settings(max_examples=300, deadline=None)
+    @example((Query(t_range=(0.1, 12.0, 10 ** 5)), 6.0))
+    @example((Query(t_range=(1e-320, 2e-320, 10 ** 5)), 1.5e-320))  # the step underflows
+    def test_mc_thresholds_match_the_resolved_range(self, case):
+        query, reach = case
+        assert verify._mc_thresholds(query, reach) == reference_mc_thresholds(query, reach)
+
+    @pytest.mark.parametrize(
+        "ts", [None, (3.0,), (11.0, 2.0, 8.0, 2.0, 50.0), tuple(map(float, range(1, 30))),
+               (50.0,)]
+    )
+    def test_mc_thresholds_of_a_t_list(self, ts):
+        query = Query(ts=ts)
+        assert verify._mc_thresholds(query, 10.5) == reference_mc_thresholds(query, 10.5)
+
+    def test_a_range_at_the_cap_is_never_resolved(self, fixtures_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        # verify builds only the t it samples at, and select rejects a range
+        # before it makes any t
+        def no_resolve(query):
+            raise AssertionError("resolved a t_range")
+
+        monkeypatch.setattr(Query, "resolve_ts", no_resolve)
+        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        doc["query"] = {"t_range": {"min": 0.1, "max": 12, "count": MAX_T_COUNT}}
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["verify", str(path), "--samples", "1000"], capsys)
+        assert code == 0
+        assert len({row[1] for row in rows(out) if row[0] == "mc"}) == 8
+        code, out, err = run_cli(["select", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "select needs a single t" in err
+
+    def test_m4_without_odd_moments_zero_is_checked_on_m2(self, tmp_path, capsys):
+        # tail accepts this variable, and so does verify: no bound reads m4
+        # unless the odd moments vanish, so its law matches m2 alone
+        doc = {"format_version": 1, "variables": [{"a": -1, "b": 5, "m2": 3, "m4": 9.5}],
+               "query": {"t": [1.0, 3.0]}}
+        path = tmp_path / "m4.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["tail", str(path)], capsys)[0] == 0
+        code, out, _ = run_cli(["verify", str(path), "--samples", "20000"], capsys)
+        assert code == 0
+        assert out.endswith("verdict,ok\n")
 
     @pytest.mark.parametrize(
         "flags", [["--a=-3", "--b", "7"], ["--a=-3"], ["--pmfs", "5"], ["--pmfs", "1000"]]

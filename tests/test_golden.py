@@ -1,5 +1,6 @@
-"""Golden stdout of the shipped fixture commands and of a fixed-choice
-scenario, `bound --family` and `verify --random` runs, pinned by sha256.
+"""Golden stdout of the shipped fixture commands, of a fixed-choice
+scenario's `tail`, `sweep` and `verify`, and of `bound --family` and
+`verify --random` runs, pinned by sha256.
 
 Each command runs in-process through ``cli.main``.  A change that moves a
 printed digit updates the hash here and lists the moved lines in CHANGES.md.
@@ -93,6 +94,10 @@ GOLDEN = [
      "1fd0724a7ba77c2bf380f26a456fb9861028639d4c9221d51401db719022a7ea"),
     (["verify", "example5.json", "--samples", "20000"],
      "ddce9beefd61fdaf80d4a1725de812e237247c94099a932f94883d51c3d78fa2"),
+    # moment_matched_pmf's laws: the m2 mixture, the random law and both
+    # symmetric cases
+    (["verify", "fixed.json", "--samples", "20000"],
+     "781acf8115eb2166a7ac9314c0335b5f7ed7e025d72584af4de554a63312f893"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],

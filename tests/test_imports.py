@@ -1,8 +1,8 @@
 """Which commands load numpy, read from `python -X importtime -m kbounds`.
 
-The bounds, scenarios, selection and tails are plain Python, `t_range` grids
-and `sweep`'s (group x t) table included; numpy loads only where a command
-draws pmfs: `verify`, and the oracle's own names.  The package keeps every
+The bounds, scenarios, selection and tails are plain Python, `t_range` grids,
+`sweep`'s (group x t) table and ``optimize_relaxed`` included; numpy loads
+only where a command draws pmfs: `verify`, and the oracle's own names.  The package keeps every
 name it exported when it imported the oracle eagerly.
 """
 
@@ -43,6 +43,9 @@ WITHOUT_NUMPY = {
                      "20"], 0),
     "tail t_range": (["-m", "kbounds", "tail", EXAMPLE5, "--t-range", "1", "2", "3"], 0),
     "tail file t_range": (["-m", "kbounds", "tail", EXAMPLE5], 0),
+    "optimize_relaxed": (["-c", "from kbounds import BoundedSupport, optimize_relaxed; "
+                          "optimize_relaxed([BoundedSupport(-1, 2), BoundedSupport(-5, 1)], 3)"],
+                         0),
 }
 WITH_NUMPY = {
     "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",

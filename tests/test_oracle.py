@@ -501,8 +501,19 @@ class TestMomentMatchedPmf:
         assert moments(pmf, 3) == pytest.approx(0.0, abs=1e-15)
 
     def test_unmatchable_moments_rejected(self):
+        # no symmetric three-atom law on [-1, 5] has m2 3 and m4 9.5: its
+        # atoms would sit at +-sqrt(9.5/3), outside the interval
         with pytest.raises(ValueError):
-            moment_matched_pmf(BoundedSupport(-1, 5, m2=3.0, m4=9.5))
+            moment_matched_pmf(BoundedSupport(-1, 5, m2=3.0, m4=9.5, odd_moments_zero=True))
+
+    def test_m4_without_odd_moments_zero_matches_m2_alone(self):
+        # no bound reads m4 unless the odd moments vanish
+        for support, reference in (
+            (BoundedSupport(-1, 5, m2=3.0, m4=9.5), BoundedSupport(-1, 5, m2=3.0)),
+            (BoundedSupport(-2, 1, m4=1.5), BoundedSupport(-2, 1)),
+        ):
+            pmf, expected = moment_matched_pmf(support, 4), moment_matched_pmf(reference, 4)
+            assert (pmf.xs, pmf.ps) == (expected.xs, expected.ps)
 
 
 class TestMcSumTail:

@@ -62,12 +62,6 @@ class TestOneSided:
             with pytest.raises(ValueError):
                 one_sided_tail(scenario, t)
 
-    def test_vacuous_and_beyond_support_flags(self):
-        small_t = one_sided_tail(order_k_scenario((S11,), (2,)), 0.1)
-        assert small_t.vacuous and small_t.log_bound > 0.0
-        far_t = one_sided_tail(SumScenario((S11,), (HERTZ,)), 5.0)
-        assert far_t.beyond_support and not far_t.vacuous
-
     def test_strictly_decreasing_in_t(self):
         scenario = order_k_scenario(EXAMPLE5, (1, 2, 1, 1))
         values = [one_sided_tail(scenario, t).log_bound for t in np.linspace(0.5, 11, 40)]
