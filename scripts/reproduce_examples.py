@@ -31,7 +31,7 @@ SUM_VARIABLES = (
 def main() -> None:
     for label, support in SINGLES:
         print(f"support {label}")
-        for k, k_next, t_star in crossover_table(support, 3).thresholds:
+        for k, k_next, t_star in crossover_table(support, 3):
             print(f"  order {k} -> {k_next} above t = {t_star:.4f}")
         print()
 

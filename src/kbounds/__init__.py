@@ -1,9 +1,10 @@
 """Order-k MGF bounds and Chernoff tail certificates for bounded variables.
 
-The bounds, scenarios, order selection and tails are pure Python.  Only the
-brute-force ``oracle`` (pmf stacks, exact MGFs, Monte Carlo) needs numpy, so
-its names load on first access: ``import kbounds`` and the commands that never
-touch the oracle start without numpy.
+The bounds, scenarios, order selection and tails are pure Python, and so is
+everything imported here.  numpy loads only with the brute-force oracle (pmf
+stacks, exact MGFs, Monte Carlo) and the `verify` command built on it: their
+names are reached as ``kbounds.oracle.X`` and ``kbounds.verify.X``, so
+``import kbounds`` and every other command start without numpy.
 """
 
 from .bounds import (
@@ -30,7 +31,6 @@ from .bounds import (
 )
 from .scenario import Query, Scenario, ScenarioError, load_scenario, parse_scenario
 from .selection import (
-    CrossoverTable,
     KSelection,
     ParetoFront,
     RelaxedSolution,
@@ -55,33 +55,3 @@ from .tails import (
 )
 
 __version__ = "0.1.0"
-
-_ORACLE_NAMES = frozenset({
-    "FinitePmf",
-    "check_pmf_stack",
-    "exact_log_mgf",
-    "exact_log_mgf_rows",
-    "extremal_two_point",
-    "mc_sum_tail",
-    "moment_matched_pmf",
-    "moment_rows",
-    "moments",
-    "random_mean_zero_pmf",
-    "random_mean_zero_stack",
-    "validity_gap",
-    "validity_gaps",
-})
-
-
-def __getattr__(name: str):
-    """The ``oracle`` module and its names, imported (with numpy) on first use."""
-    if name == "oracle" or name in _ORACLE_NAMES:
-        import importlib
-
-        oracle = importlib.import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORACLE_NAMES | {"oracle"})

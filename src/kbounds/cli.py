@@ -17,9 +17,9 @@ which families `bound --compare` and `verify` check.  What is left here is
 about flags alone: which go together, and that a `--t-range` COUNT is an
 integer.
 
-`verify` passes its values to ``kbounds.verify.run``, which fills in the
-query's seed and sample count, checks every input before it draws any pmf
-(so a bad `--k-max`, `--samples`, `--poison-rate` or interval exits 2 first)
+`verify` passes its values to ``kbounds.verify.run``, which puts the seed and
+sample count in the query, checks every input before it draws any pmf (so a
+bad `--k-max`, `--seed`, `--samples`, `--poison-rate` or interval exits 2 first)
 and returns the gap and Monte Carlo rows with their verdicts.  That module
 imports numpy; `cmd_verify` imports it when it runs and writes the rows as
 CSV.  Everything else here is pure Python, `t_range` grids (``scenario.grid``)
@@ -53,7 +53,7 @@ from .bounds import (
     mgf_bound,
     order_k,
 )
-from .scenario import Query, Scenario, ScenarioError, load_scenario, parse_family_tag
+from .scenario import Query, Scenario, load_scenario, parse_family_tag
 from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
@@ -201,7 +201,7 @@ def cmd_select(args) -> int:
         "variable,k,k_next,t_star",
     ]
     for i, support in enumerate(scenario.variables, start=1):
-        for k, k_next, t_star in crossover_table(support, args.k_max).thresholds:
+        for k, k_next, t_star in crossover_table(support, args.k_max):
             lines.append(f"{i},{k},{k_next},{g12(t_star)}")
     _emit(args, lines)
     return 0
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

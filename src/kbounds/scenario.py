@@ -21,8 +21,8 @@ Example::
 order2_moment, order4_moment, symmetric_order4 (order_k requires "k").
 
 The rules a CLI flag shares with a scenario file live here once: ``Query``
-checks t values and t ranges whether they come from ``query`` or from
-`--t`/`--t-range`, and ``parse_family_tag`` reads a choice or `bound`'s
+checks the t values, t range, sample count and seed of ``query`` and of the
+flags that replace them, and ``parse_family_tag`` reads a choice or `bound`'s
 `--family`/`--k`.  The parsers below check only JSON types and shapes.
 
 Files are read as UTF-8.  A t_range is resolved by ``grid``, numpy's
@@ -57,7 +57,8 @@ _TOP_KEYS = {"format_version", "variables", "choices", "query"}
 
 @dataclass(frozen=True)
 class Query:
-    """The t values or t range, side, sample count and seed of a scenario."""
+    """The t values or t range, side, sample count and seed of a scenario;
+    its rules hold alike for a file's ``query`` and the flags that replace it."""
 
     ts: tuple[float, ...] | None = None
     t_range: tuple[float, float, int] | None = None
@@ -66,6 +67,10 @@ class Query:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ScenarioError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.ts is not None and self.t_range is not None:
             raise ScenarioError("query has both t and t_range; give one")
         if self.ts is not None and (not self.ts or any(not t > 0.0 for t in self.ts)):
@@ -210,11 +215,11 @@ def _parse_query(obj) -> Query:
             valid = ", ".join(s.value for s in Side)
             raise ScenarioError(f"query.side must be one of: {valid}") from None
     samples = obj.get("samples", 10 ** 6)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ScenarioError("query.samples must be a positive integer")
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise ScenarioError("query.samples must be an integer")
     seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("query.seed must be a nonnegative integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ScenarioError("query.seed must be an integer")
     return Query(ts=ts, t_range=t_range, side=side, samples=samples, seed=seed)
 
 

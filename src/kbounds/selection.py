@@ -36,14 +36,6 @@ from .tails import log_bound
 
 
 @dataclass(frozen=True)
-class CrossoverTable:
-    """Per-support thresholds t* above which order k+1 beats order k."""
-
-    support: BoundedSupport
-    thresholds: tuple[tuple[int, int, float], ...]  # (k, k+1, t_star or nan)
-
-
-@dataclass(frozen=True)
 class KSelection:
     """An order assignment and the one-sided log bound it achieves at t."""
 
@@ -73,15 +65,15 @@ def crossover_threshold(support: BoundedSupport, k: int) -> float:
     return phi(support) * math.sqrt(2.0 * gap)
 
 
-def crossover_table(support: BoundedSupport, k_max: int = 8) -> CrossoverTable:
-    """t* for k = 1..k_max, nan where the moment-refined A_{k+1} dips below A_k."""
+def crossover_table(support: BoundedSupport, k_max: int = 8) -> tuple[tuple[int, int, float], ...]:
+    """(k, k+1, t*) rows, k = 1..k_max; t* is nan where the refined A_{k+1} dips below A_k."""
     rows = []
     for k in range(1, k_max + 1):
         try:
             rows.append((k, k + 1, crossover_threshold(support, k)))
         except RuntimeError:
             rows.append((k, k + 1, math.nan))
-    return CrossoverTable(support, tuple(rows))
+    return tuple(rows)
 
 
 def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:

@@ -10,7 +10,7 @@ combined bound  L + R s^2 - s t  is s* = t / (2R), giving
 
 Mirroring the supports (X -> -X) expresses the lower tail; the two-sided
 certificate is the log-sum-exp of the two one-sided ones and may use
-different per-variable orders on each side.
+different per-variable orders on each side.  A certificate holds no t or side.
 """
 
 from __future__ import annotations
@@ -48,15 +48,13 @@ class SumScenario:
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """A certified value of log P(tail event at threshold t).
+    """A certified log P(tail event at the caller's t) and its s* = t / (2R).
 
     For two-sided certificates s_star is the upper side's Chernoff parameter.
     """
 
-    t: float
     log_bound: float
     s_star: float
-    side: Side
 
 
 def order_k_scenario(
@@ -101,25 +99,19 @@ def log_bound(L, R, t):
     return L - t * t / (4.0 * R)
 
 
-def _one_sided(scenario: SumScenario, t: float, side: Side) -> TailCertificate:
+def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
+    """Certificate for log P(S_n >= t), t > 0."""
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
     log_mult, rate = totals(scenario)
-    value = log_bound(log_mult, rate, t)
-    return TailCertificate(t=t, log_bound=value, s_star=t / (2.0 * rate), side=side)
-
-
-def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
-    """Certificate for log P(S_n >= t), t > 0."""
-    return _one_sided(scenario, t, Side.UPPER)
+    return TailCertificate(log_bound(log_mult, rate, t), t / (2.0 * rate))
 
 
 def lower_tail(
     scenario: SumScenario, t: float, choices: tuple[FamilyTag, ...] | None = None
 ) -> TailCertificate:
     """Certificate for log P(S_n <= -t) via the mirrored supports."""
-    cert = _one_sided(mirror_scenario(scenario, choices), t, Side.LOWER)
-    return cert
+    return one_sided_tail(mirror_scenario(scenario, choices), t)
 
 
 def two_sided_tail(
@@ -140,19 +132,4 @@ def two_sided_tail(
         log_bound += math.log(
             math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi)
         )
-    return TailCertificate(t=t, log_bound=log_bound, s_star=upper.s_star, side=Side.TWO_SIDED)
-
-
-__all__ = [
-    "Side",
-    "SumScenario",
-    "TailCertificate",
-    "log_bound",
-    "lower_tail",
-    "mirror",
-    "mirror_scenario",
-    "one_sided_tail",
-    "order_k_scenario",
-    "totals",
-    "two_sided_tail",
-]
+    return TailCertificate(log_bound, upper.s_star)

@@ -4,20 +4,22 @@ returns its gap rows and Monte Carlo rows.
 `verify` is the one command that draws pmfs, so this module imports numpy and
 ``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
 commands start without numpy.  ``run`` checks every input before it draws:
-the poison rate, the sample count, the --a/--b/--pmfs rules, then each
-support's catalog, labels and poisoned rates (``_gap_tables``).  Each
-support's law is its first (xs, ps) stack: the extremal two-point law under
---random, ``oracle.moment_matched_pmf`` for a scenario variable.  Under
---random one seeded generator then draws each support's pmfs, one stack per
-atom count.  The log multipliers that read moments come from each pmf's
-measured m2 and m4 (``bounds.measured_m2_log_multipliers``), and all are
-checked against the exact log-MGF rows as (pmf x family x s) tables.
-``_mc_rows`` then samples the sum of the laws against its certificates.
+the seed and sample count by ``scenario.Query``'s rules, the poison rate, at
+least ``MIN_SAMPLES`` samples, the --a/--b/--pmfs rules, a finite max(|a|, b)^4
+per support, then each support's catalog, labels and poisoned rates
+(``_gap_tables``).  Each support's law is its first (xs, ps) stack: the
+extremal two-point law under --random, ``oracle.moment_matched_pmf`` for a
+scenario variable.  Under --random one seeded generator then draws each
+support's pmfs, one stack per atom count.  The log multipliers that read
+moments come from each pmf's measured m2 and m4, and all are checked against
+the exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples
+the sum of the laws against its certificates.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -93,20 +95,26 @@ def _family_max_gaps(batches) -> dict[str, float]:
 
 def _supports(scenario: Scenario | None, a, b, pmfs) -> list[BoundedSupport]:
     """The supports whose laws `verify` sweeps: the scenario's variables, or
-    under --random the --a/--b interval, else the canonical ones."""
+    under --random the --a/--b interval, else the canonical ones.  Each one's
+    max(|a|, b)^4 must be finite as ``moment_rows`` computes it."""
     if scenario is not None:
         given = [f"--{flag}" for flag, value in (("a", a), ("b", b), ("pmfs", pmfs))
                  if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)} can only be used with --random")
-        return list(scenario.variables)
-    if (a is None) != (b is None):
-        raise ValueError("give both --a and --b, or neither")
-    if pmfs is not None and pmfs < 0:
-        raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
-    if a is not None:
-        return [BoundedSupport(a, b)]
-    return [BoundedSupport(a, b) for a, b in CANONICAL_SUPPORTS]
+        supports = list(scenario.variables)
+    else:
+        if (a is None) != (b is None):
+            raise ValueError("give both --a and --b, or neither")
+        if pmfs is not None and pmfs < 0:
+            raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
+        supports = [BoundedSupport(*ab) for ab in (CANONICAL_SUPPORTS if a is None else [(a, b)])]
+    for support in supports:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.asarray([max(-support.a, support.b)]) ** 4).all():
+                raise ValueError(f"support [{support.a}, {support.b}] is too wide to "
+                                 "verify: max(|a|, b)^4 overflows")
+    return supports
 
 
 def _random_stacks(support: BoundedSupport, count: int, rng):
@@ -143,7 +151,7 @@ def _mc_thresholds(query: Query, reach: float) -> tuple[float, ...]:
     return tuple(t_at(int(i)) for i in picks)
 
 
-def _mc_rows(query: Query, group, k_max: int, samples: int, seed: int):
+def _mc_rows(query: Query, group, k_max: int):
     """(t, ks, estimate, std_error, certificate, ok) rows: the group's sum
     sampled at each ``_mc_thresholds`` t against the certificates of all
     orders 1, all orders 2 (up to ``k_max``) and the front's best at t.
@@ -156,7 +164,7 @@ def _mc_rows(query: Query, group, k_max: int, samples: int, seed: int):
     ts = _mc_thresholds(query, sum(v.b for v in variables))
     front = pareto_front(variables, k_max)
     rows = []
-    for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, samples, seed)):
+    for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, query.samples, query.seed)):
         candidates = [(k,) * len(group) for k in (1, 2) if k <= k_max]
         best = front.best(t).ks
         if best not in candidates:
@@ -173,27 +181,28 @@ def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int |
     """`verify`'s (label, max_gap, violated) rows, sorted by label, and its
     ``_mc_rows``; ``scenario`` is None under --random.
 
-    ``seed`` and ``samples`` default to the scenario's query, and ``pmfs``
-    (random pmfs per support, --random only) to 1000.  Each support's law is
-    its first stack, and under --random ``pmfs`` random pmfs follow; the laws
-    are the group whose sum is sampled.  A family is violated where its max
-    gap exceeds ``GAP_TOL``.
+    ``seed`` and ``samples`` replace the query's own, whose rules check them
+    first; ``pmfs`` (random pmfs per support, --random only) defaults to 1000.
+    Each support's law is its first stack, and under --random ``pmfs`` random
+    pmfs follow; the laws are the group whose sum is sampled.  A family is
+    violated where its max gap exceeds ``GAP_TOL``.
     """
     query = Query() if scenario is None else scenario.query
-    seed = query.seed if seed is None else seed
-    samples = query.samples if samples is None else samples
+    query = dataclasses.replace(query, seed=query.seed if seed is None else seed,
+                                samples=query.samples if samples is None else samples)
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {samples}")
+    if query.samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {query.samples}")
     supports = _supports(scenario, a, b, pmfs)
     tables = [_gap_tables(support, k_max, poison) for support in supports]
     laws = [extremal_two_point(support) if scenario is None
-            else moment_matched_pmf(support, seed=seed + i) for i, support in enumerate(supports)]
+            else moment_matched_pmf(support, seed=query.seed + i)
+            for i, support in enumerate(supports)]
     count = 0 if scenario is not None else 1000 if pmfs is None else pmfs
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(query.seed)
     stacks = [[law.stack(), *_random_stacks(support, count, rng)]
               for support, law in zip(supports, laws)]
     max_gap = _family_max_gaps(zip(supports, tables, stacks))
     gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
-    return gaps, _mc_rows(query, laws, k_max, samples, seed)
+    return gaps, _mc_rows(query, laws, k_max)

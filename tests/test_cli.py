@@ -739,7 +739,8 @@ class TestVerify:
         "flags, message",
         [(["--samples", "10"], "samples"), (["--samples", "999"], "samples"),
          (["--k-max", "0"], "k_max"), (["--k-max", "-3"], "k_max"),
-         (["--poison-rate", "0"], "--poison-rate"), (["--poison-rate", "-1"], "--poison-rate")],
+         (["--poison-rate", "0"], "--poison-rate"), (["--poison-rate", "-1"], "--poison-rate"),
+         (["--seed", "-1"], "seed")],
     )
     def test_bad_input_exits_2_before_any_pmf_is_drawn(self, capsys, monkeypatch,
                                                        fixtures_dir, flags, message):
@@ -753,6 +754,32 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert message in err
+
+    @pytest.mark.parametrize("source", ["flags", "scenario"])
+    def test_overflowing_fourth_powers_exit_2_before_any_pmf_is_drawn(
+            self, tmp_path, capsys, monkeypatch, source):
+        def no_pmfs(*args, **kwargs):
+            raise AssertionError("drew pmfs for a rejected command")
+
+        monkeypatch.setattr(verify, "random_mean_zero_stack", no_pmfs)
+        monkeypatch.setattr(verify, "moment_matched_pmf", no_pmfs)
+        if source == "flags":
+            argv = ["verify", "--random", "--a=-1", "--b", "2e77", "--pmfs", "10",
+                    "--samples", "1000"]
+            interval = "[-1.0, 2e+77]"
+        else:
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps({"format_version": 1,
+                                        "variables": [{"a": -1, "b": 1e78}]}))
+            assert run_cli(["tail", str(path), "--t", "1"], capsys)[0] == 0
+            argv = ["verify", str(path), "--samples", "1000"]
+            interval = "[-1.0, 1e+78]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert interval in err and "^4 overflows" in err
 
     def test_mc_candidates_respect_k_max(self, capsys):
         code, out, _ = run_cli(
@@ -811,6 +838,8 @@ SHARED_RULES = {
         {"query": {"t": [1], "t_range": {"min": 1, "max": 2, "count": 3}}},
         ["--t", "1", "--t-range", "1", "2", "3"],
     ),
+    "seed < 0": ({"query": {"t": [1], "seed": -1}}, ["--seed", "-1"]),
+    "samples < 1": ({"query": {"t": [1], "samples": 0}}, ["--samples", "0"]),
 }
 
 
@@ -821,6 +850,8 @@ def test_file_and_flag_break_a_rule_alike(fixtures_dir, tmp_path, capsys, fields
     from_file = run_cli(["tail", str(path)], capsys)
     if "--family" in flags:
         argv = ["bound", "--a=-1", "--b", "1", "--s", "1", *flags]
+    elif flags[0] in ("--seed", "--samples"):
+        argv = ["verify", str(fixtures_dir / "example1.json"), *flags]
     else:
         argv = ["tail", str(fixtures_dir / "example1.json"), *flags]
     assert run_cli(argv, capsys) == from_file

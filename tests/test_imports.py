@@ -2,8 +2,9 @@
 
 The bounds, scenarios, selection and tails are plain Python, `t_range` grids,
 `sweep`'s (group x t) table and ``optimize_relaxed`` included; numpy loads
-only where a command draws pmfs: `verify`, and the oracle's own names.  The package keeps every
-name it exported when it imported the oracle eagerly.
+only where pmfs are drawn: the `verify` command and ``kbounds.oracle``.  The
+package exports the pure-Python names alone, so an oracle name is reached
+through ``kbounds.oracle`` and never through ``kbounds`` itself.
 """
 
 import json
@@ -50,24 +51,21 @@ WITHOUT_NUMPY = {
 WITH_NUMPY = {
     "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",
                 "1000"], 0),
-    "oracle name": (["-c", "from kbounds import FinitePmf"], 0),
+    "oracle name": (["-c", "from kbounds.oracle import FinitePmf"], 0),
 }
 
-# every name kbounds/__init__.py exported while it imported oracle eagerly
+# every name kbounds/__init__.py exports
 EXPORTED = """
     CLASSIC HERTZ ORDER2_MOMENT ORDER4_MOMENT SYMMETRIC_ORDER4 BoundedSupport
     Family FamilyTag MgfBound catalog endpoint_ratio eval_log_mgf_bound mgf_bound
     moment_caps multiplier_log order_k phi psi reads_moments upsilon_log
-    FinitePmf check_pmf_stack exact_log_mgf exact_log_mgf_rows extremal_two_point
-    mc_sum_tail moment_matched_pmf moment_rows moments random_mean_zero_pmf
-    random_mean_zero_stack validity_gap validity_gaps
     Query Scenario ScenarioError load_scenario parse_scenario
-    CrossoverTable KSelection ParetoFront RelaxedSolution best_k_single
+    KSelection ParetoFront RelaxedSolution best_k_single
     best_region_partition crossover_table crossover_threshold optimize_exact
     optimize_relaxed pareto_front
     Side SumScenario TailCertificate lower_tail mirror mirror_scenario
     one_sided_tail order_k_scenario two_sided_tail
-    __version__ bounds oracle scenario selection tails
+    __version__ bounds scenario selection tails
 """.split()
 
 
@@ -113,3 +111,8 @@ def test_exported_names_resolve():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         kbounds.no_such_name
+
+
+def test_oracle_names_are_not_exported():
+    with pytest.raises(ImportError, match="FinitePmf"):
+        from kbounds import FinitePmf  # noqa: F401

@@ -263,9 +263,9 @@ class TestCrossoverThreshold:
             assert crossover_threshold(support, 1) < crossover_threshold(support, 2)
 
     def test_table(self):
-        table = crossover_table(S11, 3)
-        assert [(k, k2) for k, k2, _ in table.thresholds] == [(1, 2), (2, 3), (3, 4)]
-        assert all(t > 0 for _, _, t in table.thresholds)
+        rows = crossover_table(S11, 3)
+        assert [(k, k2) for k, k2, _ in rows] == [(1, 2), (2, 3), (3, 4)]
+        assert all(t > 0 for _, _, t in rows)
 
     def test_inconsistent_ladder_raises(self):
         # the k=4 moment form can undercut A_3, leaving no finite crossover

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kbounds.bounds import CLASSIC, HERTZ, BoundedSupport, order_k
 from kbounds.oracle import mc_sum_tail, random_mean_zero_pmf
 from kbounds.tails import (
-    Side,
     SumScenario,
     lower_tail,
     mirror,
@@ -45,7 +44,6 @@ class TestOneSided:
         cert = one_sided_tail(SumScenario((S11,), (HERTZ,)), 1.0)
         assert cert.log_bound == pytest.approx(-0.5, rel=1e-12)
         assert cert.s_star == pytest.approx(1.0, rel=1e-12)
-        assert cert.side is Side.UPPER
 
     def test_four_variable_sum_all_k1(self):
         # sum of Phi^2 over the four intervals is 1 + 25 + 9 + 5 = 40
@@ -124,7 +122,6 @@ class TestTwoSided:
         one = one_sided_tail(scenario, 1.2)
         two = two_sided_tail(scenario, 1.2)
         assert two.log_bound == pytest.approx(math.log(2) + one.log_bound, rel=1e-12)
-        assert two.side is Side.TWO_SIDED
 
     def test_asymmetric_sides_use_their_own_geometry(self):
         # upper side: [-1,5] at k=1 (Phi=3); lower side: mirrored [-5,1] at
