@@ -26,9 +26,12 @@ CSV.  Everything else here is pure Python, `t_range` grids (``scenario.grid``)
 and `sweep`'s (group x t) table included, so every command but `verify`
 starts without numpy.  `select` rejects a t range before it builds one.
 
-One-sided certificates and `sweep` curves are ``tails.log_bound`` of
-``tails.totals``; `sweep` crossovers are the ``selection.regimes`` edges from
-the least to the greatest t, whatever the number or order of the t values.
+A two-sided `tail` row is ``tails.two_sided`` of its two sides.  Under auto
+choices a side's row is ``tails.certificate`` of its ``pareto_front``'s point
+at t; fixed choices run the scenario through ``one_sided_tail`` or
+``lower_tail`` at each t.  `sweep` curves are ``tails.log_bound`` of
+``tails.totals``; its crossovers are the ``selection.regimes`` edges from the
+least to the greatest t, whatever the number or order of the t values.
 All numeric CSV cells use 12 significant digits and LF line endings, so the
 output is byte-stable for fixed inputs and seed.  Every command runs in one
 thread.  Float options must be finite, and so must every bound `tail`,
@@ -51,19 +54,19 @@ from .bounds import (
     catalog,
     eval_log_mgf_bound,
     mgf_bound,
-    order_k,
 )
 from .scenario import Query, Scenario, load_scenario, parse_family_tag
 from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
+    certificate,
     log_bound,
     lower_tail,
     mirror,
     one_sided_tail,
     order_k_scenario,
     totals,
-    two_sided_tail,
+    two_sided,
 )
 
 
@@ -145,41 +148,39 @@ def cmd_tail(args) -> int:
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
     ts = query.resolve_ts()
-    variables = scenario.variables
-    two_sided = query.side is Side.TWO_SIDED
+    if not scenario.auto and args.k_max is not None:
+        raise ValueError('--k-max applies only to "choices": "auto" scenarios')
+    # True for the lower side: the upper tail of the mirrored supports
+    sides = {Side.UPPER: [False], Side.LOWER: [True], Side.TWO_SIDED: [False, True]}[query.side]
+    mirrored = []
+    if True in sides:  # once, before any row
+        for i, support in enumerate(scenario.variables):
+            try:
+                mirrored.append(mirror(support))
+            except ValueError as exc:
+                raise ValueError(f"variables[{i}] mirrored for the lower tail: {exc}") from exc
     if scenario.auto:
         k_max = 8 if args.k_max is None else args.k_max
-        # the lower tail is the upper tail of the mirrored supports, so the
-        # lower side selects on those
-        if query.side is not Side.LOWER:
-            best_up = pareto_front(variables, k_max).best
-        if query.side is not Side.UPPER:
-            best_dn = pareto_front(tuple(mirror(v) for v in variables), k_max).best
-    elif args.k_max is not None:
-        raise ValueError('--k-max applies only to "choices": "auto" scenarios')
+        fronts = [pareto_front(mirrored if lower else scenario.variables, k_max) for lower in sides]
+
+        def certificates(t: float):
+            for front in fronts:
+                i = front.index(t)
+                yield certificate(front.L[i], front.R[i], t), "|".join(map(str, front.ks[i]))
+    else:
+        def certificates(t: float):
+            chosen = scenario.sum_scenario()
+            cell = _choice_cell(chosen.choices)
+            return [((lower_tail if lower else one_sided_tail)(chosen, t), cell) for lower in sides]
 
     def row(t: float) -> str:
-        if scenario.auto:
-            best = best_dn if query.side is Side.LOWER else best_up
-            chosen = order_k_scenario(variables, best(t).ks)
-            mirrored = tuple(order_k(k) for k in best_dn(t).ks) if two_sided else None
-        else:
-            chosen, mirrored = scenario.sum_scenario(), None
-        if query.side is Side.UPPER:
-            cert = one_sided_tail(chosen, t)
-        elif query.side is Side.LOWER:
-            cert = lower_tail(chosen, t)
-        else:
-            cert = two_sided_tail(chosen, t, mirrored)
+        certs, cells = zip(*certificates(t))
+        cert = two_sided(*certs) if len(certs) == 2 else certs[0]
         if not (math.isfinite(cert.log_bound) and math.isfinite(cert.s_star)):
             raise ValueError(f"t={g12(t)}: the certificate is not finite")
-        cell = _choice_cell(chosen.choices)
-        line = f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)},{cell}"
-        if two_sided:
-            line += "," + (cell if mirrored is None else _choice_cell(mirrored))
-        return line
+        return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + ",".join(cells)
 
-    header = "t,log_bound,s_star,ks" + (",ks_mirror" if two_sided else "")
+    header = "t,log_bound,s_star,ks" + (",ks_mirror" if len(sides) == 2 else "")
     lines = [header] + [row(t) for t in ts]
     _emit(args, lines)
     return 0

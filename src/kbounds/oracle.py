@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundedSupport, MgfBound
+from .scenario import MIN_SAMPLES
 
 _SUM_TOL = 1e-12
-
-# fewest Monte Carlo samples `mc_sum_tail` draws
-MIN_SAMPLES = 10 ** 3
 
 # samples `mc_sum_tail` draws and counts at a time
 MC_CHUNK = 2 ** 16

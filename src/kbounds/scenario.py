@@ -21,9 +21,9 @@ Example::
 order2_moment, order4_moment, symmetric_order4 (order_k requires "k").
 
 The rules a CLI flag shares with a scenario file live here once: ``Query``
-checks the t values, t range, sample count and seed of ``query`` and of the
-flags that replace them, and ``parse_family_tag`` reads a choice or `bound`'s
-`--family`/`--k`.  The parsers below check only JSON types and shapes.
+checks the t values, t range, sample count (``MIN_SAMPLES`` at least) and
+seed of ``query`` and of the flags that replace them, and ``parse_family_tag``
+reads a choice or `bound`'s `--family`/`--k`.  The parsers below check only JSON types and shapes.
 
 Files are read as UTF-8.  A t_range is resolved by ``grid``, numpy's
 ``linspace`` in plain Python, so nothing here imports numpy; ``grid`` also
@@ -43,6 +43,9 @@ from .tails import Side, SumScenario
 
 # most t values a t_range may ask for: each one is a row held in memory
 MAX_T_COUNT = 10 ** 7
+
+# fewest Monte Carlo samples a query may ask for, from a file or a flag
+MIN_SAMPLES = 10 ** 3
 
 
 class ScenarioError(ValueError):
@@ -67,8 +70,8 @@ class Query:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ScenarioError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < MIN_SAMPLES:
+            raise ScenarioError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.ts is not None and self.t_range is not None:

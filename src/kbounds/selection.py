@@ -20,7 +20,7 @@ rounded by the hull over each variable's floor and ceiling.  Two vectors tie
 where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free.
 
 Everything here is plain Python on tuples of floats: the hull,
-``ParetoFront.best`` and ``regimes`` with the float expressions, summation
+``ParetoFront.index`` and ``regimes`` with the float expressions, summation
 order and first-minimum ties that numpy gave them, and ``optimize_relaxed``'s
 profile with ``math.log1p`` and a sum in variable order, so nothing here
 imports numpy.
@@ -106,17 +106,21 @@ class ParetoFront:
     L: tuple[float, ...]
     R: tuple[float, ...]
 
-    def best(self, t: float) -> KSelection:
-        """Minimum over the front at t; exact ties go to the smaller vector."""
+    def index(self, t: float) -> int:
+        """Where the front is least at t; exact ties go to the smaller vector."""
         if not t > 0.0:
             raise ValueError("threshold t must be positive")
         obj = [log_bound(l, r, t) for l, r in zip(self.L, self.R)]
-        i = obj.index(min(obj))  # the first minimum: the lexicographically smallest
-        return KSelection(self.ks[i], obj[i])
+        return obj.index(min(obj))  # the first minimum: the lexicographically smallest
+
+    def best(self, t: float) -> KSelection:
+        """Minimum over the front at t; exact ties go to the smaller vector."""
+        i = self.index(t)
+        return KSelection(self.ks[i], log_bound(self.L[i], self.R[i], t))
 
 
 def pareto_front(variables, k_max: int = 8) -> ParetoFront:
-    """The lower-left (L, R) hull of {1..k_max}^n, for ``ParetoFront.best``.
+    """The lower-left (L, R) hull of {1..k_max}^n, for ``ParetoFront.index``.
 
     Only hull vertices can win or tie at any t (see the module docstring).
     A vertex of a Minkowski sum is one vertex of each summand, so it is one

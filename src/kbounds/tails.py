@@ -6,11 +6,12 @@ combined bound  L + R s^2 - s t  is s* = t / (2R), giving
 
     log P(S_n >= t) <= L - t^2 / (4R).
 
-``totals`` forms (L, R) and ``log_bound`` is that exponent, for every caller.
+``totals`` forms a scenario's (L, R), ``log_bound`` is that exponent for every
+caller, and ``certificate`` makes the certificate of any summed (L, R).
 
-Mirroring the supports (X -> -X) expresses the lower tail; the two-sided
-certificate is the log-sum-exp of the two one-sided ones and may use
-different per-variable orders on each side.  A certificate holds no t or side.
+Mirroring the supports (X -> -X) expresses the lower tail.  ``two_sided`` is
+the one log-sum-exp of an upper and a lower certificate, each side with its
+own per-variable orders.  A certificate holds no t or side.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ class SumScenario:
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """A certified log P(tail event at the caller's t) and its s* = t / (2R).
-
-    For two-sided certificates s_star is the upper side's Chernoff parameter.
-    """
+    """A certified log P(tail event at the caller's t) and its s* = t / (2R),
+    the upper side's for a two-sided certificate."""
 
     log_bound: float
     s_star: float
@@ -75,12 +74,9 @@ def mirror(support: BoundedSupport) -> BoundedSupport:
     )
 
 
-def mirror_scenario(
-    scenario: SumScenario, choices: tuple[FamilyTag, ...] | None = None
-) -> SumScenario:
-    """Scenario for -S_n; by default each variable keeps its bound choice."""
-    mirrored = tuple(mirror(v) for v in scenario.variables)
-    return SumScenario(mirrored, choices if choices is not None else scenario.choices)
+def mirror_scenario(scenario: SumScenario) -> SumScenario:
+    """Scenario for -S_n: each variable mirrored, keeping its bound choice."""
+    return SumScenario(tuple(mirror(v) for v in scenario.variables), scenario.choices)
 
 
 def totals(scenario: SumScenario) -> tuple[float, float]:
@@ -99,37 +95,33 @@ def log_bound(L, R, t):
     return L - t * t / (4.0 * R)
 
 
-def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
-    """Certificate for log P(S_n >= t), t > 0."""
+def certificate(L: float, R: float, t: float) -> TailCertificate:
+    """Certificate for log P(S_n >= t), t > 0, from the summed (L, R)."""
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
-    log_mult, rate = totals(scenario)
-    return TailCertificate(log_bound(log_mult, rate, t), t / (2.0 * rate))
+    return TailCertificate(log_bound(L, R, t), t / (2.0 * R))
 
 
-def lower_tail(
-    scenario: SumScenario, t: float, choices: tuple[FamilyTag, ...] | None = None
-) -> TailCertificate:
-    """Certificate for log P(S_n <= -t) via the mirrored supports."""
-    return one_sided_tail(mirror_scenario(scenario, choices), t)
-
-
-def two_sided_tail(
-    scenario: SumScenario,
-    t: float,
-    mirrored_choices: tuple[FamilyTag, ...] | None = None,
-) -> TailCertificate:
-    """Certificate for log P(|S_n| >= t): log-sum-exp of the two sides.
-
-    The lower side runs on the mirrored supports and may use its own bound
-    choices; omitted, each variable reuses its upper-side choice.
-    """
-    upper = one_sided_tail(scenario, t)
-    lower = lower_tail(scenario, t, mirrored_choices)
+def two_sided(upper: TailCertificate, lower: TailCertificate) -> TailCertificate:
+    """Certificate for log P(|S_n| >= t) from the two one-sided ones at t:
+    their log-sum-exp, with the upper side's s*."""
     hi = max(upper.log_bound, lower.log_bound)
     log_bound = hi  # both sides -inf: their difference would be nan
     if hi > -math.inf:
-        log_bound += math.log(
-            math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi)
-        )
+        log_bound += math.log(math.exp(upper.log_bound - hi) + math.exp(lower.log_bound - hi))
     return TailCertificate(log_bound, upper.s_star)
+
+
+def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
+    """Certificate for log P(S_n >= t), t > 0."""
+    return certificate(*totals(scenario), t)
+
+
+def lower_tail(scenario: SumScenario, t: float) -> TailCertificate:
+    """Certificate for log P(S_n <= -t) via the mirrored supports."""
+    return one_sided_tail(mirror_scenario(scenario), t)
+
+
+def two_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
+    """Certificate for log P(|S_n| >= t), each choice kept on both sides."""
+    return two_sided(one_sided_tail(scenario, t), lower_tail(scenario, t))

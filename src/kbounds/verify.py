@@ -4,13 +4,13 @@ returns its gap rows and Monte Carlo rows.
 `verify` is the one command that draws pmfs, so this module imports numpy and
 ``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
 commands start without numpy.  ``run`` checks every input before it draws:
-the seed and sample count by ``scenario.Query``'s rules, the poison rate, at
-least ``MIN_SAMPLES`` samples, the --a/--b/--pmfs rules, a finite max(|a|, b)^4
-per support, then each support's catalog, labels and poisoned rates
-(``_gap_tables``).  Each support's law is its first (xs, ps) stack: the
-extremal two-point law under --random, ``oracle.moment_matched_pmf`` for a
-scenario variable.  Under --random one seeded generator then draws each
-support's pmfs, one stack per atom count.  The log multipliers that read
+the seed and sample count by ``scenario.Query``'s rules (a seed of at least 0,
+at least ``MIN_SAMPLES`` samples), the poison rate, the --a/--b/--pmfs rules,
+a finite max(|a|, b)^4 per support, then each support's catalog, labels and
+poisoned rates (``_gap_tables``).  Each support's law is its first (xs, ps)
+stack: the extremal two-point law under --random,
+``oracle.moment_matched_pmf`` for a scenario variable.  Under --random one
+seeded generator then draws each support's pmfs, one stack per atom count.  The log multipliers that read
 moments come from each pmf's measured m2 and m4, and all are checked against
 the exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples
 the sum of the laws against its certificates.
@@ -26,7 +26,6 @@ import numpy as np
 
 from .bounds import BoundedSupport, catalog, measured_m2_log_multipliers, reads_moments
 from .oracle import (
-    MIN_SAMPLES,
     S_GRID,
     check_pmf_stack,
     exact_log_mgf_rows,
@@ -192,8 +191,6 @@ def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int |
                                 samples=query.samples if samples is None else samples)
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
-    if query.samples < MIN_SAMPLES:
-        raise ValueError(f"use at least {MIN_SAMPLES} samples, got {query.samples}")
     supports = _supports(scenario, a, b, pmfs)
     tables = [_gap_tables(support, k_max, poison) for support in supports]
     laws = [extremal_two_point(support) if scenario is None

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,9 +18,19 @@ from kbounds import cli, oracle, verify
 from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
-from kbounds.scenario import MAX_T_COUNT, Query, grid, load_scenario
-from kbounds.selection import regimes
-from kbounds.tails import log_bound, one_sided_tail, order_k_scenario, totals
+from kbounds.scenario import MAX_T_COUNT, MIN_SAMPLES, Query, grid, load_scenario
+from kbounds.selection import pareto_front, regimes
+from kbounds.tails import (
+    Side,
+    log_bound,
+    lower_tail,
+    mirror,
+    one_sided_tail,
+    order_k_scenario,
+    totals,
+    two_sided,
+    two_sided_tail,
+)
 from test_bounds import reference_catalog
 from test_golden import FIXED
 from test_oracle import list_validity_gap, mixed_pmfs, stack_of
@@ -274,6 +286,130 @@ class TestTail:
         )
         code, _, err = run_cli(["tail", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("choices", ["auto", [{"family": "hertz"}, {"family": "classic"}]])
+    @pytest.mark.parametrize(
+        "variable, refusal",
+        [({"a": -1e10, "b": 1e-300}, "support [-1e-300, 10000000000.0] is too lopsided"),
+         ({"a": -1, "b": 1e-170, "m2": 1e-171}, "support [-1e-170, 1.0] is too narrow for m2")],
+    )
+    def test_a_refused_mirror_names_the_variable(self, tmp_path, capsys, choices, variable,
+                                                 refusal):
+        # the upper tail never mirrors; a lower side names the file's variable
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps({"format_version": 1, "choices": choices,
+                                    "variables": [{"a": -1, "b": 1}, variable],
+                                    "query": {"t": [1, 2]}}))
+        code, out, _ = run_cli(["tail", str(path), "--side", "upper"], capsys)
+        assert code == 0 and len(rows(out)) == 3
+        for side in ("lower", "two_sided"):
+            code, out, err = run_cli(["tail", str(path), "--side", side], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: variables[1] mirrored for the lower tail: {refusal}")
+
+
+def per_row_tail(argv) -> str:
+    """``cmd_tail``'s stdout as it was before its auto rows read the fronts,
+    kept as the reference: each row builds its scenario, from ``best``'s orders
+    under auto choices, and runs it through the tails functions; the lower
+    side selects its own orders on the mirrored supports."""
+    args = cli.build_parser().parse_args(argv)
+    scenario = load_scenario(args.scenario)
+    query = cli._resolve_query(scenario, args)
+    variables = scenario.variables
+    if scenario.auto:
+        k_max = 8 if args.k_max is None else args.k_max
+        up = pareto_front(variables, k_max)
+        down = pareto_front(tuple(mirror(v) for v in variables), k_max)
+    lines = ["t,log_bound,s_star,ks" + (",ks_mirror" if query.side is Side.TWO_SIDED else "")]
+    for t in query.resolve_ts():
+        if scenario.auto:
+            upper = order_k_scenario(variables, up.best(t).ks)
+            lower = order_k_scenario(variables, down.best(t).ks)
+        else:
+            upper = lower = scenario.sum_scenario()
+        if query.side is Side.UPPER:
+            cert, used = one_sided_tail(upper, t), [upper]
+        elif query.side is Side.LOWER:
+            cert, used = lower_tail(lower, t), [lower]
+        elif scenario.auto:
+            cert, used = two_sided(one_sided_tail(upper, t), lower_tail(lower, t)), [upper, lower]
+        else:
+            cert, used = two_sided_tail(upper, t), [upper, upper]
+        cells = [cli._choice_cell(s.choices) for s in used]
+        lines.append(f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def cli_stdout(argv) -> str:
+    """``main``'s stdout for a command that succeeds, without capsys."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue()
+
+
+SIDES = [side.value for side in Side]
+# the file's t, an unsorted list that repeats values, and a range
+TAIL_TS = {"query": [], "unsorted": ["--t", "11", "2", "8", "2", "0.3", "11", "5.5"],
+           "range": ["--t-range", "0.1", "12", "300"]}
+
+
+class TestTailRows:
+    """`tail`'s rows against the per-row reference, byte for byte."""
+
+    @pytest.mark.parametrize("ts", list(TAIL_TS))
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("name", [f"example{i}.json" for i in range(1, 6)] + ["fixed.json"])
+    def test_match_the_per_row_reference(self, fixtures_dir, tmp_path, name, side, ts):
+        (tmp_path / "fixed.json").write_text(json.dumps(FIXED))
+        path = (tmp_path if name == "fixed.json" else fixtures_dir) / name
+        argv = ["tail", str(path), "--side", side, *TAIL_TS[ts]]
+        assert cli_stdout(argv) == per_row_tail(argv)
+
+    @pytest.mark.parametrize("k_max", ["2", "8"])
+    @pytest.mark.parametrize("name", [f"example{i}.json" for i in range(1, 6)])
+    def test_match_at_every_regime_edge(self, fixtures_dir, name, k_max):
+        # each side's winner changes at its regimes' edges, where two vectors
+        # tie: probe each edge and the floats either side of it
+        path = str(fixtures_dir / name)
+        variables = load_scenario(path).variables
+        ts = []
+        for supports in (variables, tuple(mirror(v) for v in variables)):
+            front = pareto_front(supports, int(k_max))
+            for _, edge, _ in regimes(front.L, front.R, 1e-3, 4.0 * sum(v.b for v in supports))[:-1]:
+                ts += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        assert ts
+        for side in SIDES:
+            argv = ["tail", path, "--side", side, "--k-max", k_max, "--t", *map(repr, ts)]
+            assert cli_stdout(argv) == per_row_tail(argv)
+
+    @given(
+        st.lists(st.tuples(st.floats(-5.0, -0.2), st.floats(0.2, 5.0), st.floats(0.0, 1.0)),
+                 min_size=1, max_size=4),
+        st.floats(-6.0, 6.0),
+        st.lists(st.floats(0.01, 1.5), min_size=1, max_size=5),
+        st.lists(st.integers(1, 6), min_size=4, max_size=4) | st.just("auto"),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_at_every_scale(self, tmp_path_factory, variables, exponent, t_fracs, choices):
+        # supports scaled by 10^-6 to 10^6, with an m2 on some
+        scale = 10.0 ** exponent
+        doc_vars = []
+        for a, b, f in variables:
+            var = {"a": scale * a, "b": scale * b}
+            if f > 0.5:
+                var["m2"] = f * (scale * -a) * (scale * b)
+            doc_vars.append(var)
+        if choices != "auto":
+            choices = [{"family": "order_k", "k": k} for k in choices[:len(variables)]]
+        ts = [frac * sum(v["b"] for v in doc_vars) for frac in t_fracs]
+        path = tmp_path_factory.mktemp("scaled") / "scaled.json"
+        path.write_text(json.dumps({"format_version": 1, "variables": doc_vars,
+                                    "choices": choices, "query": {"t": ts}}))
+        for side in SIDES:
+            argv = ["tail", str(path), "--side", side]
+            assert cli_stdout(argv) == per_row_tail(argv)
 
 
 def exit_code(argv) -> int:
@@ -839,7 +975,7 @@ SHARED_RULES = {
         ["--t", "1", "--t-range", "1", "2", "3"],
     ),
     "seed < 0": ({"query": {"t": [1], "seed": -1}}, ["--seed", "-1"]),
-    "samples < 1": ({"query": {"t": [1], "samples": 0}}, ["--samples", "0"]),
+    "samples < 1000": ({"query": {"t": [1], "samples": 999}}, ["--samples", "999"]),
 }
 
 
@@ -858,6 +994,28 @@ def test_file_and_flag_break_a_rule_alike(fixtures_dir, tmp_path, capsys, fields
     code, out, err = from_file
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_one_sample_floor_for_every_subcommand(fixtures_dir, tmp_path, capsys):
+    # a file's samples are checked on load, so every subcommand refuses them
+    doc = json.loads((fixtures_dir / "example5.json").read_text())
+    doc["query"] = {"t": [6.0], "samples": MIN_SAMPLES - 1}
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(doc))
+    refusal = (2, "", f"error: samples must be >= {MIN_SAMPLES}, got {MIN_SAMPLES - 1}\n")
+    for argv in (["tail"], ["select"], ["sweep", "--group", "1,1,1,1"], ["verify"]):
+        assert run_cli([argv[0], str(path), *argv[1:]], capsys) == refusal
+    # a flag gets the same rule and message, whatever its value below the floor
+    for samples in (0, 1, MIN_SAMPLES - 1):
+        code, out, err = run_cli(["verify", "--random", "--samples", str(samples)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: samples must be >= {MIN_SAMPLES}, got {samples}\n"
+    doc["query"]["samples"] = MIN_SAMPLES
+    path.write_text(json.dumps(doc))
+    assert run_cli(["tail", str(path)], capsys)[0] == 0
+    with pytest.raises(ValueError, match=f"at least {MIN_SAMPLES} samples"):
+        oracle.mc_sum_tail([FinitePmf((-1.0, 1.0), (0.5, 0.5), BoundedSupport(-1, 1))],
+                           [0.5], MIN_SAMPLES - 1, seed=0)
 
 
 def bisection_crossovers(scenarios, ts):

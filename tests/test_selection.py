@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kbounds.bounds import BoundedSupport, mgf_bound, multiplier_log, order_k, phi
 from kbounds.selection import (
     KSelection,
+    ParetoFront,
     _chain,
     best_k_single,
     best_region_partition,
@@ -440,6 +441,33 @@ class TestParetoFront:
                 ties += int(np.count_nonzero(objs == objs.min())) > 1
         if n > 1:
             assert ties > 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_index_is_the_first_minimum_on_tied_fronts(self, n):
+        # Around each edge of a hull, and on fronts holding exact duplicates,
+        # the index is numpy's first argmin and ``best`` reads that point.
+        rng = np.random.default_rng(500 + n)
+        for pool in POOLS:
+            variables = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+            hull = pareto_front(variables, 8)
+            ts = [0.05, 1.0, 20.0] + [
+                e + i * math.ulp(e)
+                for _, e, _ in regimes(hull.L, hull.R, 0.01, 2.0 * sum(v.b for v in variables))[:-1]
+                for i in range(-2, 3)
+            ]
+            # the hull twice over, and the hull with one point repeated
+            fronts = [ParetoFront(hull.ks * 2, hull.L * 2, hull.R * 2)] + [
+                ParetoFront(*(column[:j + 1] + column[j:] for column in (hull.ks, hull.L, hull.R)))
+                for j in range(len(hull.ks))
+            ]
+            for front in fronts:
+                for t in ts:
+                    obj = log_bound(np.array(front.L), np.array(front.R), t)
+                    i = front.index(t)
+                    assert i == int(np.argmin(obj)), (variables, t)
+                    assert front.best(t) == KSelection(front.ks[i], float(obj[i]))
+            for t in ts:
+                assert hull.index(t) == hull.ks.index(hull.best(t).ks)
 
     def test_hundred_variables(self):
         rng = np.random.default_rng(100)

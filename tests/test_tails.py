@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbounds.bounds import CLASSIC, HERTZ, BoundedSupport, order_k
+from kbounds.bounds import CLASSIC, HERTZ, BoundedSupport
 from kbounds.oracle import mc_sum_tail, random_mean_zero_pmf
 from kbounds.tails import (
     SumScenario,
+    TailCertificate,
+    certificate,
     lower_tail,
     mirror,
     mirror_scenario,
     one_sided_tail,
     order_k_scenario,
     totals,
+    two_sided,
     two_sided_tail,
 )
 
@@ -40,6 +43,14 @@ def random_scenario(rng, n):
 
 
 class TestOneSided:
+    def test_is_the_certificate_of_its_totals(self):
+        scenario = order_k_scenario(EXAMPLE5, (1, 2, 1, 3))
+        big_l, big_r = totals(scenario)
+        for t in (0.1, 6.0, 40.0):
+            cert = certificate(big_l, big_r, t)
+            assert one_sided_tail(scenario, t) == cert
+            assert cert == TailCertificate(big_l - t * t / (4.0 * big_r), t / (2.0 * big_r))
+
     def test_single_hertz(self):
         cert = one_sided_tail(SumScenario((S11,), (HERTZ,)), 1.0)
         assert cert.log_bound == pytest.approx(-0.5, rel=1e-12)
@@ -56,9 +67,11 @@ class TestOneSided:
 
     def test_rejects_nonpositive_t(self):
         scenario = SumScenario((S11,), (HERTZ,))
-        for t in (0.0, -1.0):
+        for t in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 one_sided_tail(scenario, t)
+            with pytest.raises(ValueError):
+                certificate(0.0, 1.0, t)
 
     def test_strictly_decreasing_in_t(self):
         scenario = order_k_scenario(EXAMPLE5, (1, 2, 1, 1))
@@ -127,23 +140,24 @@ class TestTwoSided:
         # upper side: [-1,5] at k=1 (Phi=3); lower side: mirrored [-5,1] at
         # k=2 (Phi=sqrt5, multiplier 6/5)
         scenario = order_k_scenario((BoundedSupport(-1, 5),), (1,))
-        cert = two_sided_tail(scenario, 0.8, mirrored_choices=(order_k(2),))
         up = one_sided_tail(scenario, 0.8)
-        lo = one_sided_tail(
-            order_k_scenario((BoundedSupport(-5, 1),), (2,)), 0.8
-        )
+        lo = lower_tail(order_k_scenario((BoundedSupport(-1, 5),), (2,)), 0.8)
+        assert lo == one_sided_tail(order_k_scenario((BoundedSupport(-5, 1),), (2,)), 0.8)
+        cert = two_sided(up, lo)
         assert up.log_bound == pytest.approx(-0.64 / 18.0, rel=1e-12)
         assert lo.log_bound == pytest.approx(
             math.log(6 / 5) - 0.64 * 2 / 10.0, rel=1e-12
         )
         expected = np.logaddexp(up.log_bound, lo.log_bound)
         assert cert.log_bound == pytest.approx(float(expected), rel=1e-12)
+        assert cert.s_star == up.s_star
 
-    def test_default_reuses_choices_on_mirror(self):
-        scenario = order_k_scenario((BoundedSupport(-1, 5),), (2,))
-        default = two_sided_tail(scenario, 1.1)
-        explicit = two_sided_tail(scenario, 1.1, mirrored_choices=(order_k(2),))
-        assert default.log_bound == explicit.log_bound
+    def test_two_sided_tail_combines_its_own_sides(self):
+        scenario = order_k_scenario(EXAMPLE5, (1, 2, 3, 1))
+        for t in (0.5, 4.0, 11.0):
+            assert two_sided_tail(scenario, t) == two_sided(
+                one_sided_tail(scenario, t), lower_tail(scenario, t)
+            )
 
     def test_monotone_decreasing_in_t(self):
         scenario = order_k_scenario(EXAMPLE5, (1, 2, 1, 1))
@@ -165,6 +179,9 @@ class TestTwoSided:
         scenario = order_k_scenario(EXAMPLE5, (1, 1, 1, 1))
         assert one_sided_tail(scenario, 1e170).log_bound == -math.inf
         assert two_sided_tail(scenario, 1e170).log_bound == -math.inf
+        up = TailCertificate(-math.inf, 1.0)
+        assert two_sided(up, TailCertificate(-math.inf, 2.0)) == up
+        assert two_sided(up, TailCertificate(-3.0, 2.0)) == TailCertificate(-3.0, 1.0)
 
 
 class TestScenarioValidation:
