@@ -48,7 +48,6 @@ from .tails import (
     TailCertificate,
     lower_tail,
     mirror,
-    mirror_scenario,
     one_sided_tail,
     order_k_scenario,
     two_sided_tail,

@@ -26,12 +26,18 @@ CSV.  Everything else here is pure Python, `t_range` grids (``scenario.grid``)
 and `sweep`'s (group x t) table included, so every command but `verify`
 starts without numpy.  `select` rejects a t range before it builds one.
 
-A two-sided `tail` row is ``tails.two_sided`` of its two sides.  Under auto
-choices a side's row is ``tails.certificate`` of its ``pareto_front``'s point
-at t; fixed choices run the scenario through ``one_sided_tail`` or
-``lower_tail`` at each t.  `sweep` curves are ``tails.log_bound`` of
-``tails.totals``; its crossovers are the ``selection.regimes`` edges from the
-least to the greatest t, whatever the number or order of the t values.
+Every command reads the query's side (a file's ``query.side``, or `tail
+--side`) through ``tails.sides``, which gives each side's supports (the lower
+side's are the variables on [-b, -a]).  A two-sided `tail` row is
+``tails.two_sided`` of its two sides.  Under auto choices a side's row is
+``tails.certificate`` of its ``pareto_front``'s point at t; fixed choices run
+the scenario through ``one_sided_tail`` or ``lower_tail`` at each t.
+`select`, `sweep` and scenario-mode `verify` answer one side: they run on
+``tails.one_side``'s supports, so a lower side prints what the upper side of
+the variables on [-b, -a] prints, and a two-sided query exits 2.  `sweep`
+curves are ``tails.log_bound`` of ``tails.totals``; its crossovers are the
+``selection.regimes`` edges from the least to the greatest t, whatever the
+number or order of the t values.
 All numeric CSV cells use 12 significant digits and LF line endings, so the
 output is byte-stable for fixed inputs and seed.  Every command runs in one
 thread.  Float options must be finite, and so must every bound `tail`,
@@ -59,12 +65,14 @@ from .scenario import Query, Scenario, load_scenario, parse_family_tag
 from .selection import crossover_table, optimize_exact, pareto_front, regimes
 from .tails import (
     Side,
+    SumScenario,
     certificate,
     log_bound,
     lower_tail,
-    mirror,
+    one_side,
     one_sided_tail,
     order_k_scenario,
+    sides,
     totals,
     two_sided,
 )
@@ -150,28 +158,22 @@ def cmd_tail(args) -> int:
     ts = query.resolve_ts()
     if not scenario.auto and args.k_max is not None:
         raise ValueError('--k-max applies only to "choices": "auto" scenarios')
-    # True for the lower side: the upper tail of the mirrored supports
-    sides = {Side.UPPER: [False], Side.LOWER: [True], Side.TWO_SIDED: [False, True]}[query.side]
-    mirrored = []
-    if True in sides:  # once, before any row
-        for i, support in enumerate(scenario.variables):
-            try:
-                mirrored.append(mirror(support))
-            except ValueError as exc:
-                raise ValueError(f"variables[{i}] mirrored for the lower tail: {exc}") from exc
+    supports = sides(scenario.variables, query.side)  # once, before any row
     if scenario.auto:
         k_max = 8 if args.k_max is None else args.k_max
-        fronts = [pareto_front(mirrored if lower else scenario.variables, k_max) for lower in sides]
+        fronts = [pareto_front(side_supports, k_max) for side_supports in supports.values()]
 
         def certificates(t: float):
             for front in fronts:
                 i = front.index(t)
                 yield certificate(front.L[i], front.R[i], t), "|".join(map(str, front.ks[i]))
     else:
+        side_tails = [lower_tail if side is Side.LOWER else one_sided_tail for side in supports]
+
         def certificates(t: float):
             chosen = scenario.sum_scenario()
             cell = _choice_cell(chosen.choices)
-            return [((lower_tail if lower else one_sided_tail)(chosen, t), cell) for lower in sides]
+            return [(side_tail(chosen, t), cell) for side_tail in side_tails]
 
     def row(t: float) -> str:
         certs, cells = zip(*certificates(t))
@@ -180,7 +182,7 @@ def cmd_tail(args) -> int:
             raise ValueError(f"t={g12(t)}: the certificate is not finite")
         return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + ",".join(cells)
 
-    header = "t,log_bound,s_star,ks" + (",ks_mirror" if len(sides) == 2 else "")
+    header = "t,log_bound,s_star,ks" + (",ks_mirror" if len(supports) == 2 else "")
     lines = [header] + [row(t) for t in ts]
     _emit(args, lines)
     return 0
@@ -193,7 +195,8 @@ def cmd_select(args) -> int:
     if len(ts) != 1:
         raise ValueError("select needs a single t (--t or a one-value query.t)")
     t = ts[0]
-    selection = optimize_exact(scenario.variables, t, args.k_max)
+    variables = one_side(scenario.variables, query.side)
+    selection = optimize_exact(variables, t, args.k_max)
     if not math.isfinite(selection.log_bound):
         raise ValueError(f"t={g12(t)}: the log bound is not finite")
     lines = [
@@ -201,7 +204,7 @@ def cmd_select(args) -> int:
         f"log_bound,{g12(selection.log_bound)}",
         "variable,k,k_next,t_star",
     ]
-    for i, support in enumerate(scenario.variables, start=1):
+    for i, support in enumerate(variables, start=1):
         for k, k_next, t_star in crossover_table(support, args.k_max):
             lines.append(f"{i},{k},{k_next},{g12(t_star)}")
     _emit(args, lines)
@@ -243,12 +246,12 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
     ts = query.resolve_ts()
-    variables = scenario.variables
+    variables = one_side(scenario.variables, query.side)
     if args.group:
         groups = [_parse_group(g, len(variables)) for g in args.group]
         scenarios = [order_k_scenario(variables, ks) for ks in groups]
     elif not scenario.auto:
-        scenarios = [scenario.sum_scenario()]
+        scenarios = [SumScenario(variables, scenario.choices)]
     else:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 

@@ -61,7 +61,9 @@ _TOP_KEYS = {"format_version", "variables", "choices", "query"}
 @dataclass(frozen=True)
 class Query:
     """The t values or t range, side, sample count and seed of a scenario;
-    its rules hold alike for a file's ``query`` and the flags that replace it."""
+    its rules hold alike for a file's ``query`` and the flags that replace it.
+    A file's ``query`` passes only the keys it gives, so the defaults here are
+    the only ones."""
 
     ts: tuple[float, ...] | None = None
     t_range: tuple[float, float, int] | None = None
@@ -191,11 +193,10 @@ def _parse_query(obj) -> Query:
     if not isinstance(obj, dict):
         raise ScenarioError("query must be an object")
     _reject_unknown(obj, _QUERY_KEYS, "query")
-    ts = None
+    fields = {}
     if "t" in obj:
         raw = obj["t"] if isinstance(obj["t"], list) else [obj["t"]]
-        ts = tuple(_number(v, "query.t") for v in raw)
-    t_range = None
+        fields["ts"] = tuple(_number(v, "query.t") for v in raw)
     if "t_range" in obj:
         rng = obj["t_range"]
         if not isinstance(rng, dict):
@@ -209,21 +210,20 @@ def _parse_query(obj) -> Query:
         count = rng["count"]
         if isinstance(count, bool) or not isinstance(count, int):
             raise ScenarioError("t_range.count must be an integer")
-        t_range = (lo, hi, count)
-    side = Side.UPPER
+        fields["t_range"] = (lo, hi, count)
     if "side" in obj:
         try:
-            side = Side(obj["side"])
+            fields["side"] = Side(obj["side"])
         except ValueError:
             valid = ", ".join(s.value for s in Side)
             raise ScenarioError(f"query.side must be one of: {valid}") from None
-    samples = obj.get("samples", 10 ** 6)
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ScenarioError("query.samples must be an integer")
-    seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("query.seed must be an integer")
-    return Query(ts=ts, t_range=t_range, side=side, samples=samples, seed=seed)
+    for key in ("samples", "seed"):
+        if key in obj:
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"query.{key} must be an integer")
+            fields[key] = value
+    return Query(**fields)
 
 
 def parse_scenario(doc) -> Scenario:

@@ -110,13 +110,18 @@ class ParetoFront:
         """Where the front is least at t; exact ties go to the smaller vector."""
         if not t > 0.0:
             raise ValueError("threshold t must be positive")
-        obj = [log_bound(l, r, t) for l, r in zip(self.L, self.R)]
-        return obj.index(min(obj))  # the first minimum: the lexicographically smallest
+        return _first_min(self.L, self.R, t)  # the lexicographically smallest
 
     def best(self, t: float) -> KSelection:
         """Minimum over the front at t; exact ties go to the smaller vector."""
         i = self.index(t)
         return KSelection(self.ks[i], log_bound(self.L[i], self.R[i], t))
+
+
+def _first_min(L, R, t: float) -> int:
+    """The first index i minimizing L[i] - t^2/(4 R[i]): ties to the smaller i."""
+    obj = [log_bound(l, r, t) for l, r in zip(L, R)]
+    return obj.index(min(obj))
 
 
 def pareto_front(variables, k_max: int = 8) -> ParetoFront:
@@ -250,8 +255,7 @@ def regimes(L, R, t_lo: float, t_hi: float) -> list[tuple[float, float, int]]:
     edge the smallest R, then index), and ends at the first tie at or past t_hi.
     """
     inv_r = [1.0 / r for r in R]
-    objs = [log_bound(l, r, t_lo) for l, r in zip(L, R)]
-    i = objs.index(min(objs))  # ties to the smaller index
+    i = _first_min(L, R, t_lo)
     runs, start = [], t_lo
     while later := [j for j, inv in enumerate(inv_r) if inv > inv_r[i]]:
         # a later candidate that is no worse in L already wins: its tie is 0

@@ -9,9 +9,13 @@ combined bound  L + R s^2 - s t  is s* = t / (2R), giving
 ``totals`` forms a scenario's (L, R), ``log_bound`` is that exponent for every
 caller, and ``certificate`` makes the certificate of any summed (L, R).
 
-Mirroring the supports (X -> -X) expresses the lower tail.  ``two_sided`` is
-the one log-sum-exp of an upper and a lower certificate, each side with its
-own per-variable orders.  A certificate holds no t or side.
+The lower tail is the upper tail of the mirrored variables (X -> -X on
+[-b, -a]).  ``sides`` owns that rule: it gives each side's supports, upper
+first, mirroring every variable once, and every command reads a query's side
+through it.  ``one_side`` is the same for a command that answers one side
+only, and refuses a two-sided query.  ``two_sided`` is the one log-sum-exp of
+an upper and a lower certificate, each side with its own per-variable orders.
+A certificate holds no t or side.
 """
 
 from __future__ import annotations
@@ -74,9 +78,30 @@ def mirror(support: BoundedSupport) -> BoundedSupport:
     )
 
 
-def mirror_scenario(scenario: SumScenario) -> SumScenario:
-    """Scenario for -S_n: each variable mirrored, keeping its bound choice."""
-    return SumScenario(tuple(mirror(v) for v in scenario.variables), scenario.choices)
+def sides(variables, side: Side) -> dict[Side, tuple[BoundedSupport, ...]]:
+    """Each side's supports, upper first: the lower side's are the variables
+    mirrored, each once; a refused mirror names its ``variables[i]``."""
+    found = {}
+    if side is not Side.LOWER:
+        found[Side.UPPER] = tuple(variables)
+    if side is not Side.UPPER:
+        mirrored = []
+        for i, support in enumerate(variables):
+            try:
+                mirrored.append(mirror(support))
+            except ValueError as exc:
+                raise ValueError(f"variables[{i}] mirrored for the lower tail: {exc}") from exc
+        found[Side.LOWER] = tuple(mirrored)
+    return found
+
+
+def one_side(variables, side: Side) -> tuple[BoundedSupport, ...]:
+    """The supports of a one-sided query's side, as ``sides`` gives them."""
+    if side is Side.TWO_SIDED:
+        raise ValueError("query.side two_sided has two answers and only tail prints "
+                         "both; give side upper or lower")
+    (supports,) = sides(variables, side).values()
+    return supports
 
 
 def totals(scenario: SumScenario) -> tuple[float, float]:
@@ -118,8 +143,10 @@ def one_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:
 
 
 def lower_tail(scenario: SumScenario, t: float) -> TailCertificate:
-    """Certificate for log P(S_n <= -t) via the mirrored supports."""
-    return one_sided_tail(mirror_scenario(scenario), t)
+    """Certificate for log P(S_n <= -t): the upper tail of the ``sides``
+    mirror of the supports, each keeping its bound choice."""
+    return one_sided_tail(SumScenario(one_side(scenario.variables, Side.LOWER),
+                                      scenario.choices), t)
 
 
 def two_sided_tail(scenario: SumScenario, t: float) -> TailCertificate:

@@ -13,7 +13,9 @@ stack: the extremal two-point law under --random,
 seeded generator then draws each support's pmfs, one stack per atom count.  The log multipliers that read
 moments come from each pmf's measured m2 and m4, and all are checked against
 the exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples
-the sum of the laws against its certificates.
+the sum of the laws against its certificates.  A scenario's supports are those
+of its query's side (``tails.one_side``): a lower side checks the mirrored
+variables' laws, gaps and upper tail, which is the file's lower tail.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .oracle import (
 )
 from .scenario import Query, Scenario, grid
 from .selection import pareto_front
-from .tails import one_sided_tail, order_k_scenario
+from .tails import one_side, one_sided_tail, order_k_scenario
 
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
@@ -93,15 +95,16 @@ def _family_max_gaps(batches) -> dict[str, float]:
 
 
 def _supports(scenario: Scenario | None, a, b, pmfs) -> list[BoundedSupport]:
-    """The supports whose laws `verify` sweeps: the scenario's variables, or
-    under --random the --a/--b interval, else the canonical ones.  Each one's
+    """The supports whose laws `verify` sweeps: the scenario's variables on its
+    query's side (``tails.one_side``: mirrored for the lower one), or under
+    --random the --a/--b interval, else the canonical ones.  Each one's
     max(|a|, b)^4 must be finite as ``moment_rows`` computes it."""
     if scenario is not None:
         given = [f"--{flag}" for flag, value in (("a", a), ("b", b), ("pmfs", pmfs))
                  if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)} can only be used with --random")
-        supports = list(scenario.variables)
+        supports = list(one_side(scenario.variables, scenario.query.side))
     else:
         if (a is None) != (b is None):
             raise ValueError("give both --a and --b, or neither")

@@ -1284,6 +1284,99 @@ class TestSweep:
         assert code == 2
 
 
+def mirrored_by_hand(variable: dict) -> dict:
+    """A scenario variable on [-b, -a], with its other keys as they were."""
+    return dict(variable, a=-variable["b"], b=-variable["a"])
+
+
+# (variables, choices, t): the first two are the lopsided two-variable cases
+# whose lower side `select` and `sweep` once answered with the upper side's
+LOPSIDED = {
+    "auto": ([{"a": -1, "b": 5}] * 2, "auto", [3.0]),
+    "order_k 3": ([{"a": -1, "b": 5}] * 2, [{"family": "order_k", "k": 3}] * 2, [3.0]),
+    "moments auto": ([{"a": -1, "b": 5}, {"a": -2, "b": 3, "m2": 1.5}, {"a": -4, "b": 1},
+                      {"a": -2, "b": 2, "m2": 1, "m4": 2, "odd_moments_zero": True}],
+                     "auto", [0.7, 2.5, 5.0]),
+    "moments fixed": ([{"a": -1, "b": 5}, {"a": -2, "b": 3, "m2": 1.5}, {"a": -4, "b": 1},
+                       {"a": -2, "b": 2, "m2": 1, "m4": 2, "odd_moments_zero": True}],
+                      [{"family": "order_k", "k": 2}, {"family": "order2_moment"},
+                       {"family": "hertz"}, {"family": "order4_moment"}],
+                      [0.7, 2.5, 5.0]),
+}
+
+
+class TestQuerySide:
+    """Every command answers the file's side: the lower side is the upper
+    side of the variables mirrored by hand, byte for byte."""
+
+    def write(self, tmp_path, name, variables, choices, ts, side=None):
+        query = {"t": ts} if side is None else {"t": ts, "side": side}
+        path = tmp_path / name
+        path.write_text(json.dumps({"format_version": 1, "variables": variables,
+                                    "choices": choices, "query": query}))
+        return str(path)
+
+    @staticmethod
+    def argv(command, choices, ts, n):
+        """The command and its flags; the scenario path goes after the command."""
+        groups = ["--group", ",".join("2" * n), "--group", ",".join("1" * n)]
+        return {
+            "tail": ["tail"],
+            "select": ["select", "--t", repr(ts[-1])],
+            "sweep": ["sweep", "--t-range", repr(ts[0]), repr(ts[-1] + 0.1), "7",
+                      *(groups if choices == "auto" else [])],
+            "verify": ["verify", "--samples", "1000"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["tail", "select", "sweep", "verify"])
+    @pytest.mark.parametrize("case", list(LOPSIDED))
+    def test_lower_is_the_mirrored_upper(self, tmp_path, case, command):
+        variables, choices, ts = LOPSIDED[case]
+        lower = self.write(tmp_path, "lower.json", variables, choices, ts, "lower")
+        by_hand = self.write(tmp_path, "by_hand.json", [mirrored_by_hand(v) for v in variables],
+                             choices, ts)
+        upper = self.write(tmp_path, "upper.json", variables, choices, ts)
+        argv = self.argv(command, choices, ts, len(variables))
+        want = cli_stdout([argv[0], by_hand, *argv[1:]])
+        assert cli_stdout([argv[0], lower, *argv[1:]]) == want
+        assert cli_stdout([argv[0], upper, *argv[1:]]) != want
+
+    def test_the_reproduced_cases(self, tmp_path):
+        variables, choices, ts = LOPSIDED["auto"]
+        path = self.write(tmp_path, "auto.json", variables, choices, ts, "lower")
+        assert rows(cli_stdout(["tail", path]))[1] == ["3", "-0.535356886412", "0.6", "2|2"]
+        assert rows(cli_stdout(["select", path]))[:2] == [["k", "2|2"],
+                                                          ["log_bound", "-0.535356886412"]]
+        variables, choices, ts = LOPSIDED["order_k 3"]
+        path = self.write(tmp_path, "fixed.json", variables, choices, ts, "lower")
+        assert rows(cli_stdout(["tail", path]))[1][1] == "1.86887582487"
+        out = cli_stdout(["sweep", path, "--t-range", "3", "3.1", "2"])
+        assert rows(out)[1] == ["3", "1.86887582487"]
+
+    @pytest.mark.parametrize("command", ["select", "sweep", "verify"])
+    @pytest.mark.parametrize("case", ["auto", "order_k 3"])
+    def test_two_sided_exits_2(self, tmp_path, capsys, case, command):
+        variables, choices, ts = LOPSIDED[case]
+        path = self.write(tmp_path, "two.json", variables, choices, ts, "two_sided")
+        argv = self.argv(command, choices, ts, len(variables))
+        code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: query.side two_sided has two answers and only tail prints "
+                       "both; give side upper or lower\n")
+
+    @pytest.mark.parametrize("command", ["select", "sweep", "verify"])
+    @pytest.mark.parametrize("choices", ["auto", [{"family": "hertz"}, {"family": "classic"}]])
+    def test_a_refused_mirror_names_the_variable(self, tmp_path, capsys, choices, command):
+        variables = [{"a": -1, "b": 1}, {"a": -1e10, "b": 1e-300}]
+        argv = self.argv(command, choices, [1.0, 2.0], len(variables))
+        path = self.write(tmp_path, "mirror.json", variables, choices, [1.0, 2.0], "lower")
+        code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: variables[1] mirrored for the lower tail: support "
+                              "[-1e-300, 10000000000.0] is too lopsided")
+        assert err.count("\n") == 1
+
+
 def test_cli_option_count_is_pinned():
     # every flag is a knob a user must learn: a new one updates this pin and
     # says why in CHANGES.md

@@ -63,7 +63,7 @@ EXPORTED = """
     KSelection ParetoFront RelaxedSolution best_k_single
     best_region_partition crossover_table crossover_threshold optimize_exact
     optimize_relaxed pareto_front
-    Side SumScenario TailCertificate lower_tail mirror mirror_scenario
+    Side SumScenario TailCertificate lower_tail mirror
     one_sided_tail order_k_scenario two_sided_tail
     __version__ bounds scenario selection tails
 """.split()

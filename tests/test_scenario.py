@@ -44,6 +44,16 @@ class TestParsing:
         assert q.side is Side.TWO_SIDED
         assert (q.samples, q.seed) == (5000, 3)
 
+    def test_missing_query_keys_take_the_query_defaults(self, monkeypatch):
+        # the parser passes only the keys the file gives, so a changed
+        # default of ``Query`` reaches every file that omits the key
+        monkeypatch.setattr(Query.__init__, "__defaults__", (None, None, Side.LOWER, 2000, 7))
+        query = parse_scenario(minimal(query={"t": 1.0})).query
+        assert (query.ts, query.side, query.samples, query.seed) == ((1.0,), Side.LOWER, 2000, 7)
+        query = parse_scenario(minimal(query={"t": 1.0, "side": "upper", "samples": 1000,
+                                              "seed": 0})).query
+        assert (query.side, query.samples, query.seed) == (Side.UPPER, 1000, 0)
+
     def test_t_range(self):
         doc = minimal(query={"t_range": {"min": 0.5, "max": 2.0, "count": 4}})
         ts = parse_scenario(doc).query.resolve_ts()

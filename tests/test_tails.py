@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from kbounds.bounds import CLASSIC, HERTZ, BoundedSupport
 from kbounds.oracle import mc_sum_tail, random_mean_zero_pmf
 from kbounds.tails import (
+    Side,
     SumScenario,
     TailCertificate,
     certificate,
     lower_tail,
     mirror,
-    mirror_scenario,
+    one_side,
     one_sided_tail,
     order_k_scenario,
+    sides,
     totals,
     two_sided,
     two_sided_tail,
@@ -129,6 +131,31 @@ class TestMirror:
         assert mirror(mirror(s)) == s
 
 
+class TestSides:
+    def test_upper_first_and_each_variable_mirrored(self):
+        mirrored = tuple(mirror(v) for v in EXAMPLE5)
+        assert sides(EXAMPLE5, Side.UPPER) == {Side.UPPER: EXAMPLE5}
+        assert sides(list(EXAMPLE5), Side.LOWER) == {Side.LOWER: mirrored}
+        both = sides(EXAMPLE5, Side.TWO_SIDED)
+        assert list(both.items()) == [(Side.UPPER, EXAMPLE5), (Side.LOWER, mirrored)]
+
+    def test_one_side(self):
+        assert one_side(EXAMPLE5, Side.UPPER) == EXAMPLE5
+        assert one_side(EXAMPLE5, Side.LOWER) == tuple(mirror(v) for v in EXAMPLE5)
+        with pytest.raises(ValueError, match="two_sided has two answers"):
+            one_side(EXAMPLE5, Side.TWO_SIDED)
+
+    def test_a_refused_mirror_names_the_variable(self):
+        # [-1e10, 1e-300] is accepted; its mirror [-1e-300, 1e10] is too lopsided
+        variables = (S11, BoundedSupport(-1e10, 1e-300))
+        assert sides(variables, Side.UPPER) == {Side.UPPER: variables}
+        for side in (Side.LOWER, Side.TWO_SIDED):
+            with pytest.raises(ValueError, match=r"^variables\[1\] mirrored for the lower tail"):
+                sides(variables, side)
+        with pytest.raises(ValueError, match=r"^variables\[1\] mirrored"):
+            lower_tail(SumScenario(variables, (HERTZ, HERTZ)), 1.0)
+
+
 class TestTwoSided:
     def test_symmetric_case_is_log2_plus_one_sided(self):
         scenario = SumScenario((S11, S11), (HERTZ, HERTZ))
@@ -199,11 +226,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             SumScenario((S11,), (ORDER2_MOMENT,))  # m2 not declared
 
-    def test_mirror_scenario_keeps_choices(self):
+    def test_lower_tail_mirrors_and_keeps_choices(self):
         scenario = order_k_scenario(EXAMPLE5, (1, 2, 1, 1))
-        mirrored = mirror_scenario(scenario)
-        assert mirrored.choices == scenario.choices
-        assert mirrored.variables == tuple(mirror(v) for v in EXAMPLE5)
+        mirrored = SumScenario(tuple(mirror(v) for v in EXAMPLE5), scenario.choices)
+        for t in (0.5, 4.0, 11.0):
+            assert lower_tail(scenario, t) == one_sided_tail(mirrored, t)
 
 
 @given(supports, st.floats(0.05, 10.0))
