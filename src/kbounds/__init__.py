@@ -1,10 +1,13 @@
 """Order-k MGF bounds and Chernoff tail certificates for bounded variables.
 
 The bounds, scenarios, order selection and tails are pure Python, and so is
-everything imported here.  numpy loads only with the brute-force oracle (pmf
-stacks, exact MGFs, Monte Carlo) and the `verify` command built on it: their
-names are reached as ``kbounds.oracle.X`` and ``kbounds.verify.X``, so
-``import kbounds`` and every other command start without numpy.
+everything imported here.  The import rule: numpy loads only with the
+brute-force oracle (pmf stacks, exact MGFs, Monte Carlo) and the `verify`
+command built on it, whose names are reached as ``kbounds.oracle.X`` and
+``kbounds.verify.X``, so ``import kbounds`` and every other command start
+without numpy; and no module imports the standard library's dataclass module
+(it loads ``inspect``, ``ast`` and ``dis``): the value types are
+``bounds.Frozen`` classes with ``__slots__`` and a written ``__init__``.
 """
 
 from .bounds import (

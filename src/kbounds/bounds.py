@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 # Relative slack when validating user-supplied moments against the hard caps
@@ -28,6 +27,49 @@ MOMENT_SLACK = 1e-12
 # Switch point for the stable large-u evaluation of psi (exp(u) would start
 # to dominate all other terms long before overflow at ~709).
 _PSI_LARGE_U = 30.0
+
+
+class Frozen:
+    """Base of the immutable value types; a subclass's ``__slots__`` are its
+    fields, in its ``__init__``'s order.
+
+    ``__init__`` sets each field with ``object.__setattr__``, then checks the
+    values; after that, assigning or deleting a field raises AttributeError.
+    Equality, hash and the ``Name(field=value, ...)`` repr go over the fields,
+    and ``replace`` builds a copy with some fields changed, checked again.
+    That is what ``dataclass(frozen=True)`` gave, without loading the
+    standard library's dataclass module (and ``inspect``) at start-up.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, through ``__init__``'s checks."""
+        return self.__class__(**dict(zip(self.__slots__, self._values()), **changes))
 
 
 class Family(Enum):
@@ -41,19 +83,19 @@ class Family(Enum):
     SYMMETRIC_ORDER4 = "symmetric_order4"
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(Frozen):
     """A family selection; ORDER_K additionally carries its integer order k."""
 
-    family: Family
-    k: int | None = None
+    __slots__ = ("family", "k")
 
-    def __post_init__(self) -> None:
-        if self.family is Family.ORDER_K:
-            if self.k is None or self.k < 1:
+    def __init__(self, family: Family, k: int | None = None) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "k", k)
+        if family is Family.ORDER_K:
+            if k is None or k < 1:
                 raise ValueError("order_k requires an integer k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"family {self.family.value} takes no k")
+        elif k is not None:
+            raise ValueError(f"family {family.value} takes no k")
 
     def label(self) -> str:
         if self.family is Family.ORDER_K:
@@ -72,8 +114,7 @@ def order_k(k: int) -> FamilyTag:
     return FamilyTag(Family.ORDER_K, k)
 
 
-@dataclass(frozen=True)
-class BoundedSupport:
+class BoundedSupport(Frozen):
     """Interval [a, b] with a < 0 < b, plus optionally known even moments.
 
     ``odd_moments_zero`` asserts E[X^3] = 0 in addition to the standing
@@ -81,36 +122,35 @@ class BoundedSupport:
     bounds, not something that can be checked from (a, b, m2, m4).
     """
 
-    a: float
-    b: float
-    m2: float | None = None
-    m4: float | None = None
-    odd_moments_zero: bool = False
+    __slots__ = ("a", "b", "m2", "m4", "odd_moments_zero")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "m2", "m4"):
-            value = getattr(self, name)
+    def __init__(self, a: float, b: float, m2: float | None = None, m4: float | None = None,
+                 odd_moments_zero: bool = False) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "m4", m4)
+        object.__setattr__(self, "odd_moments_zero", odd_moments_zero)
+        for name, value in (("a", a), ("b", b), ("m2", m2), ("m4", m4)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.a < 0.0 < self.b):
-            raise ValueError(f"support requires a < 0 < b, got [{self.a}, {self.b}]")
+        if not (a < 0.0 < b):
+            raise ValueError(f"support requires a < 0 < b, got [{a}, {b}]")
         cap2, cap4 = moment_caps(self)
         if not math.isfinite(cap4):  # also inf or nan whenever cap2 is inf
-            raise ValueError(f"support [{self.a}, {self.b}] is too wide: its moment caps overflow")
+            raise ValueError(f"support [{a}, {b}] is too wide: its moment caps overflow")
         # rates and caps lose their digits, and so do a declared m2 divided by
         # a^2 and a declared m4 under odd_moments_zero divided by a^4
         if cap2 < sys.float_info.min:
-            raise ValueError(f"support [{self.a}, {self.b}] is too narrow: |a|b underflows")
-        a2 = self.a * self.a
-        if self.m2 is not None and a2 < sys.float_info.min:
-            raise ValueError(f"support [{self.a}, {self.b}] is too narrow for m2: a^2 underflows")
-        if self.m4 is not None and self.odd_moments_zero and a2 * a2 < sys.float_info.min:
-            raise ValueError(f"support [{self.a}, {self.b}] is too narrow for m4: a^4 underflows")
-        if self.b / -self.a > sys.float_info.max:  # exactly when endpoint_ratio overflows
-            raise ValueError(
-                f"support [{self.a}, {self.b}] is too lopsided: max(|a|, b)/|a| overflows"
-            )
-        _check_moments(self.m2, self.m4, cap2, cap4)
+            raise ValueError(f"support [{a}, {b}] is too narrow: |a|b underflows")
+        a2 = a * a
+        if m2 is not None and a2 < sys.float_info.min:
+            raise ValueError(f"support [{a}, {b}] is too narrow for m2: a^2 underflows")
+        if m4 is not None and odd_moments_zero and a2 * a2 < sys.float_info.min:
+            raise ValueError(f"support [{a}, {b}] is too narrow for m4: a^4 underflows")
+        if b / -a > sys.float_info.max:  # exactly when endpoint_ratio overflows
+            raise ValueError(f"support [{a}, {b}] is too lopsided: max(|a|, b)/|a| overflows")
+        _check_moments(m2, m4, cap2, cap4)
 
 
 def _check_moments(m2: float | None, m4: float | None, cap2: float, cap4: float) -> None:
@@ -126,18 +166,18 @@ def _check_moments(m2: float | None, m4: float | None, cap2: float, cap4: float)
             raise ValueError(f"m4={m4} < m2^2={m2 ** 2} violates Jensen")
 
 
-@dataclass(frozen=True)
-class MgfBound:
+class MgfBound(Frozen):
     """Certified bound log E[exp(sX)] <= log_multiplier + rate * s^2 (s > 0)."""
 
-    log_multiplier: float
-    rate: float
-    family_tag: FamilyTag
+    __slots__ = ("log_multiplier", "rate", "family_tag")
 
-    def __post_init__(self) -> None:
-        if not self.log_multiplier >= 0.0:
+    def __init__(self, log_multiplier: float, rate: float, family_tag: FamilyTag) -> None:
+        object.__setattr__(self, "log_multiplier", log_multiplier)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "family_tag", family_tag)
+        if not log_multiplier >= 0.0:
             raise ValueError("log multiplier must be >= 0 (every multiplier is >= 1)")
-        if not self.rate > 0.0:
+        if not rate > 0.0:
             raise ValueError("rate must be positive")
 
 

@@ -32,6 +32,9 @@ side's are the variables on [-b, -a]).  A two-sided `tail` row is
 ``tails.two_sided`` of its two sides.  Under auto choices a side's row is
 ``tails.certificate`` of its ``pareto_front``'s point at t; fixed choices run
 the scenario through ``one_sided_tail`` or ``lower_tail`` at each t.
+`select` picks the front's best orders at its t under auto choices and
+prints a fixed-choice file's own choices, as `tail` does, with their
+certificate's log bound.
 `select`, `sweep` and scenario-mode `verify` answer one side: they run on
 ``tails.one_side``'s supports, so a lower side prints what the upper side of
 the variables on [-b, -a] prints, and a two-sided query exits 2.  `sweep`
@@ -49,7 +52,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -145,7 +147,7 @@ def _resolve_query(scenario: Scenario, args) -> Query:
                 raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
             t_range = (lo, hi, int(count))
     side = Side(args.side) if getattr(args, "side", None) else query.side
-    return dataclasses.replace(query, ts=ts, t_range=t_range, side=side)
+    return query.replace(ts=ts, t_range=t_range, side=side)
 
 
 def _choice_cell(tags) -> str:
@@ -196,12 +198,17 @@ def cmd_select(args) -> int:
         raise ValueError("select needs a single t (--t or a one-value query.t)")
     t = ts[0]
     variables = one_side(scenario.variables, query.side)
-    selection = optimize_exact(variables, t, args.k_max)
-    if not math.isfinite(selection.log_bound):
+    if scenario.auto:
+        selection = optimize_exact(variables, t, args.k_max)
+        cell, value = "|".join(map(str, selection.ks)), selection.log_bound
+    else:  # the file's own choices, as `tail` prints them
+        cell = _choice_cell(scenario.choices)
+        value = certificate(*totals(SumScenario(variables, scenario.choices)), t).log_bound
+    if not math.isfinite(value):
         raise ValueError(f"t={g12(t)}: the log bound is not finite")
     lines = [
-        "k," + "|".join(map(str, selection.ks)),
-        f"log_bound,{g12(selection.log_bound)}",
+        f"k,{cell}",
+        f"log_bound,{g12(value)}",
         "variable,k,k_next,t_star",
     ]
     for i, support in enumerate(variables, start=1):

@@ -19,11 +19,10 @@ gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundedSupport, MgfBound
+from .bounds import BoundedSupport, Frozen, MgfBound
 from .scenario import MIN_SAMPLES
 
 _SUM_TOL = 1e-12
@@ -36,16 +35,17 @@ MC_CHUNK = 2 ** 16
 S_GRID = np.geomspace(1e-3, 50.0, 40)
 
 
-@dataclass(frozen=True)
-class FinitePmf:
+class FinitePmf(Frozen):
     """Atoms (xs, ps) of an exactly mean-zero distribution on [a, b]."""
 
-    xs: tuple[float, ...]
-    ps: tuple[float, ...]
-    support: BoundedSupport
+    __slots__ = ("xs", "ps", "support")
 
-    def __post_init__(self) -> None:
-        check_pmf_stack(*self.stack(), self.support)
+    def __init__(self, xs: tuple[float, ...], ps: tuple[float, ...],
+                 support: BoundedSupport) -> None:
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ps", ps)
+        object.__setattr__(self, "support", support)
+        check_pmf_stack(*self.stack(), support)
 
     def stack(self) -> tuple[np.ndarray, np.ndarray]:
         """The pmf as a one-row (xs, ps) stack."""

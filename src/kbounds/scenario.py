@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import BoundedSupport, Family, FamilyTag
+from .bounds import BoundedSupport, Family, FamilyTag, Frozen
 from .tails import Side, SumScenario
 
 
@@ -58,30 +57,32 @@ _RANGE_KEYS = {"min", "max", "count"}
 _TOP_KEYS = {"format_version", "variables", "choices", "query"}
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Frozen):
     """The t values or t range, side, sample count and seed of a scenario;
     its rules hold alike for a file's ``query`` and the flags that replace it.
     A file's ``query`` passes only the keys it gives, so the defaults here are
-    the only ones."""
+    the only ones, and ``replace`` checks the changed query again."""
 
-    ts: tuple[float, ...] | None = None
-    t_range: tuple[float, float, int] | None = None
-    side: Side = Side.UPPER
-    samples: int = 10 ** 6
-    seed: int = 0
+    __slots__ = ("ts", "t_range", "side", "samples", "seed")
 
-    def __post_init__(self) -> None:
-        if self.samples < MIN_SAMPLES:
-            raise ScenarioError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
-        if self.ts is not None and self.t_range is not None:
+    def __init__(self, ts: tuple[float, ...] | None = None,
+                 t_range: tuple[float, float, int] | None = None, side: Side = Side.UPPER,
+                 samples: int = 10 ** 6, seed: int = 0) -> None:
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "t_range", t_range)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        if samples < MIN_SAMPLES:
+            raise ScenarioError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+        if seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {seed}")
+        if ts is not None and t_range is not None:
             raise ScenarioError("query has both t and t_range; give one")
-        if self.ts is not None and (not self.ts or any(not t > 0.0 for t in self.ts)):
+        if ts is not None and (not ts or any(not t > 0.0 for t in ts)):
             raise ScenarioError("t values must be positive")
-        if self.t_range is not None:
-            lo, hi, count = self.t_range
+        if t_range is not None:
+            lo, hi, count = t_range
             if not 0.0 < lo < hi:
                 raise ScenarioError("t_range requires 0 < min < max")
             if not 2 <= count <= MAX_T_COUNT:
@@ -114,11 +115,16 @@ def grid(lo: float, hi: float, count: int, indices=None) -> list[float]:
     return [hi if i == div else i * step + lo for i in indices]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    variables: tuple[BoundedSupport, ...]
-    choices: tuple[FamilyTag, ...] | None  # None means "auto"
-    query: Query
+class Scenario(Frozen):
+    """A scenario file's variables, choices (None means "auto") and query."""
+
+    __slots__ = ("variables", "choices", "query")
+
+    def __init__(self, variables: tuple[BoundedSupport, ...],
+                 choices: tuple[FamilyTag, ...] | None, query: Query) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "query", query)
 
     @property
     def auto(self) -> bool:

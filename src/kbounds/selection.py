@@ -29,26 +29,29 @@ imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bounds import BoundedSupport, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
+from .bounds import BoundedSupport, Frozen, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
 from .tails import log_bound
 
 
-@dataclass(frozen=True)
-class KSelection:
+class KSelection(Frozen):
     """An order assignment and the one-sided log bound it achieves at t."""
 
-    ks: tuple[int, ...]
-    log_bound: float
+    __slots__ = ("ks", "log_bound")
+
+    def __init__(self, ks: tuple[int, ...], log_bound: float) -> None:
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "log_bound", log_bound)
 
 
-@dataclass(frozen=True)
-class RelaxedSolution:
+class RelaxedSolution(Frozen):
     """Fractional stationary profile plus its best integer lattice neighbor."""
 
-    fractional: tuple[float, ...]
-    rounded: KSelection
+    __slots__ = ("fractional", "rounded")
+
+    def __init__(self, fractional: tuple[float, ...], rounded: KSelection) -> None:
+        object.__setattr__(self, "fractional", fractional)
+        object.__setattr__(self, "rounded", rounded)
 
 
 def crossover_threshold(support: BoundedSupport, k: int) -> float:
@@ -92,19 +95,25 @@ def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
     return best_k
 
 
-@dataclass(frozen=True, eq=False)
-class ParetoFront:
+class ParetoFront(Frozen):
     """The order vectors that can minimize L - t^2/(4R) at some t > 0.
 
     They are the vertices of the lower-left convex hull of the summed (L, R)
     points (with the points between edges of equal slope), in lexicographic
     order; ``L[i]`` and ``R[i]`` are the summed log multipliers and rates of
-    ``ks[i]``, added in variable order.
+    ``ks[i]``, added in variable order.  Two fronts are equal only if they
+    are the same object.
     """
 
-    ks: tuple[tuple[int, ...], ...]
-    L: tuple[float, ...]
-    R: tuple[float, ...]
+    __slots__ = ("ks", "L", "R")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, ks: tuple[tuple[int, ...], ...], L: tuple[float, ...],
+                 R: tuple[float, ...]) -> None:
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
 
     def index(self, t: float) -> int:
         """Where the front is least at t; exact ties go to the smaller vector."""

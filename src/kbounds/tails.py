@@ -21,10 +21,9 @@ A certificate holds no t or side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .bounds import BoundedSupport, FamilyTag, mgf_bound, order_k
+from .bounds import BoundedSupport, FamilyTag, Frozen, mgf_bound, order_k
 
 
 class Side(Enum):
@@ -33,31 +32,32 @@ class Side(Enum):
     TWO_SIDED = "two_sided"
 
 
-@dataclass(frozen=True)
-class SumScenario:
+class SumScenario(Frozen):
     """Independent variables plus one bound choice per variable."""
 
-    variables: tuple[BoundedSupport, ...]
-    choices: tuple[FamilyTag, ...]
+    __slots__ = ("variables", "choices")
 
-    def __post_init__(self) -> None:
-        if len(self.variables) < 1:
+    def __init__(self, variables: tuple[BoundedSupport, ...],
+                 choices: tuple[FamilyTag, ...]) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "choices", choices)
+        if len(variables) < 1:
             raise ValueError("scenario needs at least one variable")
-        if len(self.variables) != len(self.choices):
-            raise ValueError(
-                f"{len(self.variables)} variables but {len(self.choices)} choices"
-            )
-        for support, tag in zip(self.variables, self.choices):
+        if len(variables) != len(choices):
+            raise ValueError(f"{len(variables)} variables but {len(choices)} choices")
+        for support, tag in zip(variables, choices):
             mgf_bound(support, tag)  # raises when a precondition is unsatisfied
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(Frozen):
     """A certified log P(tail event at the caller's t) and its s* = t / (2R),
     the upper side's for a two-sided certificate."""
 
-    log_bound: float
-    s_star: float
+    __slots__ = ("log_bound", "s_star")
+
+    def __init__(self, log_bound: float, s_star: float) -> None:
+        object.__setattr__(self, "log_bound", log_bound)
+        object.__setattr__(self, "s_star", s_star)
 
 
 def order_k_scenario(

@@ -21,7 +21,6 @@ variables' laws, gaps and upper tail, which is the file's lower tail.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 
 import numpy as np
@@ -134,16 +133,22 @@ def _mc_thresholds(query: Query, reach: float) -> tuple[float, ...]:
     the sum can reach, at most 8 of them evenly spread by index, else a quarter,
     half and three quarters of its reach.
 
-    A t_range's grid never falls, so the t it can reach are a prefix, found by
-    bisection; only the picked t are built.
+    A t_range's grid never falls before its last t, i * step + lo for
+    i < count - 1, so the t it can reach there are a prefix, found by
+    bisection.  The last t, hi, can lie below the one before it (at subnormal
+    scale), so it is reachable on its own.  Only the picked t are built.
     """
     if query.t_range is not None:
         lo, hi, count = query.t_range
 
-        def t_at(i: int) -> float:
+        def t_of(i: int) -> float:
             return grid(lo, hi, count, (i,))[0]
 
-        reachable = bisect.bisect_right(range(count), reach, key=t_at)
+        head = bisect.bisect_right(range(count - 1), reach, key=t_of)
+        reachable = head + (hi <= reach)
+
+        def t_at(j: int) -> float:
+            return t_of(j if j < head else count - 1)
     else:
         ts = [t for t in query.ts or () if t <= reach]
         t_at, reachable = ts.__getitem__, len(ts)
@@ -190,8 +195,8 @@ def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int |
     violated where its max gap exceeds ``GAP_TOL``.
     """
     query = Query() if scenario is None else scenario.query
-    query = dataclasses.replace(query, seed=query.seed if seed is None else seed,
-                                samples=query.samples if samples is None else samples)
+    query = query.replace(seed=query.seed if seed is None else seed,
+                          samples=query.samples if samples is None else samples)
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
     supports = _supports(scenario, a, b, pmfs)

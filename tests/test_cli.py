@@ -796,6 +796,8 @@ class TestVerify:
     @settings(max_examples=300, deadline=None)
     @example((Query(t_range=(0.1, 12.0, 10 ** 5)), 6.0))
     @example((Query(t_range=(1e-320, 2e-320, 10 ** 5)), 1.5e-320))  # the step underflows
+    # the last-but-one t, 3.5e-321, lies above the last, hi
+    @example((Query(t_range=(5e-324, 3.493e-321, 709)), 3.493e-321))
     def test_mc_thresholds_match_the_resolved_range(self, case):
         query, reach = case
         assert verify._mc_thresholds(query, reach) == reference_mc_thresholds(query, reach)
@@ -1352,6 +1354,20 @@ class TestQuerySide:
         assert rows(cli_stdout(["tail", path]))[1][1] == "1.86887582487"
         out = cli_stdout(["sweep", path, "--t-range", "3", "3.1", "2"])
         assert rows(out)[1] == ["3", "1.86887582487"]
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("case", ["order_k 3", "moments fixed"])
+    def test_select_prints_the_fixed_choices_tail_prints(self, tmp_path, case, side):
+        # select once ran the order search on a fixed-choice file: 1|1 for
+        # order_k 3 where tail printed 3|3
+        variables, choices, ts = LOPSIDED[case]
+        path = self.write(tmp_path, "fixed.json", variables, choices, ts, side)
+        for t in ts:
+            _, log_bound, _, ks = rows(cli_stdout(["tail", path, "--t", repr(t)]))[1]
+            assert ks in ("3|3", "2|order2_moment|hertz|order4_moment")
+            selected = rows(cli_stdout(["select", path, "--t", repr(t)]))
+            assert selected[:2] == [["k", ks], ["log_bound", log_bound]]
+            assert len(selected) == 3 + 8 * len(variables)  # the crossover table stays
 
     @pytest.mark.parametrize("command", ["select", "sweep", "verify"])
     @pytest.mark.parametrize("case", ["auto", "order_k 3"])

@@ -4,7 +4,8 @@ The bounds, scenarios, selection and tails are plain Python, `t_range` grids,
 `sweep`'s (group x t) table and ``optimize_relaxed`` included; numpy loads
 only where pmfs are drawn: the `verify` command and ``kbounds.oracle``.  The
 package exports the pure-Python names alone, so an oracle name is reached
-through ``kbounds.oracle`` and never through ``kbounds`` itself.
+through ``kbounds.oracle`` and never through ``kbounds`` itself.  No command
+loads ``dataclasses``, and none without numpy loads ``inspect`` (numpy does).
 """
 
 import json
@@ -91,12 +92,14 @@ def imported_modules(tmp_path, args, code):
 def test_starts_without_numpy(tmp_path, name):
     modules = imported_modules(tmp_path, *WITHOUT_NUMPY[name])
     assert "kbounds" in modules
-    assert "numpy" not in modules
+    assert not modules & {"numpy", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("name", list(WITH_NUMPY))
 def test_array_paths_load_numpy(tmp_path, name):
-    assert "numpy" in imported_modules(tmp_path, *WITH_NUMPY[name])
+    modules = imported_modules(tmp_path, *WITH_NUMPY[name])
+    assert "numpy" in modules
+    assert "dataclasses" not in modules
 
 
 def test_exported_names_resolve():
