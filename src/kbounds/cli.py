@@ -28,13 +28,12 @@ starts without numpy.  `select` rejects a t range before it builds one.
 
 Every command reads the query's side (a file's ``query.side``, or `tail
 --side`) through ``tails.sides``, which gives each side's supports (the lower
-side's are the variables on [-b, -a]).  A two-sided `tail` row is
-``tails.two_sided`` of its two sides.  Under auto choices a side's row is
-``tails.certificate`` of its ``pareto_front``'s point at t; fixed choices run
-the scenario through ``one_sided_tail`` or ``lower_tail`` at each t.
-`select` picks the front's best orders at its t under auto choices and
-prints a fixed-choice file's own choices, as `tail` does, with their
-certificate's log bound.
+side's are the variables on [-b, -a]).  Which certificate a side prints at t,
+and its ks cell, is ``selection.certificates``'s one rule (the front's first
+minimum under auto choices, else the file's choices): a `tail` row is its
+answer at t, ``tails.two_sided`` of the two for a two-sided query, `select`
+prints its one answer at its t with the crossover table, and `verify`'s
+Monte Carlo rows sample against it.
 `select`, `sweep` and scenario-mode `verify` answer one side: they run on
 ``tails.one_side``'s supports, so a lower side prints what the upper side of
 the variables on [-b, -a] prints, and a two-sided query exits 2.  `sweep`
@@ -55,29 +54,10 @@ import argparse
 import math
 import sys
 
-from .bounds import (
-    BoundedSupport,
-    Family,
-    MgfBound,
-    catalog,
-    eval_log_mgf_bound,
-    mgf_bound,
-)
+from .bounds import BoundedSupport, MgfBound, catalog, eval_log_mgf_bound, mgf_bound
 from .scenario import Query, Scenario, load_scenario, parse_family_tag
-from .selection import crossover_table, optimize_exact, pareto_front, regimes
-from .tails import (
-    Side,
-    SumScenario,
-    certificate,
-    log_bound,
-    lower_tail,
-    one_side,
-    one_sided_tail,
-    order_k_scenario,
-    sides,
-    totals,
-    two_sided,
-)
+from .selection import K_MAX, certificates, crossover_table, regimes
+from .tails import Side, SumScenario, log_bound, one_side, order_k_scenario, totals, two_sided
 
 
 def g12(x: float) -> str:
@@ -117,7 +97,7 @@ def cmd_bound(args) -> int:
     if args.compare:
         if args.k is not None:
             raise ValueError("--k applies only to --family order_k, not --compare")
-        bounds = catalog(support, 8 if args.k_max is None else args.k_max)
+        bounds = catalog(support, K_MAX if args.k_max is None else args.k_max)
     else:
         if args.k_max is not None:
             raise ValueError("--k-max applies only to --compare")
@@ -150,41 +130,23 @@ def _resolve_query(scenario: Scenario, args) -> Query:
     return query.replace(ts=ts, t_range=t_range, side=side)
 
 
-def _choice_cell(tags) -> str:
-    return "|".join(str(t.k) if t.family is Family.ORDER_K else t.label() for t in tags)
-
-
 def cmd_tail(args) -> int:
     scenario = load_scenario(args.scenario)
     query = _resolve_query(scenario, args)
     ts = query.resolve_ts()
     if not scenario.auto and args.k_max is not None:
         raise ValueError('--k-max applies only to "choices": "auto" scenarios')
-    supports = sides(scenario.variables, query.side)  # once, before any row
-    if scenario.auto:
-        k_max = 8 if args.k_max is None else args.k_max
-        fronts = [pareto_front(side_supports, k_max) for side_supports in supports.values()]
-
-        def certificates(t: float):
-            for front in fronts:
-                i = front.index(t)
-                yield certificate(front.L[i], front.R[i], t), "|".join(map(str, front.ks[i]))
-    else:
-        side_tails = [lower_tail if side is Side.LOWER else one_sided_tail for side in supports]
-
-        def certificates(t: float):
-            chosen = scenario.sum_scenario()
-            cell = _choice_cell(chosen.choices)
-            return [(side_tail(chosen, t), cell) for side_tail in side_tails]
+    rule = certificates(scenario.variables, scenario.choices, query.side,
+                        K_MAX if args.k_max is None else args.k_max)
 
     def row(t: float) -> str:
-        certs, cells = zip(*certificates(t))
+        certs, cells = zip(*rule(t))
         cert = two_sided(*certs) if len(certs) == 2 else certs[0]
         if not (math.isfinite(cert.log_bound) and math.isfinite(cert.s_star)):
             raise ValueError(f"t={g12(t)}: the certificate is not finite")
         return f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + ",".join(cells)
 
-    header = "t,log_bound,s_star,ks" + (",ks_mirror" if len(supports) == 2 else "")
+    header = "t,log_bound,s_star,ks" + (",ks_mirror" if query.side is Side.TWO_SIDED else "")
     lines = [header] + [row(t) for t in ts]
     _emit(args, lines)
     return 0
@@ -198,17 +160,13 @@ def cmd_select(args) -> int:
         raise ValueError("select needs a single t (--t or a one-value query.t)")
     t = ts[0]
     variables = one_side(scenario.variables, query.side)
-    if scenario.auto:
-        selection = optimize_exact(variables, t, args.k_max)
-        cell, value = "|".join(map(str, selection.ks)), selection.log_bound
-    else:  # the file's own choices, as `tail` prints them
-        cell = _choice_cell(scenario.choices)
-        value = certificate(*totals(SumScenario(variables, scenario.choices)), t).log_bound
-    if not math.isfinite(value):
+    [(cert, cell)] = certificates(scenario.variables, scenario.choices, query.side,
+                                  args.k_max)(t)  # `tail`'s row at t
+    if not math.isfinite(cert.log_bound):
         raise ValueError(f"t={g12(t)}: the log bound is not finite")
     lines = [
         f"k,{cell}",
-        f"log_bound,{g12(value)}",
+        f"log_bound,{g12(cert.log_bound)}",
         "variable,k,k_next,t_star",
     ]
     for i, support in enumerate(variables, start=1):
@@ -230,8 +188,7 @@ def cmd_verify(args) -> int:
     lines = ["family,max_gap,violations"]
     lines += [f"{label},{g12(gap)},{int(bad)}" for label, gap, bad in gaps]
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")
-    lines += [f"mc,{g12(t)},{'|'.join(map(str, ks))},{g12(estimate)},"
-              f"{g12(se)},{g12(certificate)},{int(ok)}"
+    lines += [f"mc,{g12(t)},{ks},{g12(estimate)},{g12(se)},{g12(certificate)},{int(ok)}"
               for t, ks, estimate, se, certificate, ok in mc]
     clean = not any(bad for *_, bad in gaps) and all(ok for *_, ok in mc)
     lines.append("verdict," + ("ok" if clean else "violation"))
@@ -291,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, k_max=True):
         p.add_argument("--out", help="write output to this file instead of stdout")
         if k_max:
-            p.add_argument("--k-max", type=int, default=8, dest="k_max")
+            p.add_argument("--k-max", type=int, default=K_MAX, dest="k_max")
 
     p_bound = sub.add_parser("bound", help="single-variable bound catalog")
     p_bound.add_argument("--a", type=finite_float, required=True)
@@ -305,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--k", type=int, help="the order of --family order_k")
     p_bound.add_argument("--s", type=finite_float, required=True)
     p_bound.add_argument("--k-max", type=int, dest="k_max",
-                         help="default 8; only with --compare")
+                         help=f"default {K_MAX}; only with --compare")
     add_common(p_bound, k_max=False)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -315,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--t-range", type=finite_float, nargs=3, metavar=("MIN", "MAX", "N"))
     p_tail.add_argument("--side", choices=[s.value for s in Side])
     p_tail.add_argument("--k-max", type=int, dest="k_max",
-                        help='default 8; only for "choices": "auto"')
+                        help=f'default {K_MAX}; only for "choices": "auto"')
     add_common(p_tail, k_max=False)
     p_tail.set_defaults(func=cmd_tail)
 

@@ -19,6 +19,10 @@ near-optimal profile  k_j  proportional to  Phi_j / sqrt(2 log(1 + r_j)),
 rounded by the hull over each variable's floor and ceiling.  Two vectors tie
 where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free.
 
+``certificates`` is the one rule for the certificate a scenario's side prints
+at t: the front's first minimum under auto choices, else the file's choices.
+`tail`, `select` and `verify`'s Monte Carlo rows all read it.
+
 Everything here is plain Python on tuples of floats: the hull,
 ``ParetoFront.index`` and ``regimes`` with the float expressions, summation
 order and first-minimum ties that numpy gave them, and ``optimize_relaxed``'s
@@ -30,8 +34,11 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundedSupport, Frozen, endpoint_ratio, mgf_bound, multiplier_log, order_k, phi
-from .tails import log_bound
+from .bounds import (BoundedSupport, Family, Frozen, endpoint_ratio, mgf_bound, multiplier_log,
+                     order_k, phi)
+from .tails import Side, SumScenario, certificate, log_bound, lower_tail, one_sided_tail, sides
+
+K_MAX = 8  # the largest order searched when no k_max is given
 
 
 class KSelection(Frozen):
@@ -68,8 +75,11 @@ def crossover_threshold(support: BoundedSupport, k: int) -> float:
     return phi(support) * math.sqrt(2.0 * gap)
 
 
-def crossover_table(support: BoundedSupport, k_max: int = 8) -> tuple[tuple[int, int, float], ...]:
+def crossover_table(support: BoundedSupport,
+                    k_max: int = K_MAX) -> tuple[tuple[int, int, float], ...]:
     """(k, k+1, t*) rows, k = 1..k_max; t* is nan where the refined A_{k+1} dips below A_k."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     rows = []
     for k in range(1, k_max + 1):
         try:
@@ -79,7 +89,7 @@ def crossover_table(support: BoundedSupport, k_max: int = 8) -> tuple[tuple[int,
     return tuple(rows)
 
 
-def best_k_single(support: BoundedSupport, t: float, k_max: int = 8) -> int:
+def best_k_single(support: BoundedSupport, t: float, k_max: int = K_MAX) -> int:
     """argmin over k of log A_k - t^2 k / (2 Phi^2), ties to the smaller k."""
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
@@ -133,7 +143,7 @@ def _first_min(L, R, t: float) -> int:
     return obj.index(min(obj))
 
 
-def pareto_front(variables, k_max: int = 8) -> ParetoFront:
+def pareto_front(variables, k_max: int = K_MAX) -> ParetoFront:
     """The lower-left (L, R) hull of {1..k_max}^n, for ``ParetoFront.index``.
 
     Only hull vertices can win or tie at any t (see the module docstring).
@@ -207,7 +217,7 @@ def _summed(points) -> tuple[tuple[int, ...], float, float]:
     return tuple(k for k, _, _ in points), big_l, big_r
 
 
-def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
+def optimize_exact(variables, t: float, k_max: int = K_MAX) -> KSelection:
     """Exact minimum of the one-sided log bound over {1..k_max}^n.
 
     The exponent couples the k_i, so this is the ground truth the heuristics
@@ -220,7 +230,42 @@ def optimize_exact(variables, t: float, k_max: int = 8) -> KSelection:
     return pareto_front(variables, k_max).best(t)
 
 
-def optimize_relaxed(variables, t: float, k_max: int = 8) -> RelaxedSolution:
+def _choice_cell(tags) -> str:
+    return "|".join(str(t.k) if t.family is Family.ORDER_K else t.label() for t in tags)
+
+
+def certificates(variables, choices, side: Side, k_max: int = K_MAX):
+    """The function of t giving each side's printed (``TailCertificate``, ks
+    cell), one per side of ``tails.sides``, upper first; ``tails.sides`` runs
+    first, so a refused mirror fails before any row.
+
+    Under auto choices (``choices`` is None) a side's row is ``certificate``
+    of its ``pareto_front``'s first minimum at t, the cell its orders.  Fixed
+    choices build one ``SumScenario`` per t for the upper side's
+    ``one_sided_tail`` and the lower side's ``lower_tail``; the cell names
+    each choice, an order_k choice by its k.
+    """
+    supports = sides(variables, side)
+    if choices is None:
+        fronts = [pareto_front(side_supports, k_max) for side_supports in supports.values()]
+
+        def at(t: float):
+            firsts = [(front, front.index(t)) for front in fronts]
+            return [(certificate(f.L[i], f.R[i], t), "|".join(map(str, f.ks[i])))
+                    for f, i in firsts]
+    else:
+        side_tails = [lower_tail if s is Side.LOWER else one_sided_tail for s in supports]
+
+        def at(t: float):
+            # each fixed row does all its work again, the cell too: hoisting it
+            # waits on the benchmark repair (ROADMAP Direction 1)
+            chosen = SumScenario(variables, choices)
+            cell = _choice_cell(chosen.choices)
+            return [(side_tail(chosen, t), cell) for side_tail in side_tails]
+    return at
+
+
+def optimize_relaxed(variables, t: float, k_max: int = K_MAX) -> RelaxedSolution:
     """Continuous relaxation of the order assignment, then lattice rounding.
 
     The stationarity condition k_j = c_j * t / (sum_i Phi_i^2 / k_i) with
@@ -282,7 +327,7 @@ def regimes(L, R, t_lo: float, t_hi: float) -> list[tuple[float, float, int]]:
 
 
 def best_region_partition(
-    variables, t_min: float, t_max: float, k_max: int = 8
+    variables, t_min: float, t_max: float, k_max: int = K_MAX
 ) -> list[tuple[float, float, tuple[int, ...]]]:
     """Partition [t_min, t_max] into intervals sharing one optimal k-vector.
 

@@ -10,11 +10,14 @@ a finite max(|a|, b)^4 per support, then each support's catalog, labels and
 poisoned rates (``_gap_tables``).  Each support's law is its first (xs, ps)
 stack: the extremal two-point law under --random,
 ``oracle.moment_matched_pmf`` for a scenario variable.  Under --random one
-seeded generator then draws each support's pmfs, one stack per atom count.  The log multipliers that read
-moments come from each pmf's measured m2 and m4, and all are checked against
-the exact log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples
-the sum of the laws against its certificates.  A scenario's supports are those
-of its query's side (``tails.one_side``): a lower side checks the mirrored
+seeded generator then draws each support's pmfs, one stack per atom count.
+The log multipliers that read moments come from each pmf's measured m2 and
+m4, and all are checked against the exact log-MGF rows as (pmf x family x s)
+tables.  ``_mc_rows`` samples the sum of the laws at each t against the
+certificate `tail` prints there, from ``selection.certificates``: the
+scenario's own variables, choices and side, or under --random the supports
+with auto choices on the upper side.  A scenario's supports are those of its
+query's side (``tails.one_side``): a lower side checks the mirrored
 variables' laws, gaps and upper tail, which is the file's lower tail.
 """
 
@@ -34,13 +37,12 @@ from .oracle import (
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
-    moments,
     random_mean_zero_stack,
     validity_gaps,
 )
 from .scenario import Query, Scenario, grid
-from .selection import pareto_front
-from .tails import one_side, one_sided_tail, order_k_scenario
+from .selection import certificates
+from .tails import Side, one_side
 
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
@@ -158,28 +160,20 @@ def _mc_thresholds(query: Query, reach: float) -> tuple[float, ...]:
     return tuple(t_at(int(i)) for i in picks)
 
 
-def _mc_rows(query: Query, group, k_max: int):
+def _mc_rows(query: Query, group, rule):
     """(t, ks, estimate, std_error, certificate, ok) rows: the group's sum
-    sampled at each ``_mc_thresholds`` t against the certificates of all
-    orders 1, all orders 2 (up to ``k_max``) and the front's best at t.
+    sampled at each ``_mc_thresholds`` t against ``rule``'s one certificate
+    there (``selection.certificates``), with its ks cell: `tail`'s row at t.
 
-    Each variable is its pmf's measured support; ``ok`` allows the estimate
-    three standard errors above the certificate, capped at 1.
+    ``ok`` allows the estimate three standard errors above the certificate,
+    capped at 1.
     """
-    variables = tuple(BoundedSupport(p.support.a, p.support.b, moments(p, 2), moments(p, 4))
-                      for p in group)
-    ts = _mc_thresholds(query, sum(v.b for v in variables))
-    front = pareto_front(variables, k_max)
+    ts = _mc_thresholds(query, sum(p.support.b for p in group))
     rows = []
     for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, query.samples, query.seed)):
-        candidates = [(k,) * len(group) for k in (1, 2) if k <= k_max]
-        best = front.best(t).ks
-        if best not in candidates:
-            candidates.append(best)
-        for ks in candidates:
-            cert = one_sided_tail(order_k_scenario(variables, ks), t)
-            certificate = math.exp(min(cert.log_bound, 0.0))
-            rows.append((t, ks, estimate, se, certificate, estimate <= certificate + 3.0 * se))
+        [(cert, ks)] = rule(t)
+        certificate = math.exp(min(cert.log_bound, 0.0))
+        rows.append((t, ks, estimate, se, certificate, estimate <= certificate + 3.0 * se))
     return rows
 
 
@@ -210,4 +204,6 @@ def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int |
               for support, law in zip(supports, laws)]
     max_gap = _family_max_gaps(zip(supports, tables, stacks))
     gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
-    return gaps, _mc_rows(query, laws, k_max)
+    rule = (certificates(supports, None, Side.UPPER, k_max) if scenario is None
+            else certificates(scenario.variables, scenario.choices, query.side, k_max))
+    return gaps, _mc_rows(query, laws, rule)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kbounds import cli, oracle, verify
+from kbounds import cli, oracle, selection, verify
 from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
@@ -25,6 +25,7 @@ from kbounds.tails import (
     log_bound,
     lower_tail,
     mirror,
+    one_side,
     one_sided_tail,
     order_k_scenario,
     totals,
@@ -336,7 +337,7 @@ def per_row_tail(argv) -> str:
             cert, used = two_sided(one_sided_tail(upper, t), lower_tail(lower, t)), [upper, lower]
         else:
             cert, used = two_sided_tail(upper, t), [upper, upper]
-        cells = [cli._choice_cell(s.choices) for s in used]
+        cells = [selection._choice_cell(s.choices) for s in used]
         lines.append(f"{g12(t)},{g12(cert.log_bound)},{g12(cert.s_star)}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -517,6 +518,16 @@ class TestNonFiniteInput:
 
 
 class TestSelect:
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    @pytest.mark.parametrize("choices", ["auto", [{"family": "hertz"}, {"family": "classic"}]])
+    def test_k_max_below_one_exits_2(self, tmp_path, capsys, choices, k_max):
+        # a fixed-choice file once printed an empty crossover table with exit 0
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"format_version": 1, "choices": choices,
+                                    "variables": [{"a": -1, "b": 5}, {"a": -2, "b": 2}]}))
+        code, out, err = run_cli(["select", str(path), "--t", "2", "--k-max", k_max], capsys)
+        assert (code, out, err) == (2, "", "error: k_max must be >= 1\n")
+
     def test_example1_thresholds(self, fixtures_dir, capsys):
         scenario = str(fixtures_dir / "example1.json")
         code, out, _ = run_cli(["select", scenario, "--t", "1.0", "--k-max", "2"], capsys)
@@ -1391,6 +1402,61 @@ class TestQuerySide:
         assert err.startswith("error: variables[1] mirrored for the lower tail: support "
                               "[-1e-300, 10000000000.0] is too lopsided")
         assert err.count("\n") == 1
+
+
+# the fixed-choice file whose certificate `verify` once never sampled: `tail`
+# printed hertz|order2_moment while `verify` sampled 1|1 and 2|2
+HERTZ_M2 = ([{"a": -1, "b": 5}, {"a": -2, "b": 2, "m2": 1}],
+            [{"family": "hertz"}, {"family": "order2_moment"}], [1.0, 2.5, 4.0])
+
+
+class TestVerifyChecksTail:
+    """Each of `verify`'s Monte Carlo rows is `tail`'s row at its t: the same
+    ks cell, and the certificate exp(min(log_bound, 0))."""
+
+    @staticmethod
+    def check(verify_argv, tail_argv, query, supports):
+        mc = [row for row in rows(cli_stdout(verify_argv)) if row[0] == "mc"]
+        ts = verify._mc_thresholds(query, sum(s.b for s in supports))
+        tail = rows(cli_stdout([*tail_argv, "--t", *map(repr, ts)]))[1:]
+        assert len(mc) == len(ts) == len(tail)
+        for (_, t, ks, _, _, cert, _), (t_tail, log_bound, _, ks_tail) in zip(mc, tail):
+            assert (t, ks) == (t_tail, ks_tail)
+            assert math.isclose(float(cert), math.exp(min(float(log_bound), 0.0)),
+                                rel_tol=1e-10)
+
+    def check_file(self, path):
+        scenario = load_scenario(path)
+        supports = one_side(scenario.variables, scenario.query.side)
+        self.check(["verify", path, "--samples", "1000"], ["tail", path], scenario.query,
+                   supports)
+
+    @pytest.mark.parametrize("name", [f"example{i}.json" for i in range(1, 6)] + ["fixed.json"])
+    def test_scenario_rows(self, fixtures_dir, tmp_path, name):
+        (tmp_path / "fixed.json").write_text(json.dumps(FIXED))
+        self.check_file(str((tmp_path if name == "fixed.json" else fixtures_dir) / name))
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("case", [*LOPSIDED, "hertz order2_moment"])
+    def test_sided_file_rows(self, tmp_path, case, side):
+        variables, choices, ts = HERTZ_M2 if case == "hertz order2_moment" else LOPSIDED[case]
+        path = str(tmp_path / "sided.json")
+        Path(path).write_text(json.dumps({"format_version": 1, "variables": variables,
+                                          "choices": choices,
+                                          "query": {"t": ts, "side": side}}))
+        self.check_file(path)
+
+    @pytest.mark.parametrize("flags", [[], ["--a=-1", "--b", "5"], ["--k-max", "1"]])
+    def test_random_rows(self, tmp_path, flags):
+        # --random's rows are those of an auto upper-side file of its supports
+        intervals = [(-1.0, 5.0)] if "--a=-1" in flags else verify.CANONICAL_SUPPORTS
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps({"format_version": 1, "choices": "auto",
+                                    "variables": [{"a": a, "b": b} for a, b in intervals]}))
+        k_max = flags if "--k-max" in flags else []
+        self.check(["verify", "--random", "--pmfs", "5", "--samples", "1000", *flags],
+                   ["tail", str(path), *k_max], Query(),
+                   [BoundedSupport(a, b) for a, b in intervals])
 
 
 def test_cli_option_count_is_pinned():

@@ -85,19 +85,19 @@ GOLDEN = [
     (["bound", "--a=-2", "--b", "1", "--compare", "--s", "3"],
      "f70ba24f46709f121a8a3b422e491679478d7a614d699c1645624a48c1dca388"),
     (["verify", "example1.json", "--samples", "20000"],
-     "1feffff2792faa42404406434284dbbd5c501ae500d9a92258e228acbdbf2675"),
+     "041f138413560394c2357f12057f870e198964b34a95ebbc872d579b7d96c5d3"),
     (["verify", "example2.json", "--samples", "20000"],
-     "6e1040c5e5b6920f5da20392d1e4772b9ddac51537bc1ee6e1e31fc450c5ed27"),
+     "f363c934a870bdaf30a5b1832ae342808d902da66e7dc3f20884e1edc5aede82"),
     (["verify", "example3.json", "--samples", "20000"],
-     "8ccfa629aef85cd69abfd84a890ba4df5797a43408ed63225b82463c29e0c2a3"),
+     "8e1fa00a7bcf9741a44baf77b96d9e3524b2d645da9cdba08f3fac7b4cd019d9"),
     (["verify", "example4.json", "--samples", "20000"],
-     "1fd0724a7ba77c2bf380f26a456fb9861028639d4c9221d51401db719022a7ea"),
+     "5a22ceacd25dcfa61b8e0f45b710ae6d6184ea013c123e913faff5c3e6301429"),
     (["verify", "example5.json", "--samples", "20000"],
-     "ddce9beefd61fdaf80d4a1725de812e237247c94099a932f94883d51c3d78fa2"),
+     "825830a08db9d8333ba8ea68f7f5c51102f2ed6c51675ec721d031b7c8c4bbde"),
     # moment_matched_pmf's laws: the m2 mixture, the random law and both
     # symmetric cases
     (["verify", "fixed.json", "--samples", "20000"],
-     "781acf8115eb2166a7ac9314c0335b5f7ed7e025d72584af4de554a63312f893"),
+     "05e1639c0f6a8d3fe7100f1bd617307e272ced521b8a810b0a5c05377b369061"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],
@@ -133,7 +133,7 @@ GOLDEN = [
     (["bound", "--a=-1.5", "--b", "1.5", "--odd-moments-zero", "--compare", "--s", "0.7"],
      "31ede6af7d30f513513e3c6aa393ad2eac4f9f325040bd14dd28d1cbfa77834f"),
     (["verify", "--random", "--pmfs", "200", "--samples", "1000", "--seed", "5"],
-     "aed0ceba38381dbd168b9d43159b94f10fae4ebae378519a0edebd26be3051a3"),
+     "03dc62001839dd8f8de72cf7f3c1044e07a5956988fbf6442b6092371e1f0469"),
 ]
 
 

@@ -268,6 +268,12 @@ class TestCrossoverThreshold:
         assert [(k, k2) for k, k2, _ in rows] == [(1, 2), (2, 3), (3, 4)]
         assert all(t > 0 for _, _, t in rows)
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_table_rejects_k_max_below_one(self, k_max):
+        # as pareto_front and catalog do: an empty table once passed
+        with pytest.raises(ValueError, match=r"^k_max must be >= 1$"):
+            crossover_table(S11, k_max)
+
     def test_inconsistent_ladder_raises(self):
         # the k=4 moment form can undercut A_3, leaving no finite crossover
         tricky = BoundedSupport(-1, 1, m2=0.01, m4=0.0001, odd_moments_zero=True)
