@@ -94,6 +94,8 @@ class FamilyTag(Frozen):
         if family is Family.ORDER_K:
             if k is None or k < 1:
                 raise ValueError("order_k requires an integer k >= 1")
+            if k > sys.float_info.max:
+                raise ValueError("order_k's k is too large for a float")
         elif k is not None:
             raise ValueError(f"family {family.value} takes no k")
 

@@ -9,22 +9,23 @@ Subcommands::
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
 Each subcommand parses its flags, hands every value rule to the module that
-owns it and prints CSV: ``scenario.Query`` checks t values and ranges (`--t`
-and `--t-range` together break its rule as a file's t and t_range do),
-``scenario.parse_family_tag`` the `bound --family/--k` tag,
+owns it and prints CSV: ``scenario.Query`` checks t values and ranges, seeds
+and sample counts (`--t` and `--t-range` together break its rule as a file's
+t and t_range do), ``scenario.parse_family_tag`` the `bound --family/--k` tag,
 ``bounds.BoundedSupport`` the interval and moments, and ``bounds.catalog``
 which families `bound --compare` and `verify` check.  What is left here is
 about flags alone: which go together, and that a `--t-range` COUNT is an
-integer.
+integer; ``_resolve_query`` puts the t, side, seed and sample flags in the query.
 
-`verify` passes its values to ``kbounds.verify.run``, which puts the seed and
-sample count in the query, checks every input before it draws any pmf (so a
-bad `--k-max`, `--seed`, `--samples`, `--poison-rate` or interval exits 2 first)
-and returns the gap and Monte Carlo rows with their verdicts.  That module
-imports numpy; `cmd_verify` imports it when it runs and writes the rows as
-CSV.  Everything else here is pure Python, `t_range` grids (``scenario.grid``)
-and `sweep`'s (group x t) table included, so every command but `verify`
-starts without numpy.  `select` rejects a t range before it builds one.
+`verify` turns `--random` into a scenario (the canonical or `--a`/`--b`
+supports, auto choices, no query) and passes it with its resolved query to
+``kbounds.verify.run``, which checks the rest before it draws any pmf (so a
+bad `--k-max`, `--poison-rate` or interval exits 2 first) and returns the gap
+and Monte Carlo rows with their verdicts.  That module imports numpy;
+`cmd_verify` imports it when it runs and writes the rows as CSV.  Everything
+else here is pure Python, `t_range` grids (``scenario.grid``) and `sweep`'s
+(group x t) table included, so every command but `verify` starts without
+numpy.  `select` rejects a t range before it builds one.
 
 Every command reads the query's side (a file's ``query.side``, or `tail
 --side`) through ``tails.sides``, which gives each side's supports (the lower
@@ -34,7 +35,7 @@ minimum under auto choices, else the file's choices): a `tail` row is its
 answer at t, ``tails.two_sided`` of the two for a two-sided query, `select`
 prints its one answer at its t with the crossover table, and `verify`'s
 Monte Carlo rows sample against it.
-`select`, `sweep` and scenario-mode `verify` answer one side: they run on
+`select`, `sweep` and `verify` answer one side: they run on
 ``tails.one_side``'s supports, so a lower side prints what the upper side of
 the variables on [-b, -a] prints, and a two-sided query exits 2.  `sweep`
 curves are ``tails.log_bound`` of ``tails.totals``; its crossovers are the
@@ -115,7 +116,7 @@ def cmd_bound(args) -> int:
 
 
 def _resolve_query(scenario: Scenario, args) -> Query:
-    """The scenario's query with the t values and side the flags give."""
+    """The scenario's query with the t values, side, seed and samples the flags give."""
     query = scenario.query
     ts, t_range = query.ts, query.t_range
     flag_ts, flag_range = getattr(args, "t", None), getattr(args, "t_range", None)
@@ -127,7 +128,10 @@ def _resolve_query(scenario: Scenario, args) -> Query:
                 raise ValueError(f"--t-range COUNT must be an integer, got {count:g}")
             t_range = (lo, hi, int(count))
     side = Side(args.side) if getattr(args, "side", None) else query.side
-    return query.replace(ts=ts, t_range=t_range, side=side)
+    seed, samples = getattr(args, "seed", None), getattr(args, "samples", None)
+    return query.replace(ts=ts, t_range=t_range, side=side,
+                         seed=query.seed if seed is None else seed,
+                         samples=query.samples if samples is None else samples)
 
 
 def cmd_tail(args) -> int:
@@ -182,9 +186,22 @@ def cmd_verify(args) -> int:
 
     if args.random == (args.scenario is not None):
         raise ValueError("give a scenario file or --random (not both)")
-    scenario = None if args.random else load_scenario(args.scenario)
-    gaps, mc = verify.run(scenario, args.a, args.b, args.pmfs, args.k_max, args.samples,
-                          args.seed, args.poison_rate)
+    if args.random:  # the canonical or --a/--b supports, auto choices, no query
+        if (args.a is None) != (args.b is None):
+            raise ValueError("give both --a and --b, or neither")
+        if args.pmfs is not None and args.pmfs < 0:
+            raise ValueError(f"--pmfs must be >= 0, got {args.pmfs}")
+        intervals = verify.CANONICAL_SUPPORTS if args.a is None else [(args.a, args.b)]
+        scenario = Scenario(tuple(BoundedSupport(a, b) for a, b in intervals), None, Query())
+        pmfs = 1000 if args.pmfs is None else args.pmfs
+    else:
+        scenario = load_scenario(args.scenario)
+        given = [f"--{flag}" for flag in ("a", "b", "pmfs") if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} can only be used with --random")
+        pmfs = 0
+    query = _resolve_query(scenario, args)
+    gaps, mc = verify.run(scenario.replace(query=query), pmfs, args.k_max, args.poison_rate)
     lines = ["family,max_gap,violations"]
     lines += [f"{label},{g12(gap)},{int(bad)}" for label, gap, bad in gaps]
     lines.append("kind,t,ks,estimate,std_error,certificate,ok")

@@ -200,21 +200,22 @@ def random_mean_zero_pmf(
     return FinitePmf(tuple(xs[0].tolist()), tuple(ps[0].tolist()), support)
 
 
-def moment_matched_pmf(support: BoundedSupport, seed: int = 0) -> FinitePmf:
+def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     """A concrete distribution honoring the support's declared moments.
 
     Without odd_moments_zero only m2 is matched, since no bound reads m4
     unless the odd moments vanish: with m2 declared, the mixture
     alpha * extremal-two-point + (1-alpha) * delta_0 with alpha = m2/(|a|b);
-    without it, a seeded random pmf.  With odd_moments_zero: symmetric atoms
-    +-c (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
+    without it, ``extremal_two_point``, the worst case among mean-zero laws
+    on [a, b] (Hoeffding 1963).  With odd_moments_zero: symmetric atoms +-c
+    (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
     inside the interval.
     """
     a, b = support.a, support.b
     m2, m4 = support.m2, support.m4
     if not support.odd_moments_zero:
         if m2 is None:
-            return random_mean_zero_pmf(support, 4, seed)
+            return extremal_two_point(support)
         alpha = min(1.0, m2 / (-a * b))
         two = extremal_two_point(support)
         return FinitePmf(

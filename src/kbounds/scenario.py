@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 from .bounds import BoundedSupport, Family, FamilyTag, Frozen
@@ -145,6 +146,8 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ScenarioError(f"{where} is too large for a float")
     if not math.isfinite(value):
         raise ScenarioError(f"{where} must be finite, got {value!r}")
     return float(value)

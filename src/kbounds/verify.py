@@ -1,24 +1,21 @@
-"""The oracle side of `verify`: ``run`` takes the command's values and
+"""The oracle side of `verify`: ``run`` takes one resolved scenario and
 returns its gap rows and Monte Carlo rows.
 
 `verify` is the one command that draws pmfs, so this module imports numpy and
 ``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
-commands start without numpy.  ``run`` checks every input before it draws:
-the seed and sample count by ``scenario.Query``'s rules (a seed of at least 0,
-at least ``MIN_SAMPLES`` samples), the poison rate, the --a/--b/--pmfs rules,
-a finite max(|a|, b)^4 per support, then each support's catalog, labels and
-poisoned rates (``_gap_tables``).  Each support's law is its first (xs, ps)
-stack: the extremal two-point law under --random,
-``oracle.moment_matched_pmf`` for a scenario variable.  Under --random one
-seeded generator then draws each support's pmfs, one stack per atom count.
-The log multipliers that read moments come from each pmf's measured m2 and
-m4, and all are checked against the exact log-MGF rows as (pmf x family x s)
-tables.  ``_mc_rows`` samples the sum of the laws at each t against the
-certificate `tail` prints there, from ``selection.certificates``: the
-scenario's own variables, choices and side, or under --random the supports
-with auto choices on the upper side.  A scenario's supports are those of its
-query's side (``tails.one_side``): a lower side checks the mirrored
-variables' laws, gaps and upper tail, which is the file's lower tail.
+commands start without numpy.  `verify --random` is the scenario of the
+``CANONICAL_SUPPORTS`` (or --a/--b) with auto choices and no query.  ``run``
+checks its input before it draws: the poison rate, a finite max(|a|, b)^4 per
+support, then each support's catalog, labels and poisoned rates
+(``_gap_tables``).  Each support's law, ``oracle.moment_matched_pmf``'s, is
+its first (xs, ps) stack; one seeded generator then draws ``pmfs`` random pmfs
+per support, one stack per atom count.  The log multipliers that read moments
+come from each pmf's measured m2 and m4, and all are checked against the exact
+log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples the sum of
+the laws at each t against the certificate `tail` prints there
+(``selection.certificates``).  The supports are those of the query's side
+(``tails.one_side``): a lower side checks the mirrored variables' laws, gaps
+and upper tail, which is the file's lower tail.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .oracle import (
     S_GRID,
     check_pmf_stack,
     exact_log_mgf_rows,
-    extremal_two_point,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
@@ -42,7 +38,7 @@ from .oracle import (
 )
 from .scenario import Query, Scenario, grid
 from .selection import certificates
-from .tails import Side, one_side
+from .tails import one_side
 
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
@@ -95,23 +91,11 @@ def _family_max_gaps(batches) -> dict[str, float]:
     return max_gap
 
 
-def _supports(scenario: Scenario | None, a, b, pmfs) -> list[BoundedSupport]:
+def _supports(scenario: Scenario) -> list[BoundedSupport]:
     """The supports whose laws `verify` sweeps: the scenario's variables on its
-    query's side (``tails.one_side``: mirrored for the lower one), or under
-    --random the --a/--b interval, else the canonical ones.  Each one's
+    query's side (``tails.one_side``: mirrored for the lower one).  Each one's
     max(|a|, b)^4 must be finite as ``moment_rows`` computes it."""
-    if scenario is not None:
-        given = [f"--{flag}" for flag, value in (("a", a), ("b", b), ("pmfs", pmfs))
-                 if value is not None]
-        if given:
-            raise ValueError(f"{', '.join(given)} can only be used with --random")
-        supports = list(one_side(scenario.variables, scenario.query.side))
-    else:
-        if (a is None) != (b is None):
-            raise ValueError("give both --a and --b, or neither")
-        if pmfs is not None and pmfs < 0:
-            raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
-        supports = [BoundedSupport(*ab) for ab in (CANONICAL_SUPPORTS if a is None else [(a, b)])]
+    supports = list(one_side(scenario.variables, scenario.query.side))
     for support in supports:
         with np.errstate(over="ignore"):
             if not np.isfinite(np.asarray([max(-support.a, support.b)]) ** 4).all():
@@ -177,33 +161,24 @@ def _mc_rows(query: Query, group, rule):
     return rows
 
 
-def run(scenario: Scenario | None, a: float | None, b: float | None, pmfs: int | None,
-        k_max: int, samples: int | None, seed: int | None, poison: float):
+def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     """`verify`'s (label, max_gap, violated) rows, sorted by label, and its
-    ``_mc_rows``; ``scenario`` is None under --random.
+    ``_mc_rows``.
 
-    ``seed`` and ``samples`` replace the query's own, whose rules check them
-    first; ``pmfs`` (random pmfs per support, --random only) defaults to 1000.
-    Each support's law is its first stack, and under --random ``pmfs`` random
-    pmfs follow; the laws are the group whose sum is sampled.  A family is
-    violated where its max gap exceeds ``GAP_TOL``.
+    Each support's law is ``moment_matched_pmf``'s and its first stack;
+    ``pmfs`` random pmfs per support follow.  The laws are the group whose sum
+    is sampled.  A family is violated where its max gap exceeds ``GAP_TOL``.
     """
-    query = Query() if scenario is None else scenario.query
-    query = query.replace(seed=query.seed if seed is None else seed,
-                          samples=query.samples if samples is None else samples)
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
-    supports = _supports(scenario, a, b, pmfs)
+    query = scenario.query
+    supports = _supports(scenario)
     tables = [_gap_tables(support, k_max, poison) for support in supports]
-    laws = [extremal_two_point(support) if scenario is None
-            else moment_matched_pmf(support, seed=query.seed + i)
-            for i, support in enumerate(supports)]
-    count = 0 if scenario is not None else 1000 if pmfs is None else pmfs
+    laws = [moment_matched_pmf(support) for support in supports]
     rng = np.random.default_rng(query.seed)
-    stacks = [[law.stack(), *_random_stacks(support, count, rng)]
+    stacks = [[law.stack(), *_random_stacks(support, pmfs, rng)]
               for support, law in zip(supports, laws)]
     max_gap = _family_max_gaps(zip(supports, tables, stacks))
     gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
-    rule = (certificates(supports, None, Side.UPPER, k_max) if scenario is None
-            else certificates(scenario.variables, scenario.choices, query.side, k_max))
+    rule = certificates(scenario.variables, scenario.choices, query.side, k_max)
     return gaps, _mc_rows(query, laws, rule)

@@ -962,6 +962,21 @@ class TestVerify:
             drawn = [rows for support, _, rows, _ in calls if support == BoundedSupport(a, b)]
             assert sum(drawn) == 300
 
+    @pytest.mark.parametrize("seed, samples", [("0", "1000"), ("11", "3000")])
+    @pytest.mark.parametrize("flags", [[], ["--a=-1", "--b", "5"]])
+    def test_random_is_the_scenario_of_its_supports(self, tmp_path, capsys, flags, seed,
+                                                    samples):
+        # with no random pmfs, --random prints what a file of its supports
+        # (auto choices, no query) prints
+        intervals = [(-1.0, 5.0)] if flags else verify.CANONICAL_SUPPORTS
+        path = tmp_path / "supports.json"
+        path.write_text(json.dumps({"format_version": 1,
+                                    "variables": [{"a": a, "b": b} for a, b in intervals]}))
+        seeded = ["--seed", seed, "--samples", samples]
+        from_flags = run_cli(["verify", "--random", "--pmfs", "0", *flags, *seeded], capsys)
+        assert from_flags == run_cli(["verify", str(path), *seeded], capsys)
+        assert from_flags[0] == 0
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
@@ -989,6 +1004,8 @@ SHARED_RULES = {
     ),
     "seed < 0": ({"query": {"t": [1], "seed": -1}}, ["--seed", "-1"]),
     "samples < 1000": ({"query": {"t": [1], "samples": 999}}, ["--samples", "999"]),
+    "k too large for a float": ({"choices": [{"family": "order_k", "k": 10 ** 400}]},
+                                ["--family", "order_k", "--k", str(10 ** 400)]),
 }
 
 
@@ -1007,6 +1024,28 @@ def test_file_and_flag_break_a_rule_alike(fixtures_dir, tmp_path, capsys, fields
     code, out, err = from_file
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fields, where",
+    [({"variables": [{"a": -1, "b": 10 ** 400}]}, "variables[0].b"),
+     ({"variables": [{"a": -10 ** 400, "b": 1}]}, "variables[0].a"),
+     ({"variables": [{"a": -1, "b": 1, "m2": 10 ** 400}]}, "variables[0].m2"),
+     ({"variables": [{"a": -1, "b": 1, "m4": 10 ** 400}]}, "variables[0].m4"),
+     ({"query": {"t": 10 ** 400}}, "query.t"),
+     ({"query": {"t_range": {"min": 1, "max": 10 ** 400, "count": 3}}}, "t_range.max")],
+    ids=["b", "a", "m2", "m4", "t", "t_range"],
+)
+def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys, fields, where):
+    # a JSON integer past float's range is refused, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [{"a": -1, "b": 1}],
+                                **fields}))
+    for argv in (["tail", str(path), "--t", "1"], ["verify", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{where} is too large for a float" in err
 
 
 def test_one_sample_floor_for_every_subcommand(fixtures_dir, tmp_path, capsys):

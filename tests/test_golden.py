@@ -35,6 +35,27 @@ FIXED = {
     ],
     "query": {"t_range": {"min": 0.5, "max": 12, "count": 60}},
 }
+# A fixed-choice scenario whose certificate falls below 1 within the sum's
+# reach, so `verify` checks it there; written by the test as tight.json.
+TIGHT = {
+    "format_version": 1,
+    "variables": [
+        {"a": -1, "b": 2},
+        {"a": -3, "b": 1},
+        {"a": -1, "b": 1},
+        {"a": -1, "b": 3, "m2": 0.3},
+        {"a": -2, "b": 2, "m2": 0.5, "m4": 0.3, "odd_moments_zero": True},
+    ],
+    "choices": [
+        {"family": "classic"},
+        {"family": "hertz"},
+        {"family": "order_k", "k": 2},
+        {"family": "order2_moment"},
+        {"family": "order4_moment"},
+    ],
+    "query": {"t_range": {"min": 0.5, "max": 9, "count": 60}},
+}
+WRITTEN = {"fixed.json": FIXED, "tight.json": TIGHT}
 # One support with every moment declared, so every family applies.
 MOMENTS = ["--a=-5", "--b", "5", "--m2", "5", "--m4", "100", "--odd-moments-zero", "--s", "0.5"]
 
@@ -85,19 +106,21 @@ GOLDEN = [
     (["bound", "--a=-2", "--b", "1", "--compare", "--s", "3"],
      "f70ba24f46709f121a8a3b422e491679478d7a614d699c1645624a48c1dca388"),
     (["verify", "example1.json", "--samples", "20000"],
-     "041f138413560394c2357f12057f870e198964b34a95ebbc872d579b7d96c5d3"),
+     "895d63c35f0220079fcb6c08efd8fe94ad9a990b10284d8a1dceb3ef429962ed"),
     (["verify", "example2.json", "--samples", "20000"],
-     "f363c934a870bdaf30a5b1832ae342808d902da66e7dc3f20884e1edc5aede82"),
+     "45770c3b20fdfdc7555c62260f653185644ca74b29cdb76c6743bb8bc08237e6"),
     (["verify", "example3.json", "--samples", "20000"],
-     "8e1fa00a7bcf9741a44baf77b96d9e3524b2d645da9cdba08f3fac7b4cd019d9"),
+     "26e3d6b219546d9ea8b7d092acdefcc2de8147645f51636ddbccde349eec713d"),
     (["verify", "example4.json", "--samples", "20000"],
      "5a22ceacd25dcfa61b8e0f45b710ae6d6184ea013c123e913faff5c3e6301429"),
     (["verify", "example5.json", "--samples", "20000"],
-     "825830a08db9d8333ba8ea68f7f5c51102f2ed6c51675ec721d031b7c8c4bbde"),
-    # moment_matched_pmf's laws: the m2 mixture, the random law and both
+     "75e8df3117deaa56a0410a026f09e3ab350d7445d70302449440e5cba7146851"),
+    # moment_matched_pmf's laws: the m2 mixture, the extremal law and both
     # symmetric cases
     (["verify", "fixed.json", "--samples", "20000"],
-     "05e1639c0f6a8d3fe7100f1bd617307e272ced521b8a810b0a5c05377b369061"),
+     "2e74c6fe4bbb64b4fa4f563a021622800c795b0867ea0b1a6af59b38047b6238"),
+    (["verify", "tight.json", "--samples", "20000"],
+     "4c701f1e3ebaa0454a844af540755b055a9cb845521f913f55298707ce8ac85a"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],
@@ -139,12 +162,40 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
 def test_stdout_is_pinned(fixtures_dir, tmp_path, capsys, argv, digest):
-    (tmp_path / "fixed.json").write_text(json.dumps(FIXED))
+    out = stdout(argv, fixtures_dir, tmp_path, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def stdout(argv, fixtures_dir, tmp_path, capsys) -> str:
+    """The stdout of a command that exits 0, its files read from the fixtures
+    or written from ``WRITTEN``."""
+    for name, doc in WRITTEN.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     argv = [
-        str((tmp_path if arg == "fixed.json" else fixtures_dir) / arg)
+        str((tmp_path if arg in WRITTEN else fixtures_dir) / arg)
         if arg.endswith(".json") else arg
         for arg in argv
     ]
     assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return capsys.readouterr().out
+
+
+def mc_rows(out: str) -> list[tuple[float, float]]:
+    """(estimate, certificate) of each of `verify`'s Monte Carlo rows."""
+    return [(float(row[3]), float(row[5])) for row in
+            (line.split(",") for line in out.splitlines()) if row[0] == "mc"]
+
+
+@pytest.mark.parametrize("name", [f"example{i}.json" for i in range(1, 6)])
+def test_verify_mc_rows_of_every_fixture_have_mass(fixtures_dir, tmp_path, capsys, name):
+    # a row whose estimate is 0 checks nothing: each law reaches every t sampled
+    rows = mc_rows(stdout(["verify", name, "--samples", "20000"], fixtures_dir, tmp_path,
+                          capsys))
+    assert rows and all(estimate > 0.0 for estimate, _ in rows)
+
+
+def test_verify_checks_tight_certificates_below_one(fixtures_dir, tmp_path, capsys):
+    rows = mc_rows(stdout(["verify", "tight.json", "--samples", "20000"], fixtures_dir,
+                          tmp_path, capsys))
+    checked = [(e, c) for e, c in rows if 0.0 < e <= c < 1.0]
+    assert len(checked) >= 3

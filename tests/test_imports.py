@@ -8,6 +8,7 @@ through ``kbounds.oracle`` and never through ``kbounds`` itself.  No command
 loads ``dataclasses``, and none without numpy loads ``inspect`` (numpy does).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 import kbounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(path for path in (SRC / "kbounds").glob("*.py") if path.name != "__init__.py")
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 EXAMPLE5 = str(FIXTURES / "example5.json")
 # a fixed-choice scenario, written by the test as fixed.json
@@ -119,3 +121,29 @@ def test_unknown_name_is_an_attribute_error():
 def test_oracle_names_are_not_exported():
     with pytest.raises(ImportError, match="FinitePmf"):
         from kbounds import FinitePmf  # noqa: F401
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_import_is_found():
+    source = "import math\nfrom .tails import Side, one_side\n\none_side(math.pi)\n"
+    assert unused_imports(source) == ["line 2: Side"]

@@ -484,9 +484,10 @@ class TestRandomStack:
 
 
 class TestMomentMatchedPmf:
-    def test_plain_support_gives_random_pmf(self):
-        pmf = moment_matched_pmf(S11, seed=1)
-        assert abs(moments(pmf, 1)) < 1e-12
+    def test_plain_support_gives_extremal_two_point(self):
+        for support in (S11, S51, BoundedSupport(-2, 1)):
+            pmf, expected = moment_matched_pmf(support), extremal_two_point(support)
+            assert (pmf.xs, pmf.ps) == (expected.xs, expected.ps)
 
     def test_m2_is_hit_exactly(self):
         support = BoundedSupport(-5, 5, m2=5.0)
@@ -512,7 +513,7 @@ class TestMomentMatchedPmf:
             (BoundedSupport(-1, 5, m2=3.0, m4=9.5), BoundedSupport(-1, 5, m2=3.0)),
             (BoundedSupport(-2, 1, m4=1.5), BoundedSupport(-2, 1)),
         ):
-            pmf, expected = moment_matched_pmf(support, 4), moment_matched_pmf(reference, 4)
+            pmf, expected = moment_matched_pmf(support), moment_matched_pmf(reference)
             assert (pmf.xs, pmf.ps) == (expected.xs, expected.ps)
 
 
@@ -619,7 +620,7 @@ def test_four_variable_instantiation_respects_group_one_certificate():
         BoundedSupport(-1, 5),
         BoundedSupport(-5, 1),
     )
-    pmfs = [moment_matched_pmf(v, seed=i) for i, v in enumerate(variables)]
+    pmfs = [moment_matched_pmf(v) for v in variables]
     assert moments(pmfs[1], 2) == pytest.approx(5.0, rel=1e-12)
     estimate, se = mc_sum_tail(pmfs, [6.0], 10 ** 5, seed=0)[0]
     assert estimate <= math.exp(-0.45) + 3.0 * se
