@@ -1,12 +1,14 @@
 """Order-k MGF bounds and Chernoff tail certificates for bounded variables.
 
 The bounds, scenarios, order selection and tails are pure Python, and so is
-everything imported here.  The import rule: numpy loads only with the
-brute-force oracle (pmf stacks, exact MGFs, Monte Carlo) and the `verify`
-command built on it, whose names are reached as ``kbounds.oracle.X`` and
-``kbounds.verify.X``, so ``import kbounds`` and every other command start
-without numpy; and no module imports the standard library's dataclass module
-(it loads ``inspect``, ``ast`` and ``dis``): the value types are
+everything imported here.  The import rule: numpy loads only inside the
+brute-force oracle's stack functions (pmf stacks, their exact MGFs and gaps,
+Monte Carlo), whose names are reached as ``kbounds.oracle.X``; `verify`
+checks each support's law and the exact tail of their sum in plain Python,
+and calls them only for `--random`'s random pmfs or a sum too large to
+convolve.  So ``import kbounds``, every other command and a `verify` of laws
+start without numpy; and no module imports the standard library's dataclass
+module (it loads ``inspect``, ``ast`` and ``dis``): the value types are
 ``bounds.Frozen`` classes with ``__slots__`` and a written ``__init__``.
 """
 

@@ -24,6 +24,10 @@ from enum import Enum
 # |a|b and |a|b(a^2+ab+b^2); absorbs round-off only.
 MOMENT_SLACK = 1e-12
 
+# Largest order a search may run to (--k-max): each order is a catalog entry,
+# and a front point per variable, held in memory.  ``check_k_max`` is the rule.
+MAX_K_MAX = 10 ** 4
+
 # Switch point for the stable large-u evaluation of psi (exp(u) would start
 # to dominate all other terms long before overflow at ~709).
 _PSI_LARGE_U = 30.0
@@ -317,14 +321,22 @@ def _unmet(support: BoundedSupport, tag: FamilyTag) -> str | None:
     return None
 
 
+def check_k_max(k_max: int) -> None:
+    """The one rule for a largest order k_max, wherever orders are searched:
+    1 <= k_max <= ``MAX_K_MAX``."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if k_max > MAX_K_MAX:
+        raise ValueError(f"k_max must be at most {MAX_K_MAX}, got {k_max}")
+
+
 def catalog(support: BoundedSupport, k_max: int) -> list[MgfBound]:
     """Every bound whose preconditions the support meets, each built once.
 
     In catalog order: classic, hertz, order_k for k = 1..k_max, order2_moment,
     order4_moment, symmetric_order4.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
     orders = map(order_k, range(1, k_max + 1))
     tags = [CLASSIC, HERTZ, *orders, ORDER2_MOMENT, ORDER4_MOMENT, SYMMETRIC_ORDER4]
     return [mgf_bound(support, tag) for tag in tags if _unmet(support, tag) is None]

@@ -5,7 +5,7 @@ Subcommands::
     bound    single-variable bound catalog at one s (optionally compared)
     tail     CSV of tail certificates over t values or a t range
     select   order selection and crossover table for one scenario at one t
-    verify   oracle sweep: exact MGFs and Monte Carlo vs. the certificates
+    verify   oracle sweep: exact MGFs and exact sum tails vs. the certificates
     sweep    CSV of per-group log-bound curves with crossover footer rows
 
 Each subcommand parses its flags, hands every value rule to the module that
@@ -19,13 +19,14 @@ integer; ``_resolve_query`` puts the t, side, seed and sample flags in the query
 
 `verify` turns `--random` into a scenario (the canonical or `--a`/`--b`
 supports, auto choices, no query) and passes it with its resolved query to
-``kbounds.verify.run``, which checks the rest before it draws any pmf (so a
+``kbounds.verify.run``, which checks the rest before it builds any law (so a
 bad `--k-max`, `--poison-rate` or interval exits 2 first) and returns the gap
-and Monte Carlo rows with their verdicts.  That module imports numpy;
-`cmd_verify` imports it when it runs and writes the rows as CSV.  Everything
-else here is pure Python, `t_range` grids (``scenario.grid``) and `sweep`'s
-(group x t) table included, so every command but `verify` starts without
-numpy.  `select` rejects a t range before it builds one.
+and tail rows with their verdicts; `cmd_verify` imports that module when it
+runs and writes the rows as CSV.  Everything here is pure Python, `t_range`
+grids (``scenario.grid``) and `sweep`'s (group x t) table included, and so is
+a `verify` of laws alone: numpy loads only for `verify --random`'s random pmfs
+(`--pmfs` > 0) or for a sum of laws too large to convolve, which is sampled.
+`select` rejects a t range before it builds one.
 
 Every command reads the query's side (a file's ``query.side``, or `tail
 --side`) through ``tails.sides``, which gives each side's supports (the lower
@@ -34,7 +35,7 @@ and its ks cell, is ``selection.certificates``'s one rule (the front's first
 minimum under auto choices, else the file's choices): a `tail` row is its
 answer at t, ``tails.two_sided`` of the two for a two-sided query, `select`
 prints its one answer at its t with the crossover table, and `verify`'s
-Monte Carlo rows sample against it.
+tail rows check against it.
 `select`, `sweep` and `verify` answer one side: they run on
 ``tails.one_side``'s supports, so a lower side prints what the upper side of
 the variables on [-b, -a] prints, and a two-sided query exits 2.  `sweep`
@@ -181,7 +182,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the oracle's pmf stacks and Monte Carlo sum are numpy arrays: load them here
+    # verify and the oracle load only when verify runs
     from . import verify
 
     if args.random == (args.scenario is not None):
@@ -307,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", type=finite_float)
     p_verify.add_argument("--pmfs", type=int,
                           help="random pmfs per support (--random only; default 1000)")
-    p_verify.add_argument("--samples", type=int, help="default: query.samples, else 10^6")
-    p_verify.add_argument("--seed", type=int, help="default: query.seed, else 0")
+    p_verify.add_argument("--samples", type=int,
+                          help="Monte Carlo samples, drawn only for a sum of laws with more "
+                          "than 2^16 distinct values, whose tail is not computed exactly "
+                          "(default: query.samples, else 10^6)")
+    p_verify.add_argument("--seed", type=int,
+                          help="seeds the --random pmfs and that Monte Carlo "
+                          "(default: query.seed, else 0)")
     p_verify.add_argument("--poison-rate", type=finite_float, default=1.0,
                           help=argparse.SUPPRESS)  # negative-control test hook
     add_common(p_verify)

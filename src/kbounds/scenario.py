@@ -21,9 +21,10 @@ Example::
 order2_moment, order4_moment, symmetric_order4 (order_k requires "k").
 
 The rules a CLI flag shares with a scenario file live here once: ``Query``
-checks the t values, t range, sample count (``MIN_SAMPLES`` at least) and
-seed of ``query`` and of the flags that replace them, and ``parse_family_tag``
-reads a choice or `bound`'s `--family`/`--k`.  The parsers below check only JSON types and shapes.
+checks the t values, t range, sample count (from ``MIN_SAMPLES`` to
+``MAX_SAMPLES``) and seed of ``query`` and of the flags that replace them,
+and ``parse_family_tag`` reads a choice or `bound`'s `--family`/`--k`.  The
+parsers below check only JSON types and shapes.
 
 Files are read as UTF-8.  A t_range is resolved by ``grid``, numpy's
 ``linspace`` in plain Python, so nothing here imports numpy; ``grid`` also
@@ -44,8 +45,10 @@ from .tails import Side, SumScenario
 # most t values a t_range may ask for: each one is a row held in memory
 MAX_T_COUNT = 10 ** 7
 
-# fewest Monte Carlo samples a query may ask for, from a file or a flag
+# fewest and most Monte Carlo samples a query may ask for, from a file or a
+# flag; at the most, a sum of many variables samples for seconds
 MIN_SAMPLES = 10 ** 3
+MAX_SAMPLES = 10 ** 8
 
 
 class ScenarioError(ValueError):
@@ -76,6 +79,8 @@ class Query(Frozen):
         object.__setattr__(self, "seed", seed)
         if samples < MIN_SAMPLES:
             raise ScenarioError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ScenarioError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
         if seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {seed}")
         if ts is not None and t_range is not None:

@@ -21,7 +21,7 @@ where t^2 = 4 (L1 - L2) / (1/R1 - 1/R2); ``regimes`` walks those ties, grid-free
 
 ``certificates`` is the one rule for the certificate a scenario's side prints
 at t: the front's first minimum under auto choices, else the file's choices.
-`tail`, `select` and `verify`'s Monte Carlo rows all read it.
+`tail`, `select` and `verify`'s tail rows all read it.
 
 Everything here is plain Python on tuples of floats: the hull,
 ``ParetoFront.index`` and ``regimes`` with the float expressions, summation
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 
-from .bounds import (BoundedSupport, Family, Frozen, endpoint_ratio, mgf_bound, multiplier_log,
-                     order_k, phi)
+from .bounds import (BoundedSupport, Family, Frozen, check_k_max, endpoint_ratio, mgf_bound,
+                     multiplier_log, order_k, phi)
 from .tails import Side, SumScenario, certificate, log_bound, lower_tail, one_sided_tail, sides
 
 K_MAX = 8  # the largest order searched when no k_max is given
@@ -78,8 +78,7 @@ def crossover_threshold(support: BoundedSupport, k: int) -> float:
 def crossover_table(support: BoundedSupport,
                     k_max: int = K_MAX) -> tuple[tuple[int, int, float], ...]:
     """(k, k+1, t*) rows, k = 1..k_max; t* is nan where the refined A_{k+1} dips below A_k."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
     rows = []
     for k in range(1, k_max + 1):
         try:
@@ -93,8 +92,7 @@ def best_k_single(support: BoundedSupport, t: float, k_max: int = K_MAX) -> int:
     """argmin over k of log A_k - t^2 k / (2 Phi^2), ties to the smaller k."""
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
     h = phi(support)
     phi2 = h * h
     best_k, best_obj = 1, math.inf
@@ -152,8 +150,7 @@ def pareto_front(variables, k_max: int = K_MAX) -> ParetoFront:
     evaluation: ``best`` returns exactly the exhaustive lattice minimum, ties
     to the lexicographically smaller vector.  At most n (k_max - 1) + 1 points.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
     n = len(variables)
     if n < 1:
         raise ValueError("need at least one variable")
@@ -281,8 +278,7 @@ def optimize_relaxed(variables, t: float, k_max: int = K_MAX) -> RelaxedSolution
     """
     if not t > 0.0:
         raise ValueError("threshold t must be positive")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
     phis = [phi(v) for v in variables]
     scale = t / sum(p * p for p in phis)
     fractional = tuple(

@@ -1,21 +1,23 @@
 """The oracle side of `verify`: ``run`` takes one resolved scenario and
-returns its gap rows and Monte Carlo rows.
+returns its gap rows and tail rows.
 
-`verify` is the one command that draws pmfs, so this module imports numpy and
-``oracle`` at its top and ``cli.cmd_verify`` imports it when it runs; the other
-commands start without numpy.  `verify --random` is the scenario of the
-``CANONICAL_SUPPORTS`` (or --a/--b) with auto choices and no query.  ``run``
-checks its input before it draws: the poison rate, a finite max(|a|, b)^4 per
-support, then each support's catalog, labels and poisoned rates
-(``_gap_tables``).  Each support's law, ``oracle.moment_matched_pmf``'s, is
-its first (xs, ps) stack; one seeded generator then draws ``pmfs`` random pmfs
-per support, one stack per atom count.  The log multipliers that read moments
-come from each pmf's measured m2 and m4, and all are checked against the exact
-log-MGF rows as (pmf x family x s) tables.  ``_mc_rows`` samples the sum of
-the laws at each t against the certificate `tail` prints there
-(``selection.certificates``).  The supports are those of the query's side
-(``tails.one_side``): a lower side checks the mirrored variables' laws, gaps
-and upper tail, which is the file's lower tail.
+`verify --random` is the scenario of the ``CANONICAL_SUPPORTS`` (or --a/--b)
+with auto choices and no query.  ``run`` checks its input before it builds
+any law: the poison rate, a finite max(|a|, b)^4 per support, then each
+support's catalog, labels and poisoned rates (``_gap_tables``).  Each
+support's law is ``oracle.moment_matched_pmf``'s, with 2 or 3 atoms, and is
+checked in plain Python (``_law_gaps``): its exact log-MGF on the s grid,
+its m2 and m4, and the (family x s) gaps.  With ``pmfs`` > 0, one seeded
+generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
+atom count, and those are checked as numpy (pmf x family x s) tables
+(``_family_max_gaps``).  The log multipliers that read moments come from each
+pmf's measured m2 and m4.  ``_mc_rows`` gives the exact tail of the sum of the
+laws at each t against the certificate `tail` prints there
+(``selection.certificates``); a sum with more than ``oracle.MAX_SUMS``
+distinct values is sampled instead (``oracle.mc_sum_tail``).  So numpy loads
+only for random pmfs or for that Monte Carlo.  The supports are those of the
+query's side (``tails.one_side``): a lower side checks the mirrored
+variables' laws, gaps and upper tail, which is the file's lower tail.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from __future__ import annotations
 import bisect
 import math
 
-import numpy as np
-
 from .bounds import BoundedSupport, catalog, measured_m2_log_multipliers, reads_moments
 from .oracle import (
-    S_GRID,
+    S_POINTS,
     check_pmf_stack,
     exact_log_mgf_rows,
+    exact_sum_tail,
+    law_log_mgf,
+    law_moment,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
@@ -62,6 +65,13 @@ def _gap_tables(support: BoundedSupport, k_max: int, poison: float):
             for t in (fixed, measured)]
 
 
+def _note(max_gap: dict[str, float], labels, gaps) -> None:
+    """Raise each label's entry in ``max_gap`` to its gap where that is greater."""
+    for label, gap in zip(labels, gaps):
+        if label not in max_gap or gap > max_gap[label]:
+            max_gap[label] = gap
+
+
 def _family_max_gaps(batches) -> dict[str, float]:
     """Max (exact - bound) gap per family label over every pmf.
 
@@ -74,14 +84,11 @@ def _family_max_gaps(batches) -> dict[str, float]:
     max_gap: dict[str, float] = {}
 
     def note(labels, exact, log_a, rates) -> None:
-        gaps = validity_gaps(exact, log_a, rates, S_GRID).max(axis=0)
-        for label, gap in zip(labels, gaps.tolist()):
-            if label not in max_gap or gap > max_gap[label]:
-                max_gap[label] = gap
+        _note(max_gap, labels, validity_gaps(exact, log_a, rates, S_POINTS).max(axis=0).tolist())
 
     for support, (fixed, measured), stacks in batches:
         for xs, ps in stacks:
-            exact = exact_log_mgf_rows(xs, ps, S_GRID)[:, None, :]
+            exact = exact_log_mgf_rows(xs, ps, S_POINTS)[:, None, :]
             labels, bounds, rates = fixed
             note(labels, exact, [bound.log_multiplier for bound in bounds], rates)
             labels, bounds, rates = measured
@@ -91,22 +98,46 @@ def _family_max_gaps(batches) -> dict[str, float]:
     return max_gap
 
 
+def _law_gaps(support: BoundedSupport, tables, law) -> dict[str, float]:
+    """``_family_max_gaps`` of the law alone, in plain Python.
+
+    The same (family x s) gaps by the same float operations, on
+    ``oracle.law_log_mgf`` and ``oracle.law_moment`` in place of numpy's
+    rows: a gap can differ from numpy's only where math's exp, log or pow
+    rounds otherwise.
+    """
+    exact = law_log_mgf(law, S_POINTS)
+    (labels, bounds, rates), (measured_labels, measured, measured_rates) = tables
+    [m2_log] = measured_m2_log_multipliers(support.a, support.b, [law_moment(law, 2)],
+                                           [law_moment(law, 4)])
+    families = [*zip(labels, [bound.log_multiplier for bound in bounds], rates),
+                *zip(measured_labels, [m2_log] * len(measured), measured_rates)]
+    max_gap: dict[str, float] = {}
+    _note(max_gap, [label for label, _, _ in families],
+          [max(e - (log_a + rho * s * s) for e, s in zip(exact, S_POINTS))
+           for _, log_a, rho in families])
+    return max_gap
+
+
 def _supports(scenario: Scenario) -> list[BoundedSupport]:
     """The supports whose laws `verify` sweeps: the scenario's variables on its
     query's side (``tails.one_side``: mirrored for the lower one).  Each one's
-    max(|a|, b)^4 must be finite as ``moment_rows`` computes it."""
+    max(|a|, b)^4 must be finite, as an m4 is computed."""
     supports = list(one_side(scenario.variables, scenario.query.side))
     for support in supports:
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.asarray([max(-support.a, support.b)]) ** 4).all():
-                raise ValueError(f"support [{support.a}, {support.b}] is too wide to "
-                                 "verify: max(|a|, b)^4 overflows")
+        try:
+            max(-support.a, support.b) ** 4
+        except OverflowError:
+            raise ValueError(f"support [{support.a}, {support.b}] is too wide to "
+                             "verify: max(|a|, b)^4 overflows") from None
     return supports
 
 
 def _random_stacks(support: BoundedSupport, count: int, rng):
     """``count`` random pmfs on the support as (xs, ps) stacks, one per atom
     count: ``rng`` draws the atom counts, then each stack."""
+    import numpy as np
+
     atom_counts = rng.integers(2, 9, count)
     for atoms, rows in zip(*np.unique(atom_counts, return_counts=True)):
         stack = random_mean_zero_stack(support, int(atoms), int(rows), rng)
@@ -145,16 +176,23 @@ def _mc_thresholds(query: Query, reach: float) -> tuple[float, ...]:
 
 
 def _mc_rows(query: Query, group, rule):
-    """(t, ks, estimate, std_error, certificate, ok) rows: the group's sum
-    sampled at each ``_mc_thresholds`` t against ``rule``'s one certificate
-    there (``selection.certificates``), with its ks cell: `tail`'s row at t.
+    """(t, ks, tail, std_error, certificate, ok) rows: the tail of the group's
+    sum at each ``_mc_thresholds`` t against ``rule``'s one certificate there
+    (``selection.certificates``), with its ks cell: `tail`'s row at t.
 
-    ``ok`` allows the estimate three standard errors above the certificate,
-    capped at 1.
+    The tail is ``exact_sum_tail``'s, with std_error 0, and ``ok`` says it is
+    at most the certificate (capped at 1).  A sum with more than ``MAX_SUMS``
+    distinct values is sampled instead (``mc_sum_tail``, with the query's
+    samples and seed), and ``ok`` allows the estimate three standard errors.
     """
     ts = _mc_thresholds(query, sum(p.support.b for p in group))
+    exact = exact_sum_tail(group, ts)
+    if exact is None:
+        tails = mc_sum_tail(group, ts, query.samples, query.seed)
+    else:
+        tails = [(tail, 0.0) for tail in exact]
     rows = []
-    for t, (estimate, se) in zip(ts, mc_sum_tail(group, ts, query.samples, query.seed)):
+    for t, (estimate, se) in zip(ts, tails):
         [(cert, ks)] = rule(t)
         certificate = math.exp(min(cert.log_bound, 0.0))
         rows.append((t, ks, estimate, se, certificate, estimate <= certificate + 3.0 * se))
@@ -165,9 +203,10 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     """`verify`'s (label, max_gap, violated) rows, sorted by label, and its
     ``_mc_rows``.
 
-    Each support's law is ``moment_matched_pmf``'s and its first stack;
-    ``pmfs`` random pmfs per support follow.  The laws are the group whose sum
-    is sampled.  A family is violated where its max gap exceeds ``GAP_TOL``.
+    Each support's law is ``moment_matched_pmf``'s, checked by ``_law_gaps``;
+    ``pmfs`` random pmfs per support follow, checked by ``_family_max_gaps``,
+    which loads numpy.  The laws are the group whose sum tail is checked.  A
+    family is violated where its max gap exceeds ``GAP_TOL``.
     """
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
@@ -175,10 +214,16 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     supports = _supports(scenario)
     tables = [_gap_tables(support, k_max, poison) for support in supports]
     laws = [moment_matched_pmf(support) for support in supports]
-    rng = np.random.default_rng(query.seed)
-    stacks = [[law.stack(), *_random_stacks(support, pmfs, rng)]
-              for support, law in zip(supports, laws)]
-    max_gap = _family_max_gaps(zip(supports, tables, stacks))
+    found = [_law_gaps(*batch) for batch in zip(supports, tables, laws)]
+    if pmfs:
+        import numpy as np
+
+        rng = np.random.default_rng(query.seed)
+        stacks = [list(_random_stacks(support, pmfs, rng)) for support in supports]
+        found.append(_family_max_gaps(zip(supports, tables, stacks)))
+    max_gap: dict[str, float] = {}
+    for per_label in found:
+        _note(max_gap, per_label.keys(), per_label.values())
     gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
     rule = certificates(scenario.variables, scenario.choices, query.side, k_max)
     return gaps, _mc_rows(query, laws, rule)

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbounds import cli, oracle, selection, verify
-from kbounds.bounds import BoundedSupport, Family, MgfBound, mgf_bound
+from kbounds.bounds import MAX_K_MAX, BoundedSupport, Family, MgfBound, mgf_bound
 from kbounds.cli import g12, main
 from kbounds.oracle import S_GRID, FinitePmf, moments, random_mean_zero_stack
-from kbounds.scenario import MAX_T_COUNT, MIN_SAMPLES, Query, grid, load_scenario
+from kbounds.scenario import MAX_SAMPLES, MAX_T_COUNT, MIN_SAMPLES, Query, grid, load_scenario
 from kbounds.selection import pareto_front, regimes
 from kbounds.tails import (
     Side,
@@ -632,6 +632,12 @@ def ranges_and_reaches(draw):
     return Query(t_range=(lo, hi, count)), reach
 
 
+# Eleven three-atom laws whose sum takes 3^11 distinct values, past
+# oracle.MAX_SUMS, so `verify` samples it; the first ten stay under the cap.
+SAMPLED_VARIABLES = [{"a": -round(1 + math.sqrt(i + 2) / 10, 9),
+                      "b": round(1 + math.sqrt(i + 13) / 10, 9), "m2": 0.5} for i in range(11)]
+
+
 class TestVerify:
     @pytest.mark.parametrize("poison", [1.0, 0.5])
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -768,7 +774,8 @@ class TestVerify:
         assert out.strip().endswith("verdict,ok")
 
     def test_scenario_query_sets_seed_and_samples(self, fixtures_dir, tmp_path, capsys):
-        doc = json.loads((fixtures_dir / "example5.json").read_text())
+        # past the distinct-sum cap the laws' sum is sampled with these
+        doc = {"format_version": 1, "variables": SAMPLED_VARIABLES}
         doc["query"] = {"t": [4.0, 8.0], "seed": 3, "samples": 5000}
         path = tmp_path / "seeded.json"
         path.write_text(json.dumps(doc))
@@ -1496,6 +1503,130 @@ class TestVerifyChecksTail:
         self.check(["verify", "--random", "--pmfs", "5", "--samples", "1000", *flags],
                    ["tail", str(path), *k_max], Query(),
                    [BoundedSupport(a, b) for a, b in intervals])
+
+
+@st.composite
+def law_files(draw):
+    """A one-sided scenario of 1 to 4 variables at one scale from 1e-6 to
+    1e6: plain, with an m2, or symmetric with odd moments zero; auto or fixed
+    choices; the file's t or none."""
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    variables, choices = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = -draw(st.floats(0.2, 5.0)) * scale, draw(st.floats(0.2, 5.0)) * scale
+        kind = draw(st.sampled_from(["plain", "m2", "symmetric"]))
+        families = [{"family": "classic"}, {"family": "hertz"},
+                    {"family": "order_k", "k": draw(st.integers(1, 8))}]
+        if kind == "m2":
+            variables.append({"a": a, "b": b, "m2": draw(st.floats(0.05, 1.0)) * -a * b})
+            families.append({"family": "order2_moment"})
+        elif kind == "symmetric":
+            variables.append({"a": a, "b": -a, "odd_moments_zero": True})
+            families.append({"family": "symmetric_order4"})
+        else:
+            variables.append({"a": a, "b": b})
+        choices.append(draw(st.sampled_from(families)))
+    query = {"side": draw(st.sampled_from(["upper", "lower"]))}
+    ts = draw(st.lists(st.floats(0.01, 8.0), max_size=10))
+    if ts:
+        query["t"] = [t * scale for t in ts]
+    return {"format_version": 1, "variables": variables,
+            "choices": draw(st.sampled_from(["auto", choices])), "query": query}
+
+
+class TestVerifyTailRows:
+    """`verify`'s tail rows: the exact tail of the laws' sum, else a sample."""
+
+    @given(law_files())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_tail_is_at_most_every_certificate_tail_prints(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("laws") / "laws.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
+        laws = [oracle.moment_matched_pmf(s) for s in verify._supports(scenario)]
+        ts = verify._mc_thresholds(scenario.query, sum(law.support.b for law in laws))
+        tail = rows(cli_stdout(["tail", str(path), "--t", *map(repr, ts)]))[1:]
+        for p, (_, log_bound, *_) in zip(oracle.exact_sum_tail(laws, ts), tail, strict=True):
+            assert p <= math.exp(min(float(log_bound), 0.0))
+
+    def test_a_sum_past_the_cap_is_sampled(self, tmp_path, capsys, monkeypatch):
+        sampled = []
+
+        def recording_mc_sum_tail(pmfs, ts, samples, seed):
+            sampled.append((len(pmfs), samples, seed))
+            return oracle.mc_sum_tail(pmfs, ts, samples, seed)
+
+        monkeypatch.setattr(verify, "mc_sum_tail", recording_mc_sum_tail)
+        path = tmp_path / "laws.json"
+        for count in (10, 11):
+            path.write_text(json.dumps({"format_version": 1,
+                                        "variables": SAMPLED_VARIABLES[:count]}))
+            code, out, _ = run_cli(["verify", str(path), "--samples", "2000", "--seed", "7"],
+                                   capsys)
+            assert (code, out[-11:]) == (0, "verdict,ok\n")
+            mc = [row for row in rows(out) if row[0] == "mc"]
+            assert len(mc) == 3
+            if count == 10:  # exact: no std error, and nothing sampled
+                assert {row[4] for row in mc} == {"0"} and sampled == []
+        assert sampled == [(11, 2000, 7)]
+        assert any(float(row[4]) > 0.0 for row in mc)
+
+    @pytest.mark.parametrize("source", [["fixtures/example5.json"], ["--random", "--pmfs", "0"]])
+    def test_exact_rows_read_no_samples_or_seed(self, capsys, source):
+        outs = {run_cli(["verify", *source, *flags], capsys)
+                for flags in ([], ["--samples", "1000", "--seed", "3"],
+                              ["--samples", str(MAX_SAMPLES), "--seed", "2"])}
+        [(code, out, _)] = outs
+        assert code == 0 and ",0," in out
+
+    def test_samples_help_says_when_they_are_drawn(self, capsys):
+        assert oracle.MAX_SUMS == 2 ** 16
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "drawn only for a sum of laws with more than 2^16 distinct values" in text
+
+
+@pytest.mark.parametrize("k_max", [MAX_K_MAX + 1, 10 ** 11])
+@pytest.mark.parametrize("command", ["bound", "tail", "select", "verify file", "verify random"])
+def test_k_max_above_the_ceiling_exits_2(fixtures_dir, capsys, command, k_max):
+    # refused before any catalog or front is built, from a flag with a file
+    # or with flags alone
+    example1 = str(fixtures_dir / "example1.json")
+    argv = {
+        "bound": ["bound", "--a=-2", "--b", "1", "--compare", "--s", "3"],
+        "tail": ["tail", example1, "--t", "1"],
+        "select": ["select", example1, "--t", "1"],
+        "verify file": ["verify", example1],
+        "verify random": ["verify", "--random", "--pmfs", "5"],
+    }[command]
+    refusal = (2, "", f"error: k_max must be at most {MAX_K_MAX}, got {k_max}\n")
+    assert run_cli([*argv, "--k-max", str(k_max)], capsys) == refusal
+
+
+def test_k_max_at_the_ceiling_runs(capsys):
+    code, out, _ = run_cli(["bound", "--a=-2", "--b", "1", "--compare", "--s", "0.01",
+                            "--k-max", str(MAX_K_MAX)], capsys)
+    assert code == 0
+    assert len(rows(out)) == 1 + 2 + MAX_K_MAX
+
+
+def test_samples_above_the_ceiling_exit_2_from_a_file_and_a_flag(fixtures_dir, tmp_path,
+                                                                 capsys):
+    doc = json.loads((fixtures_dir / "example1.json").read_text())
+    doc["query"]["samples"] = MAX_SAMPLES + 1
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    refusal = (2, "", f"error: samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}\n")
+    assert run_cli(["verify", str(path)], capsys) == refusal
+    assert run_cli(["tail", str(path)], capsys) == refusal
+    for argv in (["verify", str(fixtures_dir / "example1.json")], ["verify", "--random"]):
+        assert run_cli([*argv, "--samples", str(MAX_SAMPLES + 1)], capsys) == refusal
+    huge = run_cli(["verify", "--random", "--pmfs", "0", "--samples", str(10 ** 15)], capsys)
+    assert huge == (2, "", f"error: samples must be at most {MAX_SAMPLES}, got {10 ** 15}\n")
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES} samples"):
+        oracle.mc_sum_tail([FinitePmf((-1.0, 1.0), (0.5, 0.5), BoundedSupport(-1, 1))],
+                           [0.5], MAX_SAMPLES + 1, seed=0)
 
 
 def test_cli_option_count_is_pinned():

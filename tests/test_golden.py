@@ -106,21 +106,21 @@ GOLDEN = [
     (["bound", "--a=-2", "--b", "1", "--compare", "--s", "3"],
      "f70ba24f46709f121a8a3b422e491679478d7a614d699c1645624a48c1dca388"),
     (["verify", "example1.json", "--samples", "20000"],
-     "895d63c35f0220079fcb6c08efd8fe94ad9a990b10284d8a1dceb3ef429962ed"),
+     "92baeeb658781573caa9eab54a34b4ce0b204fb579651d19b3564938665dafd4"),
     (["verify", "example2.json", "--samples", "20000"],
-     "45770c3b20fdfdc7555c62260f653185644ca74b29cdb76c6743bb8bc08237e6"),
+     "493bd036f4d983ce638ad9cac0ec142adc8948c7b8ef4101484537fc2898976b"),
     (["verify", "example3.json", "--samples", "20000"],
-     "26e3d6b219546d9ea8b7d092acdefcc2de8147645f51636ddbccde349eec713d"),
+     "10727ad2d128bc4d20d2655e859988002f1351b9f4ed0cfe76e1e3128cb2cda5"),
     (["verify", "example4.json", "--samples", "20000"],
-     "5a22ceacd25dcfa61b8e0f45b710ae6d6184ea013c123e913faff5c3e6301429"),
+     "009b0e3620f2b045e6f940df0c58cba16be36789ffb1af964fb3d4724867c4db"),
     (["verify", "example5.json", "--samples", "20000"],
-     "75e8df3117deaa56a0410a026f09e3ab350d7445d70302449440e5cba7146851"),
+     "8cccba31706e8d9c709554fcd9a2fdb6699beb86001609569ae76a941f567441"),
     # moment_matched_pmf's laws: the m2 mixture, the extremal law and both
     # symmetric cases
     (["verify", "fixed.json", "--samples", "20000"],
-     "2e74c6fe4bbb64b4fa4f563a021622800c795b0867ea0b1a6af59b38047b6238"),
+     "63e3f4d8f5db1e1cb561b10239803a39a6d68e22f8424a16c8d1adbe1f2898cf"),
     (["verify", "tight.json", "--samples", "20000"],
-     "4c701f1e3ebaa0454a844af540755b055a9cb845521f913f55298707ce8ac85a"),
+     "73c41034194cf1ca1d06952385954f4f52c4bf939a11e52526096d63d3fc6be5"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],
@@ -156,7 +156,7 @@ GOLDEN = [
     (["bound", "--a=-1.5", "--b", "1.5", "--odd-moments-zero", "--compare", "--s", "0.7"],
      "31ede6af7d30f513513e3c6aa393ad2eac4f9f325040bd14dd28d1cbfa77834f"),
     (["verify", "--random", "--pmfs", "200", "--samples", "1000", "--seed", "5"],
-     "03dc62001839dd8f8de72cf7f3c1044e07a5956988fbf6442b6092371e1f0469"),
+     "4787d630582c7fc96c93da50de32caeb525817a0552fe1c9c799cca0cd09d96e"),
 ]
 
 

@@ -1,11 +1,13 @@
 """Which commands load numpy, read from `python -X importtime -m kbounds`.
 
 The bounds, scenarios, selection and tails are plain Python, `t_range` grids,
-`sweep`'s (group x t) table and ``optimize_relaxed`` included; numpy loads
-only where pmfs are drawn: the `verify` command and ``kbounds.oracle``.  The
-package exports the pure-Python names alone, so an oracle name is reached
-through ``kbounds.oracle`` and never through ``kbounds`` itself.  No command
-loads ``dataclasses``, and none without numpy loads ``inspect`` (numpy does).
+`sweep`'s (group x t) table and ``optimize_relaxed`` included, and so is a
+scenario `verify`: its laws, gaps and exact sum tails.  numpy loads only
+where pmf stacks are drawn or used: `verify --random` with random pmfs, and
+the stack functions of ``kbounds.oracle`` (its ``S_GRID`` too).  The package
+exports the pure-Python names alone, so an oracle name is reached through
+``kbounds.oracle`` and never through ``kbounds`` itself.  No command loads
+``dataclasses``, and none without numpy loads ``inspect`` (numpy does).
 """
 
 import ast
@@ -50,11 +52,15 @@ WITHOUT_NUMPY = {
     "optimize_relaxed": (["-c", "from kbounds import BoundedSupport, optimize_relaxed; "
                           "optimize_relaxed([BoundedSupport(-1, 2), BoundedSupport(-5, 1)], 3)"],
                          0),
+    "verify scenario": (["-m", "kbounds", "verify", EXAMPLE5], 0),
+    "verify fixed": (["-m", "kbounds", "verify", "fixed.json"], 0),
+    "verify random laws": (["-m", "kbounds", "verify", "--random", "--pmfs", "0"], 0),
+    "oracle name": (["-c", "from kbounds.oracle import FinitePmf"], 0),
 }
 WITH_NUMPY = {
     "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",
                 "1000"], 0),
-    "oracle name": (["-c", "from kbounds.oracle import FinitePmf"], 0),
+    "oracle grid": (["-c", "from kbounds.oracle import S_GRID"], 0),
 }
 
 # every name kbounds/__init__.py exports

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,15 +18,21 @@ from kbounds.bounds import (
     moment_caps,
     order_k,
 )
+from kbounds import oracle
 from kbounds.oracle import (
+    MAX_SUMS,
     MC_CHUNK,
     MIN_SAMPLES,
     S_GRID,
+    S_POINTS,
     FinitePmf,
     check_pmf_stack,
     exact_log_mgf,
     exact_log_mgf_rows,
+    exact_sum_tail,
     extremal_two_point,
+    law_log_mgf,
+    law_moment,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
@@ -659,3 +667,150 @@ class TestTightness:
     def test_validity_gap_is_negative_but_small_for_extremal(self):
         gap = validity_gap(extremal_two_point(S51), mgf_bound(S51, HERTZ), S_GRID)
         assert -1e-2 < gap <= 0.0
+
+
+def test_s_points_are_numpy_geomspace_and_s_grid_their_array():
+    assert S_POINTS == tuple(np.geomspace(1e-3, 50.0, 40).tolist())
+    assert np.array_equal(S_GRID, S_POINTS) and not S_GRID.flags.writeable
+    assert oracle.S_GRID is S_GRID  # made once
+    with pytest.raises(AttributeError, match="S_GRIDS"):
+        oracle.S_GRIDS
+
+
+class TestPlainPythonLaws:
+    """The one-pmf functions that need no numpy, against the stack kernels."""
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_fma_rounds_the_exact_result_once(self, triples):
+        for x, y, z in triples:
+            assert oracle._fma(x, y, z) == float(Fraction(x) * Fraction(y) + Fraction(z))
+
+    def test_dot_is_numpys_blas_dot(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 16):
+            for scale in (1e-6, 1.0, 1e6):
+                u, v = rng.random((2, 200, n))
+                v = (v - 0.5) * scale
+                for row_u, row_v in zip(u, v):
+                    assert oracle._dot(row_u.tolist(), row_v.tolist()) == float(row_u @ row_v)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_log_mgf_is_the_kernels_row_with_its_exp_and_log(self, monkeypatch, scale):
+        # the same operations in the same order: with numpy's exp and log in
+        # place of math's, every value is the kernel's, bit for bit
+        pmfs = [p for p in mixed_pmfs(scale) if len(p.xs) < 8]
+        with_math = [law_log_mgf(p, S_POINTS) for p in pmfs]
+        numpy_math = type("numpy_math", (), {"exp": staticmethod(lambda x: float(np.exp(x))),
+                                             "log": staticmethod(lambda x: float(np.log(x)))})
+        monkeypatch.setattr(oracle, "math", numpy_math)
+        for pmf, values in zip(pmfs, with_math):
+            row = exact_log_mgf(pmf, S_GRID).tolist()
+            assert law_log_mgf(pmf, S_POINTS) == row
+            assert values == pytest.approx(row, rel=1e-14, abs=1e-15)
+
+    def test_log_mgf_drops_zero_probability_atoms(self):
+        sparse = FinitePmf((-1.0, 0.5, 0.0, 1.0), (0.25, 0.0, 0.5, 0.25), S11)
+        dense = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
+        assert law_log_mgf(sparse, S_POINTS) == law_log_mgf(dense, S_POINTS)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_moments_are_numpys(self, scale):
+        for pmf in mixed_pmfs(scale, per_count=2):
+            assert law_moment(pmf, 1) == moments(pmf, 1)
+            assert law_moment(pmf, 2) == moments(pmf, 2)
+            assert law_moment(pmf, 4) == pytest.approx(moments(pmf, 4), rel=1e-15)
+        with pytest.raises(ValueError):
+            law_moment(extremal_two_point(S11), 0)
+
+    @given(st.integers(2, 7), st.integers(0, 2 ** 32),
+           st.sampled_from([None, "negative", "outside", "sum", "mean", "nan", "length"]))
+    @settings(max_examples=80, deadline=None)
+    def test_finite_pmf_check_is_the_one_row_stack_check(self, atoms, seed, poison):
+        xs, ps = random_mean_zero_stack(S51, atoms, 1, np.random.default_rng(seed))
+        xs, ps = xs[0].tolist(), ps[0].tolist()
+        if poison == "negative":
+            ps[0] = -ps[0]
+        elif poison == "outside":
+            xs[0] = 1.5 * S51.a
+        elif poison == "sum":
+            ps = [0.9 * p for p in ps]
+        elif poison == "mean":
+            hi, lo = xs.index(max(xs)), xs.index(min(xs))
+            ps[hi] += 0.5 * min(ps)
+            ps[lo] -= 0.5 * min(ps)
+        elif poison == "nan":
+            xs[-1] = math.nan
+        elif poison == "length":
+            ps = ps[:-1]
+        refusals = []
+        for check in (lambda: check_pmf_stack(np.array([xs]), np.array([ps]), S51),
+                      lambda: FinitePmf(tuple(xs), tuple(ps), S51)):
+            try:
+                check()
+                refusals.append(None)
+            except ValueError as exc:
+                refusals.append(str(exc))
+        assert refusals[0] == refusals[1]
+        assert (refusals[0] is None) == (poison is None)
+
+
+def brute_force_tail(pmfs, t) -> float:
+    """P(sum >= t) over every atom combination, summed in variable order."""
+    tail = []
+    width = sum(max(map(abs, p.xs)) for p in pmfs)
+    for combo in itertools.product(*(list(zip(p.xs, p.ps)) for p in pmfs)):
+        total, mass = 0.0, 1.0
+        for x, p in combo:
+            total += x
+            mass *= p
+        if total >= t - 1e-9 * max(width, abs(t)):
+            tail.append(mass)
+    return math.fsum(tail)
+
+
+class TestExactSumTail:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_every_combination(self, scale):
+        rng = np.random.default_rng(3)
+        pmfs = mixed_pmfs(scale, per_count=1)
+        for trial in range(20):
+            group = [pmfs[i] for i in rng.choice(len(pmfs), int(rng.integers(1, 4)))]
+            reach, floor = sum(max(p.xs) for p in group), sum(min(p.xs) for p in group)
+            ts = [2.0 * floor, *(f * reach for f in (0.01, 0.25, 0.5, 0.75, 1.0, 1.5))]
+            got = exact_sum_tail(group, ts)
+            for t, tail in zip(ts, got):
+                assert tail == pytest.approx(brute_force_tail(group, t), rel=1e-12, abs=1e-300)
+            assert got[0] == pytest.approx(1.0, rel=1e-15) and got[-1] == 0.0
+
+    def test_sums_at_t_or_within_its_rounding_count(self):
+        # P(S >= 3) of 8 fair +-1 coins is P(heads >= 6) = 37/256, whether t
+        # is the attained sum 2, or a hair above it
+        coin = FinitePmf((-1.0, 1.0), (0.5, 0.5), S11)
+        exact = sum(math.comb(8, h) for h in range(5, 9)) / 2 ** 8
+        assert exact_sum_tail([coin] * 8, [2.0, 2.0 + 1e-12, 2.0 + 1e-6]) == [
+            exact, exact, sum(math.comb(8, h) for h in range(6, 9)) / 2 ** 8]
+
+    def test_tail_is_at_most_one(self):
+        pmfs = [moment_matched_pmf(BoundedSupport(-1.0, 1.0 + i / 3, m2=0.3)) for i in range(6)]
+        assert all(0.0 <= p <= 1.0 for p in exact_sum_tail(pmfs, [-10.0, -1.0, 0.5]))
+
+    def test_gives_up_past_max_sums_distinct_values(self):
+        # 16 two-point laws at generic endpoints: 2^16 distinct sums, then 2^17
+        laws = [extremal_two_point(BoundedSupport(-round(1 + math.sqrt(i + 2) / 10, 9),
+                                                  round(1 + math.sqrt(i + 19) / 10, 9)))
+                for i in range(17)]
+        assert MAX_SUMS == 2 ** 16
+        assert exact_sum_tail(laws[:16], [1.0]) is not None
+        assert exact_sum_tail(laws, [1.0]) is None
+        # equal sums merge: many laws on one lattice stay exact
+        assert exact_sum_tail([extremal_two_point(S11)] * 200, [10.0]) is not None
+
+    def test_agrees_with_monte_carlo(self):
+        pmfs = [moment_matched_pmf(s) for s in (S11, BoundedSupport(-5, 5, m2=5.0),
+                                                 BoundedSupport(-1, 5), S51)]
+        ts = [0.5, 2.0, 6.0]
+        for (estimate, se), tail in zip(mc_sum_tail(pmfs, ts, 10 ** 5, seed=1),
+                                        exact_sum_tail(pmfs, ts)):
+            assert abs(estimate - tail) <= 5.0 * se
