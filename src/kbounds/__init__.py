@@ -3,10 +3,11 @@
 The bounds, scenarios, order selection and tails are pure Python, and so is
 everything imported here.  The import rule: numpy loads only inside the
 brute-force oracle's stack functions (pmf stacks, their exact MGFs and gaps,
-Monte Carlo), whose names are reached as ``kbounds.oracle.X``; `verify`
-checks each support's law and the exact tail of their sum in plain Python,
-and calls them only for `--random`'s random pmfs or a sum too large to
-convolve.  So ``import kbounds``, every other command and a `verify` of laws
+Monte Carlo), whose names are reached as ``kbounds.oracle.X``.  The oracle's
+one-law functions (``exact_log_mgf``, ``moments``, ``validity_gap`` and the
+exact tail of a sum of laws) are plain Python; `verify` checks each support's
+law with them, and calls the stack functions only for `--random`'s random
+pmfs or a sum too large to convolve.  So ``import kbounds``, every other command and a `verify` of laws
 start without numpy; and no module imports the standard library's dataclass
 module (it loads ``inspect``, ``ast`` and ``dis``): the value types are
 ``bounds.Frozen`` classes with ``__slots__`` and a written ``__init__``.

@@ -7,18 +7,18 @@ finite pmfs: exact sum tails by convolution, and seeded Monte Carlo for a sum
 with too many distinct values.  Nothing in this module uses the bound formulas
 it is meant to check.
 
-A few laws need no numpy.  ``FinitePmf`` checks its atoms in plain Python,
-``law_log_mgf`` and ``law_moment`` evaluate one pmf, and ``exact_sum_tail``
-convolves a sum of them.  Pmfs in bulk travel as (xs[N, n], ps[N, n]) stacks,
-and every function of a stack imports numpy when it runs:
+One law needs no numpy.  ``FinitePmf`` checks its atoms, ``exact_log_mgf``,
+``moments`` and ``validity_gap`` evaluate it, and ``exact_sum_tail`` convolves
+a sum of laws, all in plain Python.  Pmfs in bulk travel as (xs[N, n],
+ps[N, n]) stacks, and every function of a stack imports numpy when it runs:
 ``random_mean_zero_stack`` draws a whole stack from one generator,
 ``check_pmf_stack`` checks them, ``exact_log_mgf_rows`` and ``moment_rows``
-evaluate them, whatever number of atoms with p > 0 each row has, and
-``validity_gaps`` and ``mc_sum_tail`` check and sample them.
-``random_mean_zero_pmf`` is the one-row stack from ``default_rng(seed)``.
-``exact_log_mgf``, ``moments`` and ``validity_gap`` are the one-row calls of
-the others, and every row they evaluate is bit for bit the number its one-row
-call gives.  ``S_GRID`` is ``S_POINTS`` as a numpy array, built on first use.
+evaluate them, and ``validity_gaps`` and ``mc_sum_tail`` check and sample
+them.  ``random_mean_zero_pmf`` is the one-row stack from
+``default_rng(seed)``.  A law's value is its one-row stack's row by the same
+float operations, so it can differ only where math's exp, log or pow rounds
+otherwise than numpy's.  ``S_GRID`` is ``S_POINTS`` as a numpy array, built
+on first use.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class FinitePmf(Frozen):
         object.__setattr__(self, "support", support)
         _check_pmf(xs, ps, support)
 
-    def stack(self):
-        """The pmf as a one-row (xs, ps) stack of numpy arrays."""
-        import numpy as np
-
-        return np.asarray(self.xs)[None], np.asarray(self.ps)[None]
-
 
 def _fma(x: float, y: float, z: float) -> float:
     """x * y + z rounded once, as a fused multiply-add rounds it (finite x, y, z).
@@ -109,6 +103,26 @@ def _dot(us, vs) -> float:
     total = 0.0
     for u, v in zip(us, vs):
         total = _fma(u, v, total)
+    return total
+
+
+def _sum(values) -> float:
+    """The sum of up to 128 floats, rounded as numpy's pairwise sum rounds it.
+
+    numpy adds fewer than 8 terms in order from 0.0.  Otherwise it keeps 8
+    running sums, the j-th over terms j, j + 8, ... of the whole blocks of 8,
+    adds them pairwise and then the rest in order.
+    """
+    head = len(values) - len(values) % 8
+    total = 0.0
+    if head:
+        runs = list(values[:8])
+        for i in range(8, head):
+            runs[i % 8] += values[i]
+        total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) + (
+            (runs[4] + runs[5]) + (runs[6] + runs[7]))
+    for value in values[head:]:
+        total += value
     return total
 
 
@@ -179,38 +193,39 @@ def check_pmf_stack(xs, ps, support: BoundedSupport) -> None:
 def exact_log_mgf_rows(xs, ps, s_values):
     """log E[exp(sX)] for a (xs[N, n], ps[N, n]) stack: one row per pmf, one column per s.
 
-    Rows with the same number of atoms with p > 0 are one (pmf, s, atom)
-    logsumexp over those atoms, and come back in stack order.  They are not
-    padded to a common count: numpy sums 8 or more terms pairwise, so a padded
-    sum could differ in the last bit from the sum over the pmf's own atoms.
+    One (pmf, s, atom) logsumexp, in which an atom with p = 0 is log 0 = -inf
+    and adds exp(-inf) = 0 to its row's sum.
     """
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
     s_arr = np.asarray(s_values, dtype=float)
-    keep = ps > 0.0
-    if not keep.all():
-        counts = keep.sum(axis=1)
-        out = np.empty((len(xs), s_arr.size))
-        for count in np.unique(counts).tolist():
-            same = counts == count
-            # each row's atoms with p > 0, in their own order: all p > 0 now
-            order = np.argsort(~keep[same], axis=1, kind="stable")[:, :count]
-            x, p = (np.take_along_axis(v[same], order, axis=1) for v in (xs, ps))
-            out[same] = exact_log_mgf_rows(x, p, s_arr)
-        return out
-    terms = np.log(ps)[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
+    with np.errstate(divide="ignore"):
+        log_ps = np.log(np.asarray(ps, dtype=float))
+    terms = log_ps[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
     peak = terms.max(axis=2, keepdims=True)
     return peak[:, :, 0] + np.log(np.exp(terms - peak).sum(axis=2))
 
 
 def exact_log_mgf(pmf: FinitePmf, s):
-    """log E[exp(sX)] = logsumexp(log p_i + s x_i); s may be scalar or array."""
-    import numpy as np
+    """log E[exp(sX)] = logsumexp(log p_i + s x_i): a float for a scalar s, a
+    list for a sequence of s.
 
-    out = exact_log_mgf_rows(*pmf.stack(), np.atleast_1d(np.asarray(s, dtype=float)))[0]
-    return float(out[0]) if np.ndim(s) == 0 else out
+    ``exact_log_mgf_rows``' operations on the one-row stack, in plain Python:
+    log p + s x per atom (log 0 = -inf), less their peak, exponentiated and
+    added as numpy adds them (``_sum``), then the log of the sum plus the
+    peak.  A value can differ from the row only where math's exp or log
+    rounds otherwise than numpy's, by an ulp.
+    """
+    if isinstance(s, (int, float)):
+        return exact_log_mgf(pmf, (s,))[0]
+    atoms = [(x, math.log(p) if p > 0.0 else -math.inf) for x, p in zip(pmf.xs, pmf.ps)]
+    out = []
+    for s_value in s:
+        terms = [log_p + s_value * x for x, log_p in atoms]
+        peak = max(terms)
+        out.append(peak + math.log(_sum([math.exp(term - peak) for term in terms])))
+    return out
 
 
 def moment_rows(xs, ps, order: int):
@@ -223,33 +238,7 @@ def moment_rows(xs, ps, order: int):
 
 
 def moments(pmf: FinitePmf, order: int) -> float:
-    """E[X^order], exactly."""
-    return float(moment_rows(*pmf.stack(), order)[0])
-
-
-def law_log_mgf(pmf: FinitePmf, s_values) -> list[float]:
-    """``exact_log_mgf`` at each s, in plain Python.
-
-    The same operations on the pmf's atoms with p > 0: log p + s x, less
-    their peak, exponentiated and added in order, then the log of the sum
-    plus the peak.  For fewer than 8 such atoms numpy adds in the same order,
-    so a value can differ only where math's exp or log rounds otherwise than
-    numpy's, by an ulp.
-    """
-    atoms = [(x, math.log(p)) for x, p in zip(pmf.xs, pmf.ps) if p > 0.0]
-    out = []
-    for s in s_values:
-        terms = [log_p + s * x for x, log_p in atoms]
-        peak = max(terms)
-        total = 0.0
-        for term in terms:
-            total += math.exp(term - peak)
-        out.append(peak + math.log(total))
-    return out
-
-
-def law_moment(pmf: FinitePmf, order: int) -> float:
-    """``moments`` in plain Python: ``_dot`` of the masses and the powers.
+    """E[X^order], exactly: ``_dot`` of the masses and the powers.
 
     The dot is numpy's for fewer than 16 atoms, and so is a square, x * x.  A
     higher power is libm's pow, which can round otherwise than numpy's by an
@@ -372,7 +361,8 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     without it, ``extremal_two_point``, the worst case among mean-zero laws
     on [a, b] (Hoeffding 1963).  With odd_moments_zero: symmetric atoms +-c
     (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
-    inside the interval.
+    inside the interval; m2 = m4 = 0 is the point mass at 0, and no law has
+    m2 = 0 < m4.
     """
     a, b = support.a, support.b
     m2, m4 = support.m2, support.m4
@@ -393,9 +383,13 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     elif m4 is None:
         c = math.sqrt(m2)
         mass = 1.0
+    elif m2 is None:
+        raise ValueError("m4 without m2 cannot be matched")
+    elif m2 == 0.0:
+        if m4 > 0.0:
+            raise ValueError(f"m2 = 0 with m4 = {m4} > 0: no distribution has these moments")
+        return FinitePmf((0.0,), (1.0,), support)
     else:
-        if m2 is None:
-            raise ValueError("m4 without m2 cannot be matched")
         c = math.sqrt(m4 / m2)
         mass = m2 * m2 / m4  # total mass on the +-c pair
     if c > c_max * (1.0 + 1e-12) or mass > 1.0 + 1e-12:
@@ -472,6 +466,11 @@ def validity_gaps(exact, log_multipliers, rates, s_values=S_POINTS):
 
 
 def validity_gap(pmf: FinitePmf, bound: MgfBound, s_values=S_POINTS) -> float:
-    """max over the s grid of (exact log MGF - certified bound); <= 0 iff sound."""
-    exact = exact_log_mgf_rows(*pmf.stack(), s_values)
-    return float(validity_gaps(exact, [bound.log_multiplier], [bound.rate], s_values)[0])
+    """max over the s grid of (exact log MGF - certified bound); <= 0 iff sound.
+
+    ``validity_gaps``' operations on the law's one row, in plain Python.
+    """
+    if not all(s > 0.0 for s in s_values):
+        raise ValueError("bounds are stated for s > 0 only")
+    log_a, rho = bound.log_multiplier, bound.rate
+    return max(e - (log_a + rho * s * s) for e, s in zip(exact_log_mgf(pmf, s_values), s_values))

@@ -5,7 +5,7 @@ returns its gap rows and tail rows.
 with auto choices and no query.  ``run`` checks its input before it builds
 any law: the poison rate, a finite max(|a|, b)^4 per support, then each
 support's catalog, labels and poisoned rates (``_gap_tables``).  Each
-support's law is ``oracle.moment_matched_pmf``'s, with 2 or 3 atoms, and is
+support's law is ``oracle.moment_matched_pmf``'s, with 1 to 3 atoms, and is
 checked in plain Python (``_law_gaps``): its exact log-MGF on the s grid,
 its m2 and m4, and the (family x s) gaps.  With ``pmfs`` > 0, one seeded
 generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
@@ -29,13 +29,13 @@ from .bounds import BoundedSupport, catalog, measured_m2_log_multipliers, reads_
 from .oracle import (
     S_POINTS,
     check_pmf_stack,
+    exact_log_mgf,
     exact_log_mgf_rows,
     exact_sum_tail,
-    law_log_mgf,
-    law_moment,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
+    moments,
     random_mean_zero_stack,
     validity_gaps,
 )
@@ -102,14 +102,14 @@ def _law_gaps(support: BoundedSupport, tables, law) -> dict[str, float]:
     """``_family_max_gaps`` of the law alone, in plain Python.
 
     The same (family x s) gaps by the same float operations, on
-    ``oracle.law_log_mgf`` and ``oracle.law_moment`` in place of numpy's
+    ``oracle.exact_log_mgf`` and ``oracle.moments`` in place of numpy's
     rows: a gap can differ from numpy's only where math's exp, log or pow
     rounds otherwise.
     """
-    exact = law_log_mgf(law, S_POINTS)
+    exact = exact_log_mgf(law, S_POINTS)
     (labels, bounds, rates), (measured_labels, measured, measured_rates) = tables
-    [m2_log] = measured_m2_log_multipliers(support.a, support.b, [law_moment(law, 2)],
-                                           [law_moment(law, 4)])
+    [m2_log] = measured_m2_log_multipliers(support.a, support.b, [moments(law, 2)],
+                                           [moments(law, 4)])
     families = [*zip(labels, [bound.log_multiplier for bound in bounds], rates),
                 *zip(measured_labels, [m2_log] * len(measured), measured_rates)]
     max_gap: dict[str, float] = {}

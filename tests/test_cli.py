@@ -1055,6 +1055,23 @@ def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys, fields, where)
         assert f"{where} is too large for a float" in err
 
 
+@pytest.mark.parametrize("m4, code", [(0, 0), (0.5, 2)], ids=["m4 0", "m4 above 0"])
+def test_verify_of_zero_m2_exits_without_a_traceback(tmp_path, m4, code):
+    # m2 = m4 = 0 is the point mass at 0; no law has m2 = 0 < m4
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [
+        {"a": -1, "b": 1, "m2": 0, "m4": m4, "odd_moments_zero": True}]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "kbounds", "verify", str(path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == code
+    if code:
+        assert (result.stdout, result.stderr) == (
+            "", "error: m2 = 0 with m4 = 0.5 > 0: no distribution has these moments\n")
+    else:
+        assert result.stdout.endswith("verdict,ok\n") and result.stderr == ""
+
+
 def test_one_sample_floor_for_every_subcommand(fixtures_dir, tmp_path, capsys):
     # a file's samples are checked on load, so every subcommand refuses them
     doc = json.loads((fixtures_dir / "example5.json").read_text())

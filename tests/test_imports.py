@@ -4,7 +4,8 @@ The bounds, scenarios, selection and tails are plain Python, `t_range` grids,
 `sweep`'s (group x t) table and ``optimize_relaxed`` included, and so is a
 scenario `verify`: its laws, gaps and exact sum tails.  numpy loads only
 where pmf stacks are drawn or used: `verify --random` with random pmfs, and
-the stack functions of ``kbounds.oracle`` (its ``S_GRID`` too).  The package
+the stack functions of ``kbounds.oracle`` (its ``S_GRID`` too); its one-row
+functions, a law's exact log-MGF, moments and validity gap, need none.  The package
 exports the pure-Python names alone, so an oracle name is reached through
 ``kbounds.oracle`` and never through ``kbounds`` itself.  No command loads
 ``dataclasses``, and none without numpy loads ``inspect`` (numpy does).
@@ -56,6 +57,14 @@ WITHOUT_NUMPY = {
     "verify fixed": (["-m", "kbounds", "verify", "fixed.json"], 0),
     "verify random laws": (["-m", "kbounds", "verify", "--random", "--pmfs", "0"], 0),
     "oracle name": (["-c", "from kbounds.oracle import FinitePmf"], 0),
+    "one-row oracle": (["-c", "from kbounds import BoundedSupport, catalog; "
+                        "from kbounds.oracle import exact_log_mgf, extremal_two_point, "
+                        "moments, validity_gap; "
+                        "support = BoundedSupport(-1.0, 2.0); law = extremal_two_point(support); "
+                        "assert exact_log_mgf(law, [0.5, 1.0]) == [exact_log_mgf(law, 0.5), "
+                        "exact_log_mgf(law, 1.0)] and moments(law, 2) == 2.0; "
+                        "assert max(validity_gap(law, b) for b in catalog(support, 3)) <= 1e-9"],
+                       0),
 }
 WITH_NUMPY = {
     "verify": (["-m", "kbounds", "verify", "--random", "--pmfs", "5", "--samples",

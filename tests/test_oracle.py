@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,6 @@ from kbounds.oracle import (
     exact_log_mgf_rows,
     exact_sum_tail,
     extremal_two_point,
-    law_log_mgf,
-    law_moment,
     mc_sum_tail,
     moment_matched_pmf,
     moment_rows,
@@ -99,6 +98,16 @@ def per_pmf_log_mgf(pmf, s_arr):
     terms = np.log(ps)[None, :] + s_arr[:, None] * xs[None, :]
     peak = terms.max(axis=1, keepdims=True)
     return peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))
+
+
+def use_numpy_exp_and_log(monkeypatch):
+    """Give ``oracle`` numpy's exp and log in place of math's.
+
+    A law's log-MGF is then its one-row stack's row, bit for bit: the same
+    float operations in the same order.
+    """
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(**{
+        **vars(math), "exp": lambda x: float(np.exp(x)), "log": lambda x: float(np.log(x))}))
 
 
 def list_validity_gap(pmf, bound, s_values=S_GRID) -> float:
@@ -201,9 +210,10 @@ class TestExactLogMgf:
         pmf = extremal_two_point(BoundedSupport(-1, 5))
         assert math.isfinite(exact_log_mgf(pmf, 500.0))
 
-    def test_kernel_rows_match_the_one_pmf_reference(self):
+    def test_kernel_rows_match_the_one_pmf_reference(self, monkeypatch):
         # one row per pmf in a stack of equal atom count, bit for bit, and
-        # exact_log_mgf is the kernel's row
+        # exact_log_mgf is the kernel's row with numpy's exp and log
+        use_numpy_exp_and_log(monkeypatch)
         for scale in (1e-6, 1.0, 1e6):
             pmfs = mixed_pmfs(scale)
             for atoms in range(2, 9):
@@ -212,7 +222,7 @@ class TestExactLogMgf:
                 assert rows.shape == (len(stack), S_GRID.size)
                 for pmf, row in zip(stack, rows):
                     assert np.array_equal(row, per_pmf_log_mgf(pmf, S_GRID))
-                    assert np.array_equal(row, exact_log_mgf(pmf, S_GRID))
+                    assert row.tolist() == exact_log_mgf(pmf, S_POINTS)
 
     def test_kernel_drops_zero_probability_atoms(self):
         sparse = FinitePmf((-1.0, 0.5, 0.0, 1.0), (0.25, 0.0, 0.5, 0.25), S11)
@@ -220,12 +230,14 @@ class TestExactLogMgf:
         dense = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
         rows = exact_log_mgf_rows(*stack_of([sparse, shifted]), S_GRID)
         assert np.array_equal(rows[0], rows[1])
-        assert np.array_equal(rows[0], exact_log_mgf_rows(*dense.stack(), S_GRID)[0])
+        assert np.array_equal(rows[0], exact_log_mgf_rows(*stack_of([dense]), S_GRID)[0])
         assert np.array_equal(rows[0], per_pmf_log_mgf(sparse, S_GRID))
 
-    def test_kernel_groups_mixed_atom_counts(self):
+    def test_padded_rows_are_the_one_row_call_on_their_atoms(self, monkeypatch):
         # rows of 2..8 atoms with p > 0, interleaved and padded to 8 columns by
-        # zero-mass atoms at seeded places, each come back as their one-row result
+        # zero-mass atoms at seeded places: each zero mass is log 0 = -inf, and
+        # each row is exact_log_mgf of its own 8 atoms with numpy's exp and log
+        use_numpy_exp_and_log(monkeypatch)
         for scale in (1e-6, 1.0, 1e6):
             pmfs = mixed_pmfs(scale)
             xs = np.zeros((len(pmfs), 8))
@@ -236,9 +248,8 @@ class TestExactLogMgf:
                 ps[i, cols] = pmf.ps
             rows = exact_log_mgf_rows(xs, ps, S_GRID)
             assert rows.shape == (len(pmfs), S_GRID.size)
-            for pmf, row in zip(pmfs, rows):
-                assert np.array_equal(row, per_pmf_log_mgf(pmf, S_GRID))
-                assert np.array_equal(row, exact_log_mgf(pmf, S_GRID))
+            for pmf, x, p, row in zip(pmfs, xs.tolist(), ps.tolist(), rows.tolist()):
+                assert row == exact_log_mgf(FinitePmf(tuple(x), tuple(p), pmf.support), S_POINTS)
 
     def test_extremal_stays_under_every_applicable_bound(self):
         pmf = extremal_two_point(S51)
@@ -274,7 +285,12 @@ class TestMoments:
                     rows = moment_rows(xs, ps, order)
                     for pmf, row in zip(stack, rows.tolist()):
                         assert row == float(np.asarray(pmf.ps) @ np.asarray(pmf.xs) ** order)
-                        assert row == moments(pmf, order)
+                        # the law's x ** 4 is libm's pow, which can round
+                        # otherwise than numpy's by an ulp
+                        if order == 4:
+                            assert row == pytest.approx(moments(pmf, order), rel=1e-15)
+                        else:
+                            assert row == moments(pmf, order)
 
 
 class TestRandomPmf:
@@ -515,6 +531,15 @@ class TestMomentMatchedPmf:
         with pytest.raises(ValueError):
             moment_matched_pmf(BoundedSupport(-1, 5, m2=3.0, m4=9.5, odd_moments_zero=True))
 
+    def test_zero_m2_and_m4_is_the_point_mass_at_zero(self):
+        pmf = moment_matched_pmf(BoundedSupport(-1, 1, m2=0.0, m4=0.0, odd_moments_zero=True))
+        assert (pmf.xs, pmf.ps) == ((0.0,), (1.0,))
+
+    def test_zero_m2_under_positive_m4_is_refused(self):
+        # m2 = 0 puts all mass at 0, so m4 = 0 too: no law has these moments
+        with pytest.raises(ValueError, match="no distribution has these moments"):
+            moment_matched_pmf(BoundedSupport(-1, 1, m2=0.0, m4=0.5, odd_moments_zero=True))
+
     def test_m4_without_odd_moments_zero_matches_m2_alone(self):
         # no bound reads m4 unless the odd moments vanish
         for support, reference in (
@@ -645,7 +670,9 @@ class TestTightness:
             curvature = 2.0 * exact_log_mgf(pmf, s) / (s * s)
             assert curvature == pytest.approx(2.0 * bound.rate, rel=1e-3)
 
-    def test_validity_gap_matches_the_list_reference(self):
+    def test_validity_gap_matches_the_list_reference(self, monkeypatch):
+        # with numpy's exp and log, the law's gap is its row's in the table
+        use_numpy_exp_and_log(monkeypatch)
         tags = (CLASSIC, HERTZ, order_k(1), order_k(3), order_k(8), ORDER2_MOMENT)
         for scale in (1e-6, 1.0, 1e6):
             for pmf in mixed_pmfs(scale, per_count=1):
@@ -696,33 +723,39 @@ class TestPlainPythonLaws:
                 for row_u, row_v in zip(u, v):
                     assert oracle._dot(row_u.tolist(), row_v.tolist()) == float(row_u @ row_v)
 
+    def test_sum_is_numpys_pairwise_sum(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 129):
+            for scale in (1e-6, 1.0, 1e6):
+                for row in rng.random((20, n)) * scale:
+                    assert oracle._sum(row.tolist()) == float(row.sum())
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_log_mgf_is_the_kernels_row_with_its_exp_and_log(self, monkeypatch, scale):
         # the same operations in the same order: with numpy's exp and log in
         # place of math's, every value is the kernel's, bit for bit
-        pmfs = [p for p in mixed_pmfs(scale) if len(p.xs) < 8]
-        with_math = [law_log_mgf(p, S_POINTS) for p in pmfs]
-        numpy_math = type("numpy_math", (), {"exp": staticmethod(lambda x: float(np.exp(x))),
-                                             "log": staticmethod(lambda x: float(np.log(x)))})
-        monkeypatch.setattr(oracle, "math", numpy_math)
+        pmfs = mixed_pmfs(scale)
+        with_math = [exact_log_mgf(p, S_POINTS) for p in pmfs]
+        use_numpy_exp_and_log(monkeypatch)
         for pmf, values in zip(pmfs, with_math):
-            row = exact_log_mgf(pmf, S_GRID).tolist()
-            assert law_log_mgf(pmf, S_POINTS) == row
+            row = exact_log_mgf_rows(*stack_of([pmf]), S_GRID)[0].tolist()
+            assert exact_log_mgf(pmf, S_POINTS) == row
             assert values == pytest.approx(row, rel=1e-14, abs=1e-15)
 
     def test_log_mgf_drops_zero_probability_atoms(self):
         sparse = FinitePmf((-1.0, 0.5, 0.0, 1.0), (0.25, 0.0, 0.5, 0.25), S11)
         dense = FinitePmf((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25), S11)
-        assert law_log_mgf(sparse, S_POINTS) == law_log_mgf(dense, S_POINTS)
+        assert exact_log_mgf(sparse, S_POINTS) == exact_log_mgf(dense, S_POINTS)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_moments_are_numpys(self, scale):
         for pmf in mixed_pmfs(scale, per_count=2):
-            assert law_moment(pmf, 1) == moments(pmf, 1)
-            assert law_moment(pmf, 2) == moments(pmf, 2)
-            assert law_moment(pmf, 4) == pytest.approx(moments(pmf, 4), rel=1e-15)
+            xs, ps = stack_of([pmf])
+            assert moments(pmf, 1) == float(moment_rows(xs, ps, 1)[0])
+            assert moments(pmf, 2) == float(moment_rows(xs, ps, 2)[0])
+            assert moments(pmf, 4) == pytest.approx(float(moment_rows(xs, ps, 4)[0]), rel=1e-15)
         with pytest.raises(ValueError):
-            law_moment(extremal_two_point(S11), 0)
+            moments(extremal_two_point(S11), 0)
 
     @given(st.integers(2, 7), st.integers(0, 2 ** 32),
            st.sampled_from([None, "negative", "outside", "sum", "mean", "nan", "length"]))

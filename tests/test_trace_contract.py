@@ -5,7 +5,9 @@ defines, and ``perfbench/run.py`` leaves out a per-layer metric whose function
 was not wrapped.  So a function that ``run.SPAN_METRICS`` names must stay
 defined in its layer module, and every counter the launcher writes must be a
 finite JSON number.  Each case runs a command through the launcher, as
-``perfbench/tests/test_spans.py`` does, and once untraced.
+``perfbench/tests/test_spans.py`` does, and once untraced.  A scenario
+`verify` imports the oracle only after the launcher has wrapped it, so its
+laws' ``oracle.exact_log_mgf`` calls are counted.
 """
 
 import importlib.util
@@ -59,3 +61,15 @@ def test_traced_run_keeps_output_and_every_span_metric(tmp_path, name):
     meta = json.loads((tmp_path / "trace.json").read_text())
     assert span_functions() <= set(meta["names"])
     json.dumps(meta["counts"], allow_nan=False)  # NaN or Infinity is not JSON
+
+
+def test_scenario_verify_trace_counts_each_laws_log_mgf(tmp_path):
+    # `verify` imports the oracle after the launcher has wrapped it, so the
+    # one exact_log_mgf call of each of example5's 4 laws is a span
+    assert kbounds(COMMANDS["verify scenario"], tmp_path).returncode == 0
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(BENCH))
+    assert spans.summarize(tmp_path / "trace")["calls"]["oracle.exact_log_mgf"] == 4
