@@ -160,7 +160,7 @@ class BoundedSupport(Frozen):
 
 
 def _check_moments(m2: float | None, m4: float | None, cap2: float, cap4: float) -> None:
-    """Declared (finite) m2 and m4 within their caps and Jensen's m4 >= m2^2."""
+    """Declared (finite) m2 and m4 within their caps, m4 >= m2^2, and m4 = 0 at m2 = 0."""
     if m2 is not None:
         if not 0.0 <= m2 <= cap2 * (1.0 + MOMENT_SLACK):
             raise ValueError(f"m2={m2} outside [0, |a|b={cap2}]")
@@ -170,6 +170,8 @@ def _check_moments(m2: float | None, m4: float | None, cap2: float, cap4: float)
     if m2 is not None and m4 is not None:
         if m4 < m2 ** 2 * (1.0 - MOMENT_SLACK):
             raise ValueError(f"m4={m4} < m2^2={m2 ** 2} violates Jensen")
+        if m2 == 0.0 < m4:
+            raise ValueError(f"m2 = 0 with m4 = {m4} > 0: no distribution has these moments")
 
 
 class MgfBound(Frozen):

@@ -361,8 +361,8 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     without it, ``extremal_two_point``, the worst case among mean-zero laws
     on [a, b] (Hoeffding 1963).  With odd_moments_zero: symmetric atoms +-c
     (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
-    inside the interval; m2 = m4 = 0 is the point mass at 0, and no law has
-    m2 = 0 < m4.
+    inside the interval; m2 = 0 is the point mass at 0 (``BoundedSupport``
+    refuses m2 = 0 < m4).
     """
     a, b = support.a, support.b
     m2, m4 = support.m2, support.m4
@@ -386,8 +386,6 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     elif m2 is None:
         raise ValueError("m4 without m2 cannot be matched")
     elif m2 == 0.0:
-        if m4 > 0.0:
-            raise ValueError(f"m2 = 0 with m4 = {m4} > 0: no distribution has these moments")
         return FinitePmf((0.0,), (1.0,), support)
     else:
         c = math.sqrt(m4 / m2)

@@ -3,21 +3,21 @@ returns its gap rows and tail rows.
 
 `verify --random` is the scenario of the ``CANONICAL_SUPPORTS`` (or --a/--b)
 with auto choices and no query.  ``run`` checks its input before it builds
-any law: the poison rate, a finite max(|a|, b)^4 per support, then each
-support's catalog, labels and poisoned rates (``_gap_tables``).  Each
-support's law is ``oracle.moment_matched_pmf``'s, with 1 to 3 atoms, and is
-checked in plain Python (``_law_gaps``): its exact log-MGF on the s grid,
-its m2 and m4, and the (family x s) gaps.  With ``pmfs`` > 0, one seeded
-generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
-atom count, and those are checked as numpy (pmf x family x s) tables
-(``_family_max_gaps``).  The log multipliers that read moments come from each
-pmf's measured m2 and m4.  ``_mc_rows`` gives the exact tail of the sum of the
-laws at each t against the certificate `tail` prints there
-(``selection.certificates``); a sum with more than ``oracle.MAX_SUMS``
-distinct values is sampled instead (``oracle.mc_sum_tail``).  So numpy loads
-only for random pmfs or for that Monte Carlo.  The supports are those of the
-query's side (``tails.one_side``): a lower side checks the mirrored
-variables' laws, gaps and upper tail, which is the file's lower tail.
+any law: the poison rate, a finite max(|a|, b)^4 per support, then k_max.
+Each support's law is ``oracle.moment_matched_pmf``'s, with 1 to 3 atoms, and
+is checked in plain Python (``_law_gaps``) against ``catalog`` of its measured
+support: [a, b] with the law's m2 and m4 and the variable's odd_moments_zero,
+the rule `tail` follows for a variable with those moments.  With ``pmfs`` > 0,
+one seeded generator then draws ``pmfs`` random pmfs per support, one (xs, ps)
+stack per atom count, and those are checked by the same rule as numpy
+(pmf x family x s) tables (``_gap_tables``, ``_family_max_gaps``).
+``_mc_rows`` gives the exact tail of the sum of the laws at each t against
+the certificate `tail` prints there (``selection.certificates``); a sum with
+more than ``oracle.MAX_SUMS`` distinct values is sampled instead
+(``oracle.mc_sum_tail``).  So numpy loads only for random pmfs or for that
+Monte Carlo.  The supports are those of the query's side (``tails.one_side``):
+a lower side checks the mirrored variables' laws, gaps and upper tail, which
+is the file's lower tail.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .bounds import BoundedSupport, catalog, measured_m2_log_multipliers, reads_moments
+from .bounds import BoundedSupport, catalog, check_k_max, measured_m2_log_multipliers, reads_moments
 from .oracle import (
     S_POINTS,
     check_pmf_stack,
@@ -51,11 +51,11 @@ CANONICAL_SUPPORTS = ((-1.0, 1.0), (-1.0, 5.0), (-5.0, 1.0), (-2.0, 3.0))
 
 def _gap_tables(support: BoundedSupport, k_max: int, poison: float):
     """(labels, bounds, rates times ``poison``) of the families that read no
-    moments, then of those that do, on the support's measured supports.
+    moments, then of those that do, on the measured supports of random pmfs.
 
-    A measured support is [a, b] with a pmf's m2 and m4 and no odd moments
-    asserted, so its catalog is that of [a, b] with m2 = m4 = 0.  A rate
-    depends on [a, b] alone, and so does a log multiplier that reads no moments.
+    Those assert no odd moments, so their catalog is that of [a, b] with
+    m2 = m4 = 0.  A rate depends on [a, b] alone, and so does a log
+    multiplier that reads no moments.
     """
     shape = BoundedSupport(support.a, support.b, m2=0.0, m4=0.0)
     bounds = catalog(shape, k_max)
@@ -73,13 +73,13 @@ def _note(max_gap: dict[str, float], labels, gaps) -> None:
 
 
 def _family_max_gaps(batches) -> dict[str, float]:
-    """Max (exact - bound) gap per family label over every pmf.
+    """``_law_gaps``' rule over every random pmf, on stacks.
 
     ``batches`` holds one (support, ``_gap_tables``, (xs, ps) stacks) per
-    support.  Each table is checked as one (pmf x family x s) table: the log
-    multipliers that read no moments are one per support, the others each
-    pmf's own log(1 + m2/a^2), which is every such family's on a measured
-    support (it asserts no odd moments).
+    support.  Each table is checked as one (pmf x family x s) table.  Random
+    pmfs assert no odd moments, so only the k = 2 multipliers read m2: each
+    pmf's own log(1 + m2/a^2), with its measured support's checks.  The
+    others are one per support.
     """
     max_gap: dict[str, float] = {}
 
@@ -98,24 +98,20 @@ def _family_max_gaps(batches) -> dict[str, float]:
     return max_gap
 
 
-def _law_gaps(support: BoundedSupport, tables, law) -> dict[str, float]:
-    """``_family_max_gaps`` of the law alone, in plain Python.
-
-    The same (family x s) gaps by the same float operations, on
-    ``oracle.exact_log_mgf`` and ``oracle.moments`` in place of numpy's
-    rows: a gap can differ from numpy's only where math's exp, log or pow
-    rounds otherwise.
+def _law_gaps(support: BoundedSupport, law, k_max: int, poison: float) -> dict[str, float]:
+    """Max (exact - bound) gap per family label of the law, in plain Python,
+    over ``catalog`` of its measured support: [a, b] with the law's m2 and m4
+    and the variable's odd_moments_zero (``moment_matched_pmf``'s law is
+    symmetric exactly when that is asserted), checked as a declared support.
     """
+    measured = BoundedSupport(support.a, support.b, moments(law, 2), moments(law, 4),
+                              support.odd_moments_zero)
     exact = exact_log_mgf(law, S_POINTS)
-    (labels, bounds, rates), (measured_labels, measured, measured_rates) = tables
-    [m2_log] = measured_m2_log_multipliers(support.a, support.b, [moments(law, 2)],
-                                           [moments(law, 4)])
-    families = [*zip(labels, [bound.log_multiplier for bound in bounds], rates),
-                *zip(measured_labels, [m2_log] * len(measured), measured_rates)]
+    bounds = catalog(measured, k_max)
     max_gap: dict[str, float] = {}
-    _note(max_gap, [label for label, _, _ in families],
-          [max(e - (log_a + rho * s * s) for e, s in zip(exact, S_POINTS))
-           for _, log_a, rho in families])
+    _note(max_gap, [bound.family_tag.family.value for bound in bounds],
+          [max(e - (bound.log_multiplier + bound.rate * poison * s * s)
+               for e, s in zip(exact, S_POINTS)) for bound in bounds])
     return max_gap
 
 
@@ -212,12 +208,13 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
         raise ValueError("--poison-rate must be positive")
     query = scenario.query
     supports = _supports(scenario)
-    tables = [_gap_tables(support, k_max, poison) for support in supports]
+    check_k_max(k_max)
     laws = [moment_matched_pmf(support) for support in supports]
-    found = [_law_gaps(*batch) for batch in zip(supports, tables, laws)]
+    found = [_law_gaps(support, law, k_max, poison) for support, law in zip(supports, laws)]
     if pmfs:
         import numpy as np
 
+        tables = [_gap_tables(support, k_max, poison) for support in supports]
         rng = np.random.default_rng(query.seed)
         stacks = [list(_random_stacks(support, pmfs, rng)) for support in supports]
         found.append(_family_max_gaps(zip(supports, tables, stacks)))

@@ -50,6 +50,8 @@ class TestSupport:
             BoundedSupport(-5, 1, m4=106.0)  # cap is 105
         with pytest.raises(ValueError):
             BoundedSupport(-1, 1, m2=0.9, m4=0.5)  # m4 < m2^2
+        with pytest.raises(ValueError, match="^m2 = 0 with m4 = 0.5 > 0: no distribution"):
+            BoundedSupport(-1, 1, m2=0.0, m4=0.5)  # m2 = 0 puts all mass at 0
 
     @pytest.mark.parametrize("a, b", [(-1e200, 1e200), (-1.0, 1e103), (-1e160, 1e160)])
     def test_rejects_intervals_whose_caps_overflow(self, a, b):
@@ -278,7 +280,8 @@ def measured_supports(draw):
     m4 = None
     if draw(st.booleans()):
         low = 0.0 if m2 is None else m2 * m2
-        m4 = low + draw(st.floats(0.0, 1.0)) * (cap4 - low)
+        high = 0.0 if m2 == 0.0 else cap4  # m2 = 0 puts all mass at 0
+        m4 = low + draw(st.floats(0.0, 1.0)) * (high - low)
     return BoundedSupport(a, b, m2=m2, m4=m4, odd_moments_zero=draw(st.booleans()))
 
 

@@ -638,7 +638,32 @@ SAMPLED_VARIABLES = [{"a": -round(1 + math.sqrt(i + 2) / 10, 9),
                       "b": round(1 + math.sqrt(i + 13) / 10, 9), "m2": 0.5} for i in range(11)]
 
 
+@st.composite
+def odd_moment_supports(draw):
+    """A support that asserts odd_moments_zero, scaled by 2^j with |j| <= 20:
+    symmetric or not, declaring no moments, m2 alone, or the m2 and m4 of a
+    law on -c, 0, c."""
+    a = -draw(st.floats(0.1, 10.0))
+    b = -a if draw(st.booleans()) else draw(st.floats(0.1, 10.0))
+    c = min(-a, b) * draw(st.floats(0.01, 1.0))
+    mass = draw(st.floats(0.01, 1.0))  # on -c and c
+    declared = draw(st.sampled_from([(None, None), (c * c, None), (mass * c * c, mass * c ** 4)]))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    m2, m4 = (None if m is None else m * scale ** p for m, p in zip(declared, (2, 4)))
+    return BoundedSupport(a * scale, b * scale, m2, m4, odd_moments_zero=True)
+
+
 class TestVerify:
+    @settings(max_examples=300, deadline=None)
+    @given(support=odd_moment_supports(), k_max=st.integers(1, 8))
+    def test_law_gaps_hold_for_every_family_of_an_odd_moment_law(self, support, k_max):
+        # the law is symmetric, so its measured support keeps odd_moments_zero
+        # and the fourth-order families are checked too
+        gaps = verify._law_gaps(support, oracle.moment_matched_pmf(support), k_max, 1.0)
+        families = {"classic", "hertz", "order_k", "order2_moment", "order4_moment"}
+        assert set(gaps) == families | ({"symmetric_order4"} if -support.a == support.b else set())
+        assert max(gaps.values()) <= verify.GAP_TOL, gaps
+
     @pytest.mark.parametrize("poison", [1.0, 0.5])
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_batched_gaps_match_per_pmf_reference(self, scale, poison):
@@ -1055,6 +1080,9 @@ def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys, fields, where)
         assert f"{where} is too large for a float" in err
 
 
+ZERO_M2 = "m2 = 0 with m4 = 0.5 > 0: no distribution has these moments"
+
+
 @pytest.mark.parametrize("m4, code", [(0, 0), (0.5, 2)], ids=["m4 0", "m4 above 0"])
 def test_verify_of_zero_m2_exits_without_a_traceback(tmp_path, m4, code):
     # m2 = m4 = 0 is the point mass at 0; no law has m2 = 0 < m4
@@ -1066,10 +1094,37 @@ def test_verify_of_zero_m2_exits_without_a_traceback(tmp_path, m4, code):
                             capture_output=True, text=True, env=env)
     assert result.returncode == code
     if code:
-        assert (result.stdout, result.stderr) == (
-            "", "error: m2 = 0 with m4 = 0.5 > 0: no distribution has these moments\n")
+        assert (result.stdout, result.stderr) == ("", f"error: variables[0]: {ZERO_M2}\n")
     else:
         assert result.stdout.endswith("verdict,ok\n") and result.stderr == ""
+
+
+def test_zero_m2_under_positive_m4_exits_2_on_every_command(tmp_path, capsys):
+    # one rule for every command: the support refuses moments no law has
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [
+        {"a": -1, "b": 1, "m2": 0, "m4": 0.5, "odd_moments_zero": True}]}))
+    refusal = (2, "", f"error: variables[0]: {ZERO_M2}\n")
+    for argv in (["tail", "--t", "0.5"], ["select", "--t", "0.5"],
+                 ["sweep", "--group", "1", "--t-range", "0.5", "1", "2"], ["verify"]):
+        assert run_cli([argv[0], str(path), *argv[1:]], capsys) == refusal
+    for rest in (["--compare"], ["--family", "order4_moment"]):
+        argv = ["bound", "--a=-1", "--b", "1", "--m2", "0", "--m4", "0.5",
+                "--odd-moments-zero", "--s", "1", *rest]
+        assert run_cli(argv, capsys) == (2, "", f"error: {ZERO_M2}\n")
+
+
+def test_verify_refuses_a_support_too_narrow_for_its_laws_m4(tmp_path, capsys):
+    # the symmetric law's measured m4 makes a^4 underflow; tail reads no m4
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [
+        {"a": -1e-80, "b": 1e-80, "odd_moments_zero": True}], "query": {"t": [1e-80]}}))
+    assert run_cli(["tail", str(path)], capsys)[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "kbounds", "verify", str(path)],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: support [-1e-80, 1e-80] is too narrow for m4: a^4 underflows\n")
 
 
 def test_one_sample_floor_for_every_subcommand(fixtures_dir, tmp_path, capsys):

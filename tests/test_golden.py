@@ -118,9 +118,9 @@ GOLDEN = [
     # moment_matched_pmf's laws: the m2 mixture, the extremal law and both
     # symmetric cases
     (["verify", "fixed.json", "--samples", "20000"],
-     "63e3f4d8f5db1e1cb561b10239803a39a6d68e22f8424a16c8d1adbe1f2898cf"),
+     "5e1cdf7cecc2f4aa59f3ec62901b4ab9fff42d88bd0d21de1f61a25b3ea77696"),
     (["verify", "tight.json", "--samples", "20000"],
-     "73c41034194cf1ca1d06952385954f4f52c4bf939a11e52526096d63d3fc6be5"),
+     "713f380cd508e2c47f00f5fb09ea33ea5626e1188a67389df6dc9bd074979845"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],

@@ -536,7 +536,8 @@ class TestMomentMatchedPmf:
         assert (pmf.xs, pmf.ps) == ((0.0,), (1.0,))
 
     def test_zero_m2_under_positive_m4_is_refused(self):
-        # m2 = 0 puts all mass at 0, so m4 = 0 too: no law has these moments
+        # m2 = 0 puts all mass at 0, so m4 = 0 too: no law has these moments,
+        # and the support itself refuses them before any law is built
         with pytest.raises(ValueError, match="no distribution has these moments"):
             moment_matched_pmf(BoundedSupport(-1, 1, m2=0.0, m4=0.5, odd_moments_zero=True))
 

@@ -753,7 +753,8 @@ class TestRegimes:
         for left, right, f2, f4, odd in shapes:
             cap2 = left * right
             m2 = f2 * cap2
-            m4 = m2 * m2 + f4 * (cap2 * (left * left - left * right + right * right) - m2 * m2)
+            cap4 = cap2 * (left * left - left * right + right * right)
+            m4 = m2 * m2 + f4 * (cap4 - m2 * m2) if m2 else 0.0  # m2 = 0: all mass at 0
             for scale, out in ((1.0, variables), (c, scaled)):
                 out.append(BoundedSupport(
                     -scale * left, scale * right, m2=scale ** 2 * m2,
