@@ -5,7 +5,8 @@ everything imported here.  The import rule: numpy loads only inside the
 brute-force oracle's stack functions (pmf stacks, their exact MGFs and gaps,
 Monte Carlo), whose names are reached as ``kbounds.oracle.X``.  The oracle's
 one-law functions (``exact_log_mgf``, ``moments``, ``validity_gap`` and the
-exact tail of a sum of laws) are plain Python; `verify` checks each support's
+exact tail of a sum of laws) are plain Python, and a law's moments and
+log-MGF add their terms with ``math.fsum``; `verify` checks each support's
 law with them, and calls the stack functions only for `--random`'s random
 pmfs or a sum too large to convolve.  So ``import kbounds``, every other command and a `verify` of laws
 start without numpy; and no module imports the standard library's dataclass

@@ -15,16 +15,17 @@ ps[N, n]) stacks, and every function of a stack imports numpy when it runs:
 ``check_pmf_stack`` checks them, ``exact_log_mgf_rows`` and ``moment_rows``
 evaluate them, and ``validity_gaps`` and ``mc_sum_tail`` check and sample
 them.  ``random_mean_zero_pmf`` is the one-row stack from
-``default_rng(seed)``.  A law's value is its one-row stack's row by the same
-float operations, so it can differ only where math's exp, log or pow rounds
-otherwise than numpy's.  ``S_GRID`` is ``S_POINTS`` as a numpy array, built
-on first use.
+``default_rng(seed)``.  Every sum over one law's atoms is a correctly
+rounded ``math.fsum``, so a law's value agrees with its one-row stack's row
+to within rounding.  ``S_GRID`` is ``S_POINTS`` as a numpy array, built on
+first use.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 
 from .bounds import BoundedSupport, Frozen, MgfBound
 from .scenario import MAX_SAMPLES, MIN_SAMPLES
@@ -81,57 +82,12 @@ class FinitePmf(Frozen):
         _check_pmf(xs, ps, support)
 
 
-def _fma(x: float, y: float, z: float) -> float:
-    """x * y + z rounded once, as a fused multiply-add rounds it (finite x, y, z).
-
-    Every float is an integer over a power of two, so the sum is one exact
-    fraction, and dividing Python ints rounds correctly.
-    """
-    (xn, xd), (yn, yd), (zn, zd) = (v.as_integer_ratio() for v in (x, y, z))
-    d = xd * yd
-    if d < zd:
-        return (xn * yn * (zd // d) + zn) / zd
-    return (xn * yn + zn * (d // zd)) / d
-
-
-def _dot(us, vs) -> float:
-    """sum of u_i v_i with one fused multiply-add per term, in order from 0.0.
-
-    That is how the x86-64 OpenBLAS kernels behind numpy's dot round fewer
-    than 16 terms; the tests pin it against numpy's dot.
-    """
-    total = 0.0
-    for u, v in zip(us, vs):
-        total = _fma(u, v, total)
-    return total
-
-
-def _sum(values) -> float:
-    """The sum of up to 128 floats, rounded as numpy's pairwise sum rounds it.
-
-    numpy adds fewer than 8 terms in order from 0.0.  Otherwise it keeps 8
-    running sums, the j-th over terms j, j + 8, ... of the whole blocks of 8,
-    adds them pairwise and then the rest in order.
-    """
-    head = len(values) - len(values) % 8
-    total = 0.0
-    if head:
-        runs = list(values[:8])
-        for i in range(8, head):
-            runs[i % 8] += values[i]
-        total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) + (
-            (runs[4] + runs[5]) + (runs[6] + runs[7]))
-    for value in values[head:]:
-        total += value
-    return total
-
-
 def _check_pmf(xs, ps, support: BoundedSupport) -> None:
     """``check_pmf_stack`` of the one-row stack (xs, ps), in plain Python.
 
-    The same checks in the same order, with the same messages.  The sum adds
-    the masses in order and the mean is ``_dot``: numpy's numbers for fewer
-    than 8 atoms.
+    The same checks in the same order, with the same messages.  The mass
+    total and the mean are ``math.fsum``s of the masses and of the products
+    p * x, so a printed number can differ from the stack's in its last digits.
     """
     if len(xs) != len(ps) or len(xs) == 0:
         raise ValueError("xs and ps must be equal-length non-empty sequences")
@@ -141,13 +97,11 @@ def _check_pmf(xs, ps, support: BoundedSupport) -> None:
         raise ValueError("probabilities must be nonnegative")
     if min(xs) < support.a or max(xs) > support.b:
         raise ValueError("atoms must lie inside the support interval")
-    total = 0.0
-    for p in ps:
-        total += p
+    total = math.fsum(ps)
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    mean = _dot(ps, xs)
-    # rounding in ps @ xs grows with the size of the atoms
+    mean = math.fsum(p * x for p, x in zip(ps, xs))
+    # rounding in the products p * x grows with the size of the atoms
     if abs(mean) > _SUM_TOL * max(-support.a, support.b):
         raise ValueError(f"mean {mean} is not zero")
 
@@ -211,11 +165,10 @@ def exact_log_mgf(pmf: FinitePmf, s):
     """log E[exp(sX)] = logsumexp(log p_i + s x_i): a float for a scalar s, a
     list for a sequence of s.
 
-    ``exact_log_mgf_rows``' operations on the one-row stack, in plain Python:
+    ``exact_log_mgf_rows``' logsumexp of the one-row stack, in plain Python:
     log p + s x per atom (log 0 = -inf), less their peak, exponentiated and
-    added as numpy adds them (``_sum``), then the log of the sum plus the
-    peak.  A value can differ from the row only where math's exp or log
-    rounds otherwise than numpy's, by an ulp.
+    added by ``math.fsum``, then the log of the sum plus the peak.  It agrees
+    with the row to within rounding.
     """
     if isinstance(s, (int, float)):
         return exact_log_mgf(pmf, (s,))[0]
@@ -224,7 +177,7 @@ def exact_log_mgf(pmf: FinitePmf, s):
     for s_value in s:
         terms = [log_p + s_value * x for x, log_p in atoms]
         peak = max(terms)
-        out.append(peak + math.log(_sum([math.exp(term - peak) for term in terms])))
+        out.append(peak + math.log(math.fsum(math.exp(term - peak) for term in terms)))
     return out
 
 
@@ -238,15 +191,15 @@ def moment_rows(xs, ps, order: int):
 
 
 def moments(pmf: FinitePmf, order: int) -> float:
-    """E[X^order], exactly: ``_dot`` of the masses and the powers.
+    """E[X^order]: the ``math.fsum`` of the products p * x^order.
 
-    The dot is numpy's for fewer than 16 atoms, and so is a square, x * x.  A
-    higher power is libm's pow, which can round otherwise than numpy's by an
-    ulp.
+    A square is x * x and another power x ** order; the float products are
+    summed exactly and rounded once.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _dot(pmf.ps, [x * x if order == 2 else x ** order for x in pmf.xs])
+    return math.fsum(p * (x * x if order == 2 else x ** order)
+                     for p, x in zip(pmf.ps, pmf.xs))
 
 
 def exact_sum_tail(pmfs, ts) -> list[float] | None:
@@ -362,7 +315,7 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
     on [a, b] (Hoeffding 1963).  With odd_moments_zero: symmetric atoms +-c
     (plus mass at 0), which needs c = sqrt(m4/m2) (or sqrt(m2)) to fit
     inside the interval; m2 = 0 is the point mass at 0 (``BoundedSupport``
-    refuses m2 = 0 < m4).
+    refuses m2 = 0 < m4).  The pair's mass m2^2/m4 needs a normal m2^2.
     """
     a, b = support.a, support.b
     m2, m4 = support.m2, support.m4
@@ -387,6 +340,8 @@ def moment_matched_pmf(support: BoundedSupport) -> FinitePmf:
         raise ValueError("m4 without m2 cannot be matched")
     elif m2 == 0.0:
         return FinitePmf((0.0,), (1.0,), support)
+    elif m2 * m2 < sys.float_info.min:
+        raise ValueError(f"m2={m2} is too small for m4: m2^2 underflows")
     else:
         c = math.sqrt(m4 / m2)
         mass = m2 * m2 / m4  # total mass on the +-c pair

@@ -1127,6 +1127,28 @@ def test_verify_refuses_a_support_too_narrow_for_its_laws_m4(tmp_path, capsys):
         2, "", "error: support [-1e-80, 1e-80] is too narrow for m4: a^4 underflows\n")
 
 
+@pytest.mark.parametrize("m2, m4, code, err", [
+    # m2^2 underflows: the law's mass m2^2/m4 is 0 / 0 or 0, so verify refuses
+    (1e-170, 0.0, 2, "error: m2=1e-170 is too small for m4: m2^2 underflows\n"),
+    (1e-170, 1e-300, 2, "error: m2=1e-170 is too small for m4: m2^2 underflows\n"),
+    # m2^2 = 1e-300 is normal: the law is all its mass on +-1e-75
+    (1e-150, 1e-300, 0, ""),
+], ids=["m4=0", "m4=1e-300", "normal-square"])
+def test_verify_refuses_a_declared_m2_whose_square_underflows(tmp_path, capsys, m2, m4, code, err):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"format_version": 1, "variables": [
+        {"a": -1, "b": 1, "m2": m2, "m4": m4, "odd_moments_zero": True}], "query": {"t": [0.5]}}))
+    assert run_cli(["tail", str(path)], capsys)[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "kbounds", "verify", str(path)],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (code, err)
+    if code:
+        assert result.stdout == ""
+    else:
+        assert result.stdout.endswith("verdict,ok\n")
+
+
 def test_one_sample_floor_for_every_subcommand(fixtures_dir, tmp_path, capsys):
     # a file's samples are checked on load, so every subcommand refuses them
     doc = json.loads((fixtures_dir / "example5.json").read_text())
