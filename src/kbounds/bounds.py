@@ -279,20 +279,19 @@ def m2_log_multipliers(a: float, m2s) -> list[float]:
     return [math.log1p(m2 / a2) for m2 in m2s]
 
 
-def measured_m2_log_multipliers(a: float, b: float, m2s, m4s) -> list[float]:
-    """``m2_log_multipliers`` of (m2, m4) rows measured on [a, b]: without
+def measured_m2_log_multipliers(a: float, b: float, m2s) -> list[float]:
+    """``m2_log_multipliers`` of m2 rows measured on [a, b]: without
     odd_moments_zero, the log multiplier of every family that reads moments.
 
-    Each row gets the checks and messages of ``BoundedSupport(a, b, m2, m4)``
-    with no support built per row: the interval's once, with m2 and m4
-    declared, then per row finiteness, the caps and Jensen.
+    Each row gets the checks and messages of ``BoundedSupport(a, b, m2)``
+    with no support built per row: the interval's once, with m2 declared,
+    then per row finiteness and the cap.
     """
-    cap2, cap4 = moment_caps(BoundedSupport(a, b, m2=0.0, m4=0.0))
-    for m2, m4 in zip(m2s, m4s):
-        for name, value in (("m2", m2), ("m4", m4)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        _check_moments(m2, m4, cap2, cap4)
+    cap2, cap4 = moment_caps(BoundedSupport(a, b, m2=0.0))
+    for m2 in m2s:
+        if not math.isfinite(m2):
+            raise ValueError(f"m2 must be finite, got {m2}")
+        _check_moments(m2, None, cap2, cap4)
     return m2_log_multipliers(a, m2s)
 
 

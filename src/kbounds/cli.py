@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
             raise ValueError("give both --a and --b, or neither")
         if args.pmfs is not None and args.pmfs < 0:
             raise ValueError(f"--pmfs must be >= 0, got {args.pmfs}")
+        if args.pmfs is not None and args.pmfs > verify.MAX_PMFS:
+            raise ValueError(f"--pmfs must be at most {verify.MAX_PMFS}, got {args.pmfs}")
         intervals = verify.CANONICAL_SUPPORTS if args.a is None else [(args.a, args.b)]
         scenario = Scenario(tuple(BoundedSupport(a, b) for a, b in intervals), None, Query())
         pmfs = 1000 if args.pmfs is None else args.pmfs
@@ -307,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", type=finite_float)
     p_verify.add_argument("--b", type=finite_float)
     p_verify.add_argument("--pmfs", type=int,
-                          help="random pmfs per support (--random only; default 1000)")
+                          help="random pmfs per support (--random only; default 1000, "
+                          "at most 10^6)")
     p_verify.add_argument("--samples", type=int,
                           help="Monte Carlo samples, drawn only for a sum of laws with more "
                           "than 2^16 distinct values, whose tail is not computed exactly "

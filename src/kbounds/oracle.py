@@ -182,7 +182,9 @@ def exact_log_mgf(pmf: FinitePmf, s):
 
 
 def moment_rows(xs, ps, order: int):
-    """E[X^order] for every row of a (xs[N, n], ps[N, n]) stack, exactly."""
+    """E[X^order] for every row of a (xs[N, n], ps[N, n]) stack: BLAS's dot
+    (``_row_dots``) rounds as it adds, so a row can differ from ``moments`` of
+    its law by about 1e-14 times max|x|^order."""
     import numpy as np
 
     if order < 1:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kbounds import cli, oracle, selection, verify
@@ -698,26 +698,14 @@ class TestVerify:
         assert code == 0
         assert len(failed) <= 2 * len(verify.CANONICAL_SUPPORTS)
 
-    @pytest.mark.parametrize(
-        "order, corrupt",
-        [(2, lambda m2: 12.5), (2, lambda m2: math.nan), (4, lambda m2: 1e4),
-         (4, lambda m2: -1.0), (4, lambda m2: math.inf), (4, lambda m2: 0.5 * m2 * m2)],
-        ids=["m2 above its cap", "m2 nan", "m4 above its cap", "m4 negative", "m4 inf",
-             "Jensen"],
-    )
-    def test_corrupt_measured_moments_exit_2_as_a_support_would(
-        self, capsys, monkeypatch, order, corrupt
-    ):
-        # one pmf's measured m2 or m4 is corrupted: `verify` fails with the
-        # message a support with those moments gives, before any row is printed
-        seen = {}
-
+    @pytest.mark.parametrize("m2", [12.5, math.nan], ids=["m2 above its cap", "m2 nan"])
+    def test_corrupt_measured_moments_exit_2_as_a_support_would(self, capsys, monkeypatch,
+                                                                 m2):
+        # the first pmf's measured m2 is corrupted: `verify` fails with the
+        # message a support with that m2 gives, before any row is printed
         def corrupted_rows(xs, ps, k):
             values = oracle.moment_rows(xs, ps, k)
-            if k not in seen:  # the first stack's first row
-                if k == order:
-                    values[0] = corrupt(seen.get(2))
-                seen[k] = float(values[0])
+            values[0] = m2
             return values
 
         monkeypatch.setattr(verify, "moment_rows", corrupted_rows)
@@ -726,8 +714,26 @@ class TestVerify:
             capsys,
         )
         with pytest.raises(ValueError) as support_error:
-            BoundedSupport(-2.0, 3.0, seen[2], seen[4])
+            BoundedSupport(-2.0, 3.0, m2)
         assert (code, out, err) == (2, "", f"error: {support_error.value}\n")
+
+    def test_random_pmfs_and_their_laws_measure_m2_alone(self, capsys, monkeypatch):
+        # no canonical support asserts odd moments, so no bound reads an m4
+        # and none is measured, on a law or on a stack
+        orders = []
+
+        def recording(measure):
+            def measured(*args):
+                orders.append(args[-1])
+                return measure(*args)
+            return measured
+
+        monkeypatch.setattr(verify, "moment_rows", recording(oracle.moment_rows))
+        monkeypatch.setattr(verify, "moments", recording(oracle.moments))
+        code, _, _ = run_cli(["verify", "--random", "--pmfs", "50", "--samples", "1000"],
+                             capsys)
+        assert code == 0
+        assert orders and set(orders) == {2}
 
     def test_random_sweep_is_clean(self, capsys):
         code, out, _ = run_cli(
@@ -936,31 +942,24 @@ class TestVerify:
             assert out == ""
             assert message in err
 
-    @pytest.mark.parametrize("source", ["flags", "scenario"])
-    def test_overflowing_fourth_powers_exit_2_before_any_pmf_is_drawn(
-            self, tmp_path, capsys, monkeypatch, source):
+    def test_pmfs_above_the_cap_exit_2_before_any_pmf_is_drawn(self, capsys, monkeypatch):
         def no_pmfs(*args, **kwargs):
             raise AssertionError("drew pmfs for a rejected command")
 
         monkeypatch.setattr(verify, "random_mean_zero_stack", no_pmfs)
         monkeypatch.setattr(verify, "moment_matched_pmf", no_pmfs)
-        if source == "flags":
-            argv = ["verify", "--random", "--a=-1", "--b", "2e77", "--pmfs", "10",
-                    "--samples", "1000"]
-            interval = "[-1.0, 2e+77]"
-        else:
-            path = tmp_path / "wide.json"
-            path.write_text(json.dumps({"format_version": 1,
-                                        "variables": [{"a": -1, "b": 1e78}]}))
-            assert run_cli(["tail", str(path), "--t", "1"], capsys)[0] == 0
-            argv = ["verify", str(path), "--samples", "1000"]
-            interval = "[-1.0, 1e+78]"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow warning either
-            code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert interval in err and "^4 overflows" in err
+        for count in (verify.MAX_PMFS + 1, 10 ** 13):
+            code, out, err = run_cli(
+                ["verify", "--random", "--pmfs", str(count), "--samples", "1000"], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: --pmfs must be at most {verify.MAX_PMFS}, got {count}\n"
+
+    def test_pmfs_at_the_cap_are_drawn(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_PMFS", 5)
+        argv = ["verify", "--random", "--samples", "1000", "--pmfs"]
+        assert run_cli([*argv, "5"], capsys)[0] == 0
+        assert run_cli([*argv, "6"], capsys)[0] == 2
 
     def test_mc_candidates_respect_k_max(self, capsys):
         code, out, _ = run_cli(
@@ -1125,6 +1124,88 @@ def test_verify_refuses_a_support_too_narrow_for_its_laws_m4(tmp_path, capsys):
                             capture_output=True, text=True, env=env)
     assert (result.returncode, result.stdout, result.stderr) == (
         2, "", "error: support [-1e-80, 1e-80] is too narrow for m4: a^4 underflows\n")
+
+
+# intervals `tail` certifies on which `verify` once measured an m4 that no
+# bound reads and exited 2: its max(|a|, b)^4 overflowed, or, in subnormal
+# rounding, the m4 failed its cap or Jensen's inequality
+UNREAD_M4 = {"wide": (-1.0, 2e77, "1000"), "tiny": (-1e-78, 1e-78, "0"),
+             "tinier": (-1e-80, 1e-80, "200")}
+
+
+@pytest.mark.parametrize("source", ["flags", "scenario"])
+@pytest.mark.parametrize("name", UNREAD_M4)
+def test_verify_measures_no_unread_m4(tmp_path, capsys, name, source):
+    a, b, pmfs = UNREAD_M4[name]
+    if source == "flags":
+        argv = ["verify", "--random", f"--a={a!r}", "--b", repr(b), "--pmfs", pmfs]
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"format_version": 1, "variables": [{"a": a, "b": b}]}))
+        assert run_cli(["tail", str(path), "--t", repr(b / 2)], capsys)[0] == 0
+        argv = ["verify", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy under- or overflow warning either
+        code, out, err = run_cli([*argv, "--samples", "1000"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict,ok\n")
+
+
+@st.composite
+def wide_scale_files(draw):
+    """Two variables with no odd_moments_zero at a scale from 2^-500 to
+    2^500, each endpoint up to 2^60 away from it (so some intervals are
+    lopsided), kept where ``BoundedSupport`` accepts both."""
+    scale = draw(st.integers(-500, 500))
+    variables = []
+    for _ in range(2):
+        a, b = (math.ldexp(draw(st.floats(0.5, 1.0)), scale + draw(st.integers(-60, 60)))
+                for _ in range(2))
+        try:
+            BoundedSupport(-a, b)
+        except ValueError:
+            assume(False)
+        variables.append({"a": -a, "b": b})
+    return {"format_version": 1, "variables": variables}
+
+
+def outcome(argv) -> tuple[int, str, str]:
+    """``main``'s exit code, stdout and stderr, without capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def m2_refusal(variables) -> str | None:
+    """The error a support with m2 declared gives for the first of the
+    variables it refuses (an a^2 that underflows), else None."""
+    for variable in variables:
+        try:
+            BoundedSupport(variable["a"], variable["b"], m2=0.0)
+        except ValueError as exc:
+            return f"error: {exc}\n"
+    return None
+
+
+@given(wide_scale_files())
+@settings(max_examples=60, deadline=None)
+def test_verify_at_any_scale_gives_a_verdict_or_refuses_an_underflowing_a2(
+        tmp_path_factory, doc):
+    # a law's or a pmf's measured support declares its m2, so an a^2 that
+    # underflows is refused with that support's own message; nothing else is
+    path = tmp_path_factory.mktemp("scale") / "scale.json"
+    path.write_text(json.dumps(doc))
+    first = doc["variables"][0]
+    random = ["--random", f"--a={first['a']!r}", "--b", repr(first["b"]), "--pmfs", "20"]
+    for source, variables in (([str(path)], doc["variables"]), (random, [first])):
+        code, out, err = outcome(["verify", *source, "--samples", "1000"])
+        refusal = m2_refusal(variables)
+        if refusal is not None:
+            assert (code, out, err) == (2, "", refusal)
+        else:
+            assert code in (0, 4) and err == ""
+            assert out.endswith(("verdict,ok\n", "verdict,violation\n"))
 
 
 @pytest.mark.parametrize("m2, m4, code, err", [
@@ -1637,7 +1718,8 @@ class TestVerifyTailRows:
         path = tmp_path_factory.mktemp("laws") / "laws.json"
         path.write_text(json.dumps(doc))
         scenario = load_scenario(path)
-        laws = [oracle.moment_matched_pmf(s) for s in verify._supports(scenario)]
+        supports = one_side(scenario.variables, scenario.query.side)
+        laws = [oracle.moment_matched_pmf(s) for s in supports]
         ts = verify._mc_thresholds(scenario.query, sum(law.support.b for law in laws))
         tail = rows(cli_stdout(["tail", str(path), "--t", *map(repr, ts)]))[1:]
         for p, (_, log_bound, *_) in zip(oracle.exact_sum_tail(laws, ts), tail, strict=True):

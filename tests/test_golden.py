@@ -55,7 +55,12 @@ TIGHT = {
     ],
     "query": {"t_range": {"min": 0.5, "max": 9, "count": 60}},
 }
-WRITTEN = {"fixed.json": FIXED, "tight.json": TIGHT}
+# Intervals whose fourth powers overflow and underflow: no bound reads an m4
+# without odd_moments_zero, so `verify` measures none; written as wide.json
+# and tiny.json.
+WIDE = {"format_version": 1, "variables": [{"a": -1, "b": 2e77}]}
+TINY = {"format_version": 1, "variables": [{"a": -1e-78, "b": 1e-78}]}
+WRITTEN = {"fixed.json": FIXED, "tight.json": TIGHT, "wide.json": WIDE, "tiny.json": TINY}
 # One support with every moment declared, so every family applies.
 MOMENTS = ["--a=-5", "--b", "5", "--m2", "5", "--m4", "100", "--odd-moments-zero", "--s", "0.5"]
 
@@ -121,6 +126,10 @@ GOLDEN = [
      "5e1cdf7cecc2f4aa59f3ec62901b4ab9fff42d88bd0d21de1f61a25b3ea77696"),
     (["verify", "tight.json", "--samples", "20000"],
      "713f380cd508e2c47f00f5fb09ea33ea5626e1188a67389df6dc9bd074979845"),
+    (["verify", "wide.json", "--samples", "1000"],
+     "db1a728fb1a94ad250c82cfcfdd3f9f8c204996cd284d64baa2d285383fae36b"),
+    (["verify", "tiny.json", "--samples", "1000"],
+     "a07e15b993434d0c8079e7a5146e67f5e500db423e8fed060eb69ddbf4578914"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],
