@@ -249,7 +249,7 @@ def multiplier_log(support: BoundedSupport, k: int) -> float:
     a = support.a
     if k == 2:
         if support.m2 is not None:
-            return m2_log_multipliers(a, [support.m2])[0]
+            return math.log1p(support.m2 / (a * a))
         return math.log1p(support.b / -a)
     log_a_k = upsilon_log(support, k)
     if (
@@ -272,16 +272,10 @@ def _order4_moment_log(support: BoundedSupport) -> float:
     return math.log1p(6.0 * support.m2 / a2 + support.m4 / (a2 * a2))
 
 
-def m2_log_multipliers(a: float, m2s) -> list[float]:
-    """log(1 + m2/a^2) for each m2: the log multiplier of order2_moment and of
-    order_k[2] with a known m2."""
-    a2 = a * a
-    return [math.log1p(m2 / a2) for m2 in m2s]
-
-
 def measured_m2_log_multipliers(a: float, b: float, m2s) -> list[float]:
-    """``m2_log_multipliers`` of m2 rows measured on [a, b]: without
-    odd_moments_zero, the log multiplier of every family that reads moments.
+    """log(1 + m2/a^2) for m2 rows measured on [a, b], as ``multiplier_log``
+    gives it at k = 2: without odd_moments_zero, the log multiplier of every
+    family that reads moments.
 
     Each row gets the checks and messages of ``BoundedSupport(a, b, m2)``
     with no support built per row: the interval's once, with m2 declared,
@@ -292,7 +286,7 @@ def measured_m2_log_multipliers(a: float, b: float, m2s) -> list[float]:
         if not math.isfinite(m2):
             raise ValueError(f"m2 must be finite, got {m2}")
         _check_moments(m2, None, cap2, cap4)
-    return m2_log_multipliers(a, m2s)
+    return [math.log1p(m2 / (a * a)) for m2 in m2s]
 
 
 def reads_moments(support: BoundedSupport, tag: FamilyTag) -> bool:

@@ -20,7 +20,8 @@ integer; ``_resolve_query`` puts the t, side, seed and sample flags in the query
 `verify` turns `--random` into a scenario (the canonical or `--a`/`--b`
 supports, auto choices, no query) and passes it with its resolved query to
 ``kbounds.verify.run``, which checks the rest before it builds any law (so a
-bad `--k-max`, `--poison-rate` or interval exits 2 first) and returns the gap
+bad `--pmfs`, `--k-max`, `--poison-rate` or interval exits 2 first: `--pmfs`
+from 0 to ``verify.MAX_PMFS`` is its rule) and returns the gap
 and tail rows with their verdicts; `cmd_verify` imports that module when it
 runs and writes the rows as CSV.  Everything here is pure Python, `t_range`
 grids (``scenario.grid``) and `sweep`'s (group x t) table included, and so is
@@ -190,10 +191,6 @@ def cmd_verify(args) -> int:
     if args.random:  # the canonical or --a/--b supports, auto choices, no query
         if (args.a is None) != (args.b is None):
             raise ValueError("give both --a and --b, or neither")
-        if args.pmfs is not None and args.pmfs < 0:
-            raise ValueError(f"--pmfs must be >= 0, got {args.pmfs}")
-        if args.pmfs is not None and args.pmfs > verify.MAX_PMFS:
-            raise ValueError(f"--pmfs must be at most {verify.MAX_PMFS}, got {args.pmfs}")
         intervals = verify.CANONICAL_SUPPORTS if args.a is None else [(args.a, args.b)]
         scenario = Scenario(tuple(BoundedSupport(a, b) for a, b in intervals), None, Query())
         pmfs = 1000 if args.pmfs is None else args.pmfs

@@ -209,31 +209,41 @@ def exact_sum_tail(pmfs, ts) -> list[float] | None:
     None once the sum takes more than ``MAX_SUMS`` distinct values.
 
     The sum adds the variables' atoms with p > 0 in variable order from 0.0,
-    as ``mc_sum_tail`` does, and equal sums merge.  A sum within 1e-9 of t,
-    relative to the larger of t and the sum's width (the sum of each
-    variable's largest |x|), counts toward the tail: the rounding of a sum
-    that equals t cannot make the tail smaller.  Each tail is the correctly
-    rounded sum of its masses, at most 1.
+    as ``mc_sum_tail`` does, and equal sums merge.  Each distinct sum keeps
+    its size: the largest sum of |x| along the atoms of a path that reaches
+    it, added in the same order.  A sum within 1e-9 of t, relative to the
+    larger of |t| and its own size, counts toward the tail: the rounding of a
+    sum that equals t cannot make the tail smaller, and a far atom of another
+    path does not widen the window.  Each tail is the correctly rounded sum of
+    its masses, at most 1.
     """
-    sums = {0.0: 1.0}
-    width = 0.0
+    sums = {0.0: (1.0, 0.0)}  # sum -> (mass, size)
     for pmf in pmfs:
-        atoms = [(x, p) for x, p in zip(pmf.xs, pmf.ps) if p > 0.0]
-        width += max(abs(x) for x in pmf.xs)
-        merged: dict[float, float] = {}
-        for total, mass in sums.items():
-            for x, p in atoms:
+        atoms = [(x, p, abs(x)) for x, p in zip(pmf.xs, pmf.ps) if p > 0.0]
+        merged: dict[float, tuple[float, float]] = {}
+        for total, (mass, size) in sums.items():
+            for x, p, size_x in atoms:
                 key = total + x
-                merged[key] = merged.get(key, 0.0) + mass * p
+                got = merged.get(key)
+                if got is None:
+                    merged[key] = (mass * p, size + size_x)
+                else:
+                    merged[key] = (got[0] + mass * p, max(got[1], size + size_x))
             if len(merged) > MAX_SUMS:
                 return None
         sums = merged
     totals = sorted(sums)
-    masses = [sums[total] for total in totals]
+    masses = [sums[total][0] for total in totals]
+    widest = max(size for _, size in sums.values())
     tails = []
     for t in ts:
-        first = bisect.bisect_left(totals, t - 1e-9 * max(width, abs(t)))
-        tails.append(min(math.fsum(masses[first:]), 1.0))
+        # every sum from t - 1e-9 |t| up counts; one below it down to the
+        # widest window's edge counts where its own size reaches that far
+        edge = bisect.bisect_left(totals, t - 1e-9 * abs(t))
+        first = bisect.bisect_left(totals, t - 1e-9 * max(widest, abs(t)))
+        near = [sums[total][0] for total in totals[first:edge]
+                if total >= t - 1e-9 * sums[total][1]]
+        tails.append(min(math.fsum(masses[edge:] + near), 1.0))
     return tails
 
 

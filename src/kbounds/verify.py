@@ -2,14 +2,16 @@
 returns its gap rows and tail rows.
 
 `verify --random` is the scenario of the ``CANONICAL_SUPPORTS`` (or --a/--b)
-with auto choices and no query.  ``run`` checks the poison rate, then k_max,
-before it builds any law.  A support's law is ``oracle.moment_matched_pmf``'s,
-with 1 to 3 atoms, and is checked in plain Python (``_law_gaps``) against
-``catalog`` of its measured support: [a, b] with the law's m2, the variable's
-odd_moments_zero and, only under that (where a bound reads it), the law's m4.
-With ``pmfs`` > 0, one seeded generator then draws ``pmfs`` random pmfs per
-support, one (xs, ps) stack per atom count, checked by the same rule as numpy
-(pmf x family x s) tables (``_gap_tables``, ``_family_max_gaps``).
+with auto choices and no query.  ``run`` checks the pmf count, the poison
+rate, then k_max, before it builds any law.  A support's law is
+``oracle.moment_matched_pmf``'s, with 1 to 3 atoms, and is checked in plain
+Python (``_law_gaps``) against ``catalog`` of its measured support: [a, b]
+with the law's m2, the variable's odd_moments_zero and, only under that
+(where a bound reads it), the law's m4.  With ``pmfs`` > 0, one seeded
+generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
+atom count, and ``_family_max_gaps`` checks each support's stacks by the same
+rule, each as one numpy (pmf x family x s) table, before the next support's
+are drawn.
 ``_mc_rows`` gives the exact tail of the sum of the laws at each t against
 the certificate `tail` prints there (``selection.certificates``); a sum with
 more than ``oracle.MAX_SUMS`` distinct values is sampled instead
@@ -44,28 +46,14 @@ from .tails import one_side
 
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
-# most random pmfs per support: they are checked as (pmf x family x s) tables,
-# and 10^5 of them on each canonical support peak at about 210 MB
+# most random pmfs per support (``run`` checks --pmfs against it): each
+# support's are drawn and checked as (pmf x family x s) tables before the
+# next's, and 10^5 of them on each canonical support peak at about 205 MB
+# (the process's max RSS, Python 3.11, numpy 2.4)
 MAX_PMFS = 10 ** 6
 
 # Supports exercised by `verify --random` when none is given explicitly.
 CANONICAL_SUPPORTS = ((-1.0, 1.0), (-1.0, 5.0), (-5.0, 1.0), (-2.0, 3.0))
-
-
-def _gap_tables(support: BoundedSupport, k_max: int, poison: float):
-    """(labels, bounds, rates times ``poison``) of the families that read no
-    moments, then of those that do, on the measured supports of random pmfs.
-
-    Those assert no odd moments, so no bound reads their m4, and their
-    catalog is that of [a, b] with m2 = 0.  A rate depends on [a, b] alone,
-    and so does a log multiplier that reads no moments.
-    """
-    shape = BoundedSupport(support.a, support.b, m2=0.0)
-    bounds = catalog(shape, k_max)
-    fixed = [b for b in bounds if not reads_moments(shape, b.family_tag)]
-    measured = [b for b in bounds if reads_moments(shape, b.family_tag)]
-    return [([b.family_tag.family.value for b in t], t, [b.rate * poison for b in t])
-            for t in (fixed, measured)]
 
 
 def _note(max_gap: dict[str, float], labels, gaps) -> None:
@@ -75,29 +63,31 @@ def _note(max_gap: dict[str, float], labels, gaps) -> None:
             max_gap[label] = gap
 
 
-def _family_max_gaps(batches) -> dict[str, float]:
-    """``_law_gaps``' rule over every random pmf, on stacks.
+def _family_max_gaps(support: BoundedSupport, stacks, k_max: int,
+                     poison: float) -> dict[str, float]:
+    """``_law_gaps``' rule over one support's random pmfs, given as (xs, ps)
+    stacks, each checked as one (pmf x family x s) table.
 
-    ``batches`` holds one (support, ``_gap_tables``, (xs, ps) stacks) per
-    support.  Each table is checked as one (pmf x family x s) table.  Random
-    pmfs assert no odd moments, so only the k = 2 multipliers read m2: each
-    pmf's own log(1 + m2/a^2), with its measured support's checks.  The
-    others are one per support.
+    Random pmfs assert no odd moments, so no bound reads their m4, and one
+    ``catalog`` of [a, b] with m2 = 0 serves them all.  Its log multipliers
+    stand, except where a family reads m2 (``reads_moments``): there each
+    pmf's own log(1 + m2/a^2) does, with its measured support's checks.
     """
+    import numpy as np
+
+    shape = BoundedSupport(support.a, support.b, m2=0.0)
+    bounds = catalog(shape, k_max)
+    labels = [bound.family_tag.family.value for bound in bounds]
+    reads_m2 = [reads_moments(shape, bound.family_tag) for bound in bounds]
+    log_a = [bound.log_multiplier for bound in bounds]
+    rates = [bound.rate * poison for bound in bounds]
     max_gap: dict[str, float] = {}
-
-    def note(labels, exact, log_a, rates) -> None:
-        _note(max_gap, labels, validity_gaps(exact, log_a, rates, S_POINTS).max(axis=0).tolist())
-
-    for support, (fixed, measured), stacks in batches:
-        for xs, ps in stacks:
-            exact = exact_log_mgf_rows(xs, ps, S_POINTS)[:, None, :]
-            labels, bounds, rates = fixed
-            note(labels, exact, [bound.log_multiplier for bound in bounds], rates)
-            labels, bounds, rates = measured
-            logs = measured_m2_log_multipliers(support.a, support.b,
-                                               moment_rows(xs, ps, 2).tolist())
-            note(labels, exact, [[log] * len(bounds) for log in logs], rates)
+    for xs, ps in stacks:
+        m2_logs = measured_m2_log_multipliers(support.a, support.b,
+                                              moment_rows(xs, ps, 2).tolist())
+        logs = np.where(reads_m2, np.array(m2_logs)[:, None], log_a)
+        exact = exact_log_mgf_rows(xs, ps, S_POINTS)[:, None, :]
+        _note(max_gap, labels, validity_gaps(exact, logs, rates, S_POINTS).max(axis=0).tolist())
     return max_gap
 
 
@@ -191,11 +181,16 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     """`verify`'s (label, max_gap, violated) rows, sorted by label, and its
     ``_mc_rows``.
 
-    Each support's law is ``moment_matched_pmf``'s, checked by ``_law_gaps``;
-    ``pmfs`` random pmfs per support follow, checked by ``_family_max_gaps``,
-    which loads numpy.  The laws are the group whose sum tail is checked.  A
-    family is violated where its max gap exceeds ``GAP_TOL``.
+    ``pmfs`` must lie in 0..``MAX_PMFS``.  Each support's law is
+    ``moment_matched_pmf``'s, checked by ``_law_gaps``; ``pmfs`` random pmfs
+    per support follow, drawn and checked by ``_family_max_gaps`` one support
+    at a time, which loads numpy.  The laws are the group whose sum tail is
+    checked.  A family is violated where its max gap exceeds ``GAP_TOL``.
     """
+    if pmfs < 0:
+        raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
+    if pmfs > MAX_PMFS:
+        raise ValueError(f"--pmfs must be at most {MAX_PMFS}, got {pmfs}")
     if not poison > 0.0:
         raise ValueError("--poison-rate must be positive")
     query = scenario.query
@@ -206,10 +201,9 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     if pmfs:
         import numpy as np
 
-        tables = [_gap_tables(support, k_max, poison) for support in supports]
         rng = np.random.default_rng(query.seed)
-        stacks = [list(_random_stacks(support, pmfs, rng)) for support in supports]
-        found.append(_family_max_gaps(zip(supports, tables, stacks)))
+        found += [_family_max_gaps(support, _random_stacks(support, pmfs, rng), k_max, poison)
+                  for support in supports]
     max_gap: dict[str, float] = {}
     for per_label in found:
         _note(max_gap, per_label.keys(), per_label.values())

@@ -589,17 +589,18 @@ def sweep_one_pmf(pmf, k_max, poison):
     return gaps
 
 
-def batches_of(pmfs, k_max, poison):
-    """The pmfs as ``_family_max_gaps`` takes them: per support, its gap tables
-    and one stack per atom count."""
+def batched_max_gaps(pmfs, k_max, poison):
+    """``verify._family_max_gaps`` of the pmfs, one call per support with one
+    stack per atom count, merged as ``verify.run`` merges them."""
     by_support = {}
     for pmf in pmfs:
         by_support.setdefault(pmf.support, {}).setdefault(len(pmf.xs), []).append(pmf)
-    return [
-        (support, verify._gap_tables(support, k_max, poison),
-         [stack_of(group) for group in by_count.values()])
-        for support, by_count in by_support.items()
-    ]
+    max_gap = {}
+    for support, by_count in by_support.items():
+        stacks = [stack_of(group) for group in by_count.values()]
+        found = verify._family_max_gaps(support, stacks, k_max, poison)
+        verify._note(max_gap, found.keys(), found.values())
+    return max_gap
 
 
 def per_pmf_max_gaps(pmfs, k_max, poison):
@@ -674,7 +675,7 @@ class TestVerify:
         )
         pmfs = mixed_pmfs(scale) + [sparse]
         for k_max in (1, 8):
-            batched = verify._family_max_gaps(batches_of(pmfs, k_max, poison))
+            batched = batched_max_gaps(pmfs, k_max, poison)
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)
 
@@ -1189,11 +1190,15 @@ def m2_refusal(variables) -> str | None:
 
 
 @given(wide_scale_files())
+@example({"format_version": 1, "variables": [  # lopsided: b1 + a2 = 0 lies far below t
+    {"a": -2.3523082617124555e-07, "b": 1.2751888638521224e-26},
+    {"a": -1.2751888638521224e-26, "b": 6.586228897255622e-22}]})
 @settings(max_examples=60, deadline=None)
 def test_verify_at_any_scale_gives_a_verdict_or_refuses_an_underflowing_a2(
         tmp_path_factory, doc):
     # a law's or a pmf's measured support declares its m2, so an a^2 that
-    # underflows is refused with that support's own message; nothing else is
+    # underflows is refused with that support's own message; nothing else is.
+    # The exact tail's window scales with each sum, so every tail row holds
     path = tmp_path_factory.mktemp("scale") / "scale.json"
     path.write_text(json.dumps(doc))
     first = doc["variables"][0]
@@ -1206,6 +1211,8 @@ def test_verify_at_any_scale_gives_a_verdict_or_refuses_an_underflowing_a2(
         else:
             assert code in (0, 4) and err == ""
             assert out.endswith(("verdict,ok\n", "verdict,violation\n"))
+            mc = [line for line in out.splitlines() if line.startswith("mc,")]
+            assert mc and all(line.endswith(",1") for line in mc), out
 
 
 @pytest.mark.parametrize("m2, m4, code, err", [

@@ -60,7 +60,13 @@ TIGHT = {
 # and tiny.json.
 WIDE = {"format_version": 1, "variables": [{"a": -1, "b": 2e77}]}
 TINY = {"format_version": 1, "variables": [{"a": -1e-78, "b": 1e-78}]}
-WRITTEN = {"fixed.json": FIXED, "tight.json": TIGHT, "wide.json": WIDE, "tiny.json": TINY}
+# A lopsided pair whose sum b1 + a2 = 0 lies far below the t values, though a
+# law's far atom a1 is 10^19 times their size; written as lopsided.json.
+LOPSIDED = {"format_version": 1, "variables": [
+    {"a": -2.3523082617124555e-07, "b": 1.2751888638521224e-26},
+    {"a": -1.2751888638521224e-26, "b": 6.586228897255622e-22}]}
+WRITTEN = {"fixed.json": FIXED, "tight.json": TIGHT, "wide.json": WIDE, "tiny.json": TINY,
+           "lopsided.json": LOPSIDED}
 # One support with every moment declared, so every family applies.
 MOMENTS = ["--a=-5", "--b", "5", "--m2", "5", "--m4", "100", "--odd-moments-zero", "--s", "0.5"]
 
@@ -130,6 +136,8 @@ GOLDEN = [
      "db1a728fb1a94ad250c82cfcfdd3f9f8c204996cd284d64baa2d285383fae36b"),
     (["verify", "tiny.json", "--samples", "1000"],
      "a07e15b993434d0c8079e7a5146e67f5e500db423e8fed060eb69ddbf4578914"),
+    (["verify", "lopsided.json", "--samples", "1000"],
+     "1e78378ad2a206b51cbd8ffc6857e5463e6202bea8a275898b76ae2b06cb34dc"),
     (["tail", "fixed.json", "--side", "upper"],
      "5f99d55d5dd6d4d7f75b7fbdf1885574dc96e99028b9edce40d62be285fc48f2"),
     (["tail", "fixed.json", "--side", "lower"],

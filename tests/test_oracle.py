@@ -777,9 +777,10 @@ class TestPlainPythonLaws:
         elif poison == "sum":
             ps = [0.9 * p for p in ps]
         elif poison == "mean":
-            hi, lo = xs.index(max(xs)), xs.index(min(xs))
-            ps[hi] += 0.5 * min(ps)
-            ps[lo] -= 0.5 * min(ps)
+            # one shift both ways keeps the total: min(ps) may be ps[hi]
+            hi, lo, shift = xs.index(max(xs)), xs.index(min(xs)), 0.5 * min(ps)
+            ps[hi] += shift
+            ps[lo] -= shift
         elif poison == "nan":
             xs[-1] = math.nan
         elif poison == "length":
@@ -803,17 +804,23 @@ class TestPlainPythonLaws:
 
 
 def brute_force_tail(pmfs, t) -> float:
-    """P(sum >= t) over every atom combination, summed in variable order."""
-    tail = []
-    width = sum(max(map(abs, p.xs)) for p in pmfs)
-    for combo in itertools.product(*(list(zip(p.xs, p.ps)) for p in pmfs)):
-        total, mass = 0.0, 1.0
+    """P(sum >= t) over every combination of the atoms with p > 0, each summed
+    in variable order.  Combinations with equal float sums form a group, whose
+    size is the largest of their sums of |x|; a group counts where its sum is
+    at least t - 1e-9 * max(size, |t|)."""
+    groups = {}
+    for combo in itertools.product(*([(x, p) for x, p in zip(pmf.xs, pmf.ps) if p > 0.0]
+                                     for pmf in pmfs)):
+        total, size, mass = 0.0, 0.0, 1.0
         for x, p in combo:
             total += x
+            size += abs(x)
             mass *= p
-        if total >= t - 1e-9 * max(width, abs(t)):
-            tail.append(mass)
-    return math.fsum(tail)
+        masses, sizes = groups.setdefault(total, ([], []))
+        masses.append(mass)
+        sizes.append(size)
+    return math.fsum(mass for total, (masses, sizes) in groups.items()
+                     if total >= t - 1e-9 * max(max(sizes), abs(t)) for mass in masses)
 
 
 class TestExactSumTail:
@@ -837,6 +844,28 @@ class TestExactSumTail:
         exact = sum(math.comb(8, h) for h in range(5, 9)) / 2 ** 8
         assert exact_sum_tail([coin] * 8, [2.0, 2.0 + 1e-12, 2.0 + 1e-6]) == [
             exact, exact, sum(math.comb(8, h) for h in range(6, 9)) / 2 ** 8]
+
+    def test_a_far_atom_on_another_path_leaves_the_window_alone(self):
+        # the first law's a, about -2.4e-7, once sized every sum's window, so
+        # b1 + a2 = 0 counted at t near 1e-22 and the tail read 1; the sum
+        # b1 + b2 alone reaches t, with mass about 1.9e-5
+        laws = [extremal_two_point(BoundedSupport(a, b)) for a, b in (
+            (-2.3523082617124555e-07, 1.2751888638521224e-26),
+            (-1.2751888638521224e-26, 6.586228897255622e-22))]
+        reach = laws[0].xs[1] + laws[1].xs[1]
+        ts = [f * reach for f in (0.25, 0.5, 0.75)]
+        tail = laws[0].ps[1] * laws[1].ps[1]
+        assert exact_sum_tail(laws, ts) == pytest.approx([tail] * 3, rel=1e-12)
+        assert tail == pytest.approx(1.93610667763e-05, rel=1e-11)
+        assert [brute_force_tail(laws, t) for t in ts] == exact_sum_tail(laws, ts)
+
+    def test_a_sum_that_cancels_keeps_the_window_of_its_paths(self):
+        # +-1 + 1e-20 -+ 1 rounds to 0.0, though its true value 1e-20 reaches
+        # t: the paths to 0.0 are 2 wide, so it counts and the tail is 0.75,
+        # at least the true 0.5; a window of 1e-9 |t| alone would give 0.25
+        unit, tiny = (FinitePmf((-c, c), (0.5, 0.5), BoundedSupport(-c, c)) for c in (1.0, 1e-20))
+        assert exact_sum_tail([unit, tiny, unit], [1e-20]) == [0.75]
+        assert brute_force_tail([unit, tiny, unit], 1e-20) == 0.75
 
     def test_tail_is_at_most_one(self):
         pmfs = [moment_matched_pmf(BoundedSupport(-1.0, 1.0 + i / 3, m2=0.3)) for i in range(6)]
