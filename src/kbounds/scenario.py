@@ -122,7 +122,9 @@ def grid(lo: float, hi: float, count: int, indices=None) -> list[float]:
 
 
 class Scenario(Frozen):
-    """A scenario file's variables, choices (None means "auto") and query."""
+    """A scenario file's variables, choices (None means "auto") and query.
+    Fixed choices are checked against the variables when it is made, from a
+    file or in code, by ``SumScenario``'s rule, and raise ``ScenarioError``."""
 
     __slots__ = ("variables", "choices", "query")
 
@@ -131,15 +133,15 @@ class Scenario(Frozen):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "choices", choices)
         object.__setattr__(self, "query", query)
+        if choices is not None:
+            try:
+                SumScenario(variables, choices)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
 
     @property
     def auto(self) -> bool:
         return self.choices is None
-
-    def sum_scenario(self) -> SumScenario:
-        if self.choices is None:
-            raise ScenarioError("scenario has choices: auto; select ks first")
-        return SumScenario(self.variables, self.choices)
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -241,6 +243,9 @@ def _parse_query(obj) -> Query:
 
 
 def parse_scenario(doc) -> Scenario:
+    """The ``Scenario`` of a JSON document: its shape and types are checked
+    here, and one choice per variable before any is read; ``Scenario`` checks
+    the choices against the variables."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
@@ -263,13 +268,7 @@ def parse_scenario(doc) -> Scenario:
     else:
         raise ScenarioError("choices must be \"auto\" or a list of choice objects")
 
-    scenario = Scenario(variables, choices, _parse_query(doc.get("query")))
-    if choices is not None:
-        try:
-            scenario.sum_scenario()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return scenario
+    return Scenario(variables, choices, _parse_query(doc.get("query")))
 
 
 def load_scenario(path: str | Path) -> Scenario:

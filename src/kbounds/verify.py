@@ -11,7 +11,7 @@ with the law's m2, the variable's odd_moments_zero and, only under that
 generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
 atom count, and ``_family_max_gaps`` checks each support's stacks by the same
 rule, each as one numpy (pmf x family x s) table, before the next support's
-are drawn.
+are drawn.  Both helpers raise ``run``'s one max-gap table and return nothing.
 ``_mc_rows`` gives the exact tail of the sum of the laws at each t against
 the certificate `tail` prints there (``selection.certificates``); a sum with
 more than ``oracle.MAX_SUMS`` distinct values is sampled instead
@@ -63,10 +63,11 @@ def _note(max_gap: dict[str, float], labels, gaps) -> None:
             max_gap[label] = gap
 
 
-def _family_max_gaps(support: BoundedSupport, stacks, k_max: int,
-                     poison: float) -> dict[str, float]:
-    """``_law_gaps``' rule over one support's random pmfs, given as (xs, ps)
-    stacks, each checked as one (pmf x family x s) table.
+def _family_max_gaps(max_gap: dict[str, float], support: BoundedSupport, stacks,
+                     k_max: int, poison: float) -> None:
+    """Raise the caller's ``max_gap`` by ``_law_gaps``' rule over one
+    support's random pmfs, given as (xs, ps) stacks, each checked as one
+    (pmf x family x s) table.
 
     Random pmfs assert no odd moments, so no bound reads their m4, and one
     ``catalog`` of [a, b] with m2 = 0 serves them all.  Its log multipliers
@@ -81,34 +82,31 @@ def _family_max_gaps(support: BoundedSupport, stacks, k_max: int,
     reads_m2 = [reads_moments(shape, bound.family_tag) for bound in bounds]
     log_a = [bound.log_multiplier for bound in bounds]
     rates = [bound.rate * poison for bound in bounds]
-    max_gap: dict[str, float] = {}
     for xs, ps in stacks:
         m2_logs = measured_m2_log_multipliers(support.a, support.b,
                                               moment_rows(xs, ps, 2).tolist())
         logs = np.where(reads_m2, np.array(m2_logs)[:, None], log_a)
         exact = exact_log_mgf_rows(xs, ps, S_POINTS)[:, None, :]
         _note(max_gap, labels, validity_gaps(exact, logs, rates, S_POINTS).max(axis=0).tolist())
-    return max_gap
 
 
-def _law_gaps(support: BoundedSupport, law, k_max: int, poison: float) -> dict[str, float]:
-    """Max (exact - bound) gap per family label of the law, in plain Python,
-    over ``catalog`` of its measured support: [a, b] with the law's m2 and the
-    variable's odd_moments_zero (``moment_matched_pmf``'s law is symmetric
-    exactly when that is asserted), checked as a declared support; and its
-    m4 under odd_moments_zero alone, where its atoms lie within +-min(|a|, b),
-    so c^4 <= (|a|b)^2 is finite.
+def _law_gaps(max_gap: dict[str, float], support: BoundedSupport, law, k_max: int,
+              poison: float) -> None:
+    """Raise the caller's ``max_gap`` by the law's (exact - bound) gap per
+    family label, in plain Python, over ``catalog`` of its measured support:
+    [a, b] with the law's m2 and the variable's odd_moments_zero
+    (``moment_matched_pmf``'s law is symmetric exactly when that is asserted),
+    checked as a declared support; and its m4 under odd_moments_zero alone,
+    where its atoms lie within +-min(|a|, b), so c^4 <= (|a|b)^2 is finite.
     """
     odd = support.odd_moments_zero
     measured = BoundedSupport(support.a, support.b, moments(law, 2),
                               moments(law, 4) if odd else None, odd)
     exact = exact_log_mgf(law, S_POINTS)
     bounds = catalog(measured, k_max)
-    max_gap: dict[str, float] = {}
     _note(max_gap, [bound.family_tag.family.value for bound in bounds],
           [max(e - (bound.log_multiplier + bound.rate * poison * s * s)
                for e, s in zip(exact, S_POINTS)) for bound in bounds])
-    return max_gap
 
 
 def _random_stacks(support: BoundedSupport, count: int, rng):
@@ -184,8 +182,10 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     ``pmfs`` must lie in 0..``MAX_PMFS``.  Each support's law is
     ``moment_matched_pmf``'s, checked by ``_law_gaps``; ``pmfs`` random pmfs
     per support follow, drawn and checked by ``_family_max_gaps`` one support
-    at a time, which loads numpy.  The laws are the group whose sum tail is
-    checked.  A family is violated where its max gap exceeds ``GAP_TOL``.
+    at a time, which loads numpy.  Both raise this function's one ``max_gap``
+    table, and every law is checked before any pmf is drawn.  The laws are
+    the group whose sum tail is checked.  A family is violated where its max
+    gap exceeds ``GAP_TOL``.
     """
     if pmfs < 0:
         raise ValueError(f"--pmfs must be >= 0, got {pmfs}")
@@ -197,16 +197,15 @@ def run(scenario: Scenario, pmfs: int, k_max: int, poison: float):
     supports = list(one_side(scenario.variables, query.side))
     check_k_max(k_max)
     laws = [moment_matched_pmf(support) for support in supports]
-    found = [_law_gaps(support, law, k_max, poison) for support, law in zip(supports, laws)]
+    max_gap: dict[str, float] = {}
+    for support, law in zip(supports, laws):
+        _law_gaps(max_gap, support, law, k_max, poison)
     if pmfs:
         import numpy as np
 
         rng = np.random.default_rng(query.seed)
-        found += [_family_max_gaps(support, _random_stacks(support, pmfs, rng), k_max, poison)
-                  for support in supports]
-    max_gap: dict[str, float] = {}
-    for per_label in found:
-        _note(max_gap, per_label.keys(), per_label.values())
+        for support in supports:
+            _family_max_gaps(max_gap, support, _random_stacks(support, pmfs, rng), k_max, poison)
     gaps = [(label, max_gap[label], max_gap[label] > GAP_TOL) for label in sorted(max_gap)]
     rule = certificates(scenario.variables, scenario.choices, query.side, k_max)
     return gaps, _mc_rows(query, laws, rule)

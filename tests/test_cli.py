@@ -22,6 +22,7 @@ from kbounds.scenario import MAX_SAMPLES, MAX_T_COUNT, MIN_SAMPLES, Query, grid,
 from kbounds.selection import pareto_front, regimes
 from kbounds.tails import (
     Side,
+    SumScenario,
     log_bound,
     lower_tail,
     mirror,
@@ -328,7 +329,7 @@ def per_row_tail(argv) -> str:
             upper = order_k_scenario(variables, up.best(t).ks)
             lower = order_k_scenario(variables, down.best(t).ks)
         else:
-            upper = lower = scenario.sum_scenario()
+            upper = lower = SumScenario(scenario.variables, scenario.choices)
         if query.side is Side.UPPER:
             cert, used = one_sided_tail(upper, t), [upper]
         elif query.side is Side.LOWER:
@@ -591,15 +592,14 @@ def sweep_one_pmf(pmf, k_max, poison):
 
 def batched_max_gaps(pmfs, k_max, poison):
     """``verify._family_max_gaps`` of the pmfs, one call per support with one
-    stack per atom count, merged as ``verify.run`` merges them."""
+    stack per atom count, each raising one table as in ``verify.run``."""
     by_support = {}
     for pmf in pmfs:
         by_support.setdefault(pmf.support, {}).setdefault(len(pmf.xs), []).append(pmf)
     max_gap = {}
     for support, by_count in by_support.items():
         stacks = [stack_of(group) for group in by_count.values()]
-        found = verify._family_max_gaps(support, stacks, k_max, poison)
-        verify._note(max_gap, found.keys(), found.values())
+        verify._family_max_gaps(max_gap, support, stacks, k_max, poison)
     return max_gap
 
 
@@ -660,7 +660,8 @@ class TestVerify:
     def test_law_gaps_hold_for_every_family_of_an_odd_moment_law(self, support, k_max):
         # the law is symmetric, so its measured support keeps odd_moments_zero
         # and the fourth-order families are checked too
-        gaps = verify._law_gaps(support, oracle.moment_matched_pmf(support), k_max, 1.0)
+        gaps = {}
+        verify._law_gaps(gaps, support, oracle.moment_matched_pmf(support), k_max, 1.0)
         families = {"classic", "hertz", "order_k", "order2_moment", "order4_moment"}
         assert set(gaps) == families | ({"symmetric_order4"} if -support.a == support.b else set())
         assert max(gaps.values()) <= verify.GAP_TOL, gaps
@@ -1296,7 +1297,7 @@ def numpy_sweep(args) -> int:
         groups = [cli._parse_group(g, len(variables)) for g in args.group]
         scenarios = [order_k_scenario(variables, ks) for ks in groups]
     elif not scenario.auto:
-        scenarios = [scenario.sum_scenario()]
+        scenarios = [SumScenario(scenario.variables, scenario.choices)]
     else:
         raise ValueError("sweep needs --group selections (or explicit choices)")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kbounds.bounds import Family
 from kbounds.scenario import MAX_T_COUNT, Query, ScenarioError, load_scenario, parse_scenario
-from kbounds.tails import Side
+from kbounds.tails import Side, SumScenario
 
 
 def minimal(**extra):
@@ -33,7 +33,7 @@ class TestParsing:
         assert not scenario.auto
         assert scenario.choices[0].family is Family.ORDER_K
         assert scenario.choices[0].k == 2
-        scenario.sum_scenario()
+        SumScenario(scenario.variables, scenario.choices)
 
     def test_full_query(self):
         doc = minimal(

@@ -15,6 +15,7 @@ import pytest
 from kbounds.bounds import (
     CLASSIC,
     HERTZ,
+    ORDER2_MOMENT,
     BoundedSupport,
     Family,
     FamilyTag,
@@ -165,5 +166,9 @@ def test_checks_run_at_construction():
         MgfBound(0.0, 1.0, HERTZ).replace(rate=0.0)
     with pytest.raises(ValueError, match="1 variables but 2 choices"):
         SumScenario((S,), (HERTZ, HERTZ))
+    with pytest.raises(ScenarioError, match="order2_moment requires a known m2"):
+        Scenario((S,), (ORDER2_MOMENT,), Query())
+    with pytest.raises(ScenarioError, match="order2_moment requires a known m2"):
+        Scenario((S,), None, Query()).replace(choices=(ORDER2_MOMENT,))
     with pytest.raises(ValueError, match="probabilities sum to"):
         FinitePmf((-1.0, 1.0), (0.5, 0.6), BoundedSupport(-1.0, 1.0))
