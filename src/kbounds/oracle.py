@@ -7,18 +7,19 @@ finite pmfs: exact sum tails by convolution, and seeded Monte Carlo for a sum
 with too many distinct values.  Nothing in this module uses the bound formulas
 it is meant to check.
 
-One law needs no numpy.  ``FinitePmf`` checks its atoms, ``exact_log_mgf``,
-``moments`` and ``validity_gap`` evaluate it, and ``exact_sum_tail`` convolves
-a sum of laws, all in plain Python.  Pmfs in bulk travel as (xs[N, n],
-ps[N, n]) stacks, and every function of a stack imports numpy when it runs:
+One law needs no numpy.  ``FinitePmf`` checks its atoms, ``exact_log_mgf``
+and ``moments`` evaluate it, ``validity_gap`` checks one bound or a list of
+bounds against one log-MGF row of it, and ``exact_sum_tail`` convolves a sum
+of laws, all in plain Python.  Pmfs in bulk travel as (xs[N, n], ps[N, n])
+stacks, and every function of a stack imports numpy when it runs:
 ``random_mean_zero_stack`` draws a whole stack from one generator,
-``check_pmf_stack`` checks them, ``exact_log_mgf_rows`` and ``moment_rows``
-evaluate them, and ``validity_gaps`` and ``mc_sum_tail`` check and sample
-them.  ``random_mean_zero_pmf`` is the one-row stack from
-``default_rng(seed)``.  Every sum over one law's atoms is a correctly
-rounded ``math.fsum``, so a law's value agrees with its one-row stack's row
-to within rounding.  ``S_GRID`` is ``S_POINTS`` as a numpy array, built on
-first use.
+``check_pmf_stack`` checks them, ``exact_log_mgf_rows`` (in one reused
+(pmf, s, atom) buffer) and ``moment_rows`` evaluate them, and
+``validity_gaps`` and ``mc_sum_tail`` check and sample them.
+``random_mean_zero_pmf`` is the one-row stack from ``default_rng(seed)``.
+Every sum over one law's atoms is a correctly rounded ``math.fsum``, so a
+law's value agrees with its one-row stack's row to within rounding.
+``S_GRID`` is ``S_POINTS`` as a numpy array, built on first use.
 """
 
 from __future__ import annotations
@@ -148,7 +149,9 @@ def exact_log_mgf_rows(xs, ps, s_values):
     """log E[exp(sX)] for a (xs[N, n], ps[N, n]) stack: one row per pmf, one column per s.
 
     One (pmf, s, atom) logsumexp, in which an atom with p = 0 is log 0 = -inf
-    and adds exp(-inf) = 0 to its row's sum.
+    and adds exp(-inf) = 0 to its row's sum.  It runs in place in one
+    (pmf, s, atom) buffer: s x, plus log p, less the peak, exponentiated, so
+    a stack holds one such table at a time.
     """
     import numpy as np
 
@@ -156,9 +159,14 @@ def exact_log_mgf_rows(xs, ps, s_values):
     s_arr = np.asarray(s_values, dtype=float)
     with np.errstate(divide="ignore"):
         log_ps = np.log(np.asarray(ps, dtype=float))
-    terms = log_ps[:, None, :] + s_arr[None, :, None] * xs[:, None, :]
+    terms = np.multiply(s_arr[None, :, None], xs[:, None, :])
+    terms += log_ps[:, None, :]
     peak = terms.max(axis=2, keepdims=True)
-    return peak[:, :, 0] + np.log(np.exp(terms - peak).sum(axis=2))
+    terms -= peak
+    np.exp(terms, out=terms)
+    out = np.log(terms.sum(axis=2))
+    out += peak[:, :, 0]
+    return out
 
 
 def exact_log_mgf(pmf: FinitePmf, s):
@@ -430,12 +438,17 @@ def validity_gaps(exact, log_multipliers, rates, s_values=S_POINTS):
     return np.max(exact - (log_a + rho * s_arr * s_arr), axis=-1)
 
 
-def validity_gap(pmf: FinitePmf, bound: MgfBound, s_values=S_POINTS) -> float:
+def validity_gap(pmf: FinitePmf, bound, s_values=S_POINTS):
     """max over the s grid of (exact log MGF - certified bound); <= 0 iff sound.
 
-    ``validity_gaps``' operations on the law's one row, in plain Python.
+    A float for one ``MgfBound``, a list for a sequence of them, all checked
+    against one ``exact_log_mgf`` row of the law: ``validity_gaps``'
+    operations on that row, in plain Python.
     """
     if not all(s > 0.0 for s in s_values):
         raise ValueError("bounds are stated for s > 0 only")
-    log_a, rho = bound.log_multiplier, bound.rate
-    return max(e - (log_a + rho * s * s) for e, s in zip(exact_log_mgf(pmf, s_values), s_values))
+    if isinstance(bound, MgfBound):
+        return validity_gap(pmf, (bound,), s_values)[0]
+    exact = exact_log_mgf(pmf, s_values)
+    return [max(e - (b.log_multiplier + b.rate * s * s) for e, s in zip(exact, s_values))
+            for b in bound]

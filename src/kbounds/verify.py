@@ -10,8 +10,9 @@ with the law's m2, the variable's odd_moments_zero and, only under that
 (where a bound reads it), the law's m4.  With ``pmfs`` > 0, one seeded
 generator then draws ``pmfs`` random pmfs per support, one (xs, ps) stack per
 atom count, and ``_family_max_gaps`` checks each support's stacks by the same
-rule, each as one numpy (pmf x family x s) table, before the next support's
-are drawn.  Both helpers raise ``run``'s one max-gap table and return nothing.
+rule before the next support's are drawn: a family that reads only [a, b]
+once per stack, and only the families that read m2 per pmf.  Both helpers
+raise ``run``'s one max-gap table and return nothing.
 ``_mc_rows`` gives the exact tail of the sum of the laws at each t against
 the certificate `tail` prints there (``selection.certificates``); a sum with
 more than ``oracle.MAX_SUMS`` distinct values is sampled instead
@@ -30,7 +31,6 @@ from .bounds import BoundedSupport, catalog, check_k_max, measured_m2_log_multip
 from .oracle import (
     S_POINTS,
     check_pmf_stack,
-    exact_log_mgf,
     exact_log_mgf_rows,
     exact_sum_tail,
     mc_sum_tail,
@@ -38,6 +38,7 @@ from .oracle import (
     moment_rows,
     moments,
     random_mean_zero_stack,
+    validity_gap,
     validity_gaps,
 )
 from .scenario import Query, Scenario, grid
@@ -47,9 +48,9 @@ from .tails import one_side
 GAP_TOL = 1e-9  # validity sweep: exact log MGF may not exceed a bound by more
 
 # most random pmfs per support (``run`` checks --pmfs against it): each
-# support's are drawn and checked as (pmf x family x s) tables before the
-# next's, and 10^5 of them on each canonical support peak at about 205 MB
-# (the process's max RSS, Python 3.11, numpy 2.4)
+# support's are drawn and checked before the next's, and 10^5 of them on each
+# canonical support peak at about 109 MB (the process's max RSS, Python 3.11,
+# numpy 2.4)
 MAX_PMFS = 10 ** 6
 
 # Supports exercised by `verify --random` when none is given explicitly.
@@ -66,47 +67,55 @@ def _note(max_gap: dict[str, float], labels, gaps) -> None:
 def _family_max_gaps(max_gap: dict[str, float], support: BoundedSupport, stacks,
                      k_max: int, poison: float) -> None:
     """Raise the caller's ``max_gap`` by ``_law_gaps``' rule over one
-    support's random pmfs, given as (xs, ps) stacks, each checked as one
-    (pmf x family x s) table.
+    support's random pmfs, given as (xs, ps) stacks.
 
     Random pmfs assert no odd moments, so no bound reads their m4, and one
-    ``catalog`` of [a, b] with m2 = 0 serves them all.  Its log multipliers
-    stand, except where a family reads m2 (``reads_moments``): there each
-    pmf's own log(1 + m2/a^2) does, with its measured support's checks.
+    ``catalog`` of [a, b] with m2 = 0 serves them all.  A family that reads
+    no moment (``reads_moments``) has one bound for every pmf, so it is
+    checked once per stack, as a (family x s) table against the column
+    maximum of the stack's log-MGF rows: the same gaps, because x - c rounds
+    monotonically in x.  The families that read m2 take each pmf's own
+    log(1 + m2/a^2), with its measured support's checks, as one
+    (pmf x family x s) table.
     """
     import numpy as np
 
     shape = BoundedSupport(support.a, support.b, m2=0.0)
     bounds = catalog(shape, k_max)
     labels = [bound.family_tag.family.value for bound in bounds]
-    reads_m2 = [reads_moments(shape, bound.family_tag) for bound in bounds]
-    log_a = [bound.log_multiplier for bound in bounds]
-    rates = [bound.rate * poison for bound in bounds]
+    reads_m2 = np.array([reads_moments(shape, bound.family_tag) for bound in bounds])
+    fixed = ~reads_m2
+    log_a = np.array([bound.log_multiplier for bound in bounds])[fixed]
+    rates = np.array([bound.rate * poison for bound in bounds])
+    gaps = np.empty(len(bounds))
     for xs, ps in stacks:
         m2_logs = measured_m2_log_multipliers(support.a, support.b,
                                               moment_rows(xs, ps, 2).tolist())
-        logs = np.where(reads_m2, np.array(m2_logs)[:, None], log_a)
-        exact = exact_log_mgf_rows(xs, ps, S_POINTS)[:, None, :]
-        _note(max_gap, labels, validity_gaps(exact, logs, rates, S_POINTS).max(axis=0).tolist())
+        exact = exact_log_mgf_rows(xs, ps, S_POINTS)
+        gaps[fixed] = validity_gaps(exact.max(axis=0), log_a, rates[fixed], S_POINTS)
+        gaps[reads_m2] = validity_gaps(exact[:, None, :], np.array(m2_logs)[:, None],
+                                       rates[reads_m2], S_POINTS).max(axis=0)
+        _note(max_gap, labels, gaps.tolist())
 
 
 def _law_gaps(max_gap: dict[str, float], support: BoundedSupport, law, k_max: int,
               poison: float) -> None:
     """Raise the caller's ``max_gap`` by the law's (exact - bound) gap per
-    family label, in plain Python, over ``catalog`` of its measured support:
-    [a, b] with the law's m2 and the variable's odd_moments_zero
-    (``moment_matched_pmf``'s law is symmetric exactly when that is asserted),
-    checked as a declared support; and its m4 under odd_moments_zero alone,
-    where its atoms lie within +-min(|a|, b), so c^4 <= (|a|b)^2 is finite.
+    family label, in plain Python (``validity_gap`` of the whole catalog at
+    once), over ``catalog`` of its measured support: [a, b] with the law's
+    m2 and the variable's odd_moments_zero (``moment_matched_pmf``'s law is
+    symmetric exactly when that is asserted), checked as a declared support;
+    and its m4 under odd_moments_zero alone, where its atoms lie within
+    +-min(|a|, b), so c^4 <= (|a|b)^2 is finite.  Each rate is scaled by
+    ``poison`` through ``MgfBound``'s checks.
     """
     odd = support.odd_moments_zero
     measured = BoundedSupport(support.a, support.b, moments(law, 2),
                               moments(law, 4) if odd else None, odd)
-    exact = exact_log_mgf(law, S_POINTS)
     bounds = catalog(measured, k_max)
     _note(max_gap, [bound.family_tag.family.value for bound in bounds],
-          [max(e - (bound.log_multiplier + bound.rate * poison * s * s)
-               for e, s in zip(exact, S_POINTS)) for bound in bounds])
+          validity_gap(law, [bound.replace(rate=bound.rate * poison) for bound in bounds],
+                       S_POINTS))
 
 
 def _random_stacks(support: BoundedSupport, count: int, rng):

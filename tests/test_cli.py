@@ -675,7 +675,7 @@ class TestVerify:
             BoundedSupport(-scale, scale),
         )
         pmfs = mixed_pmfs(scale) + [sparse]
-        for k_max in (1, 8):
+        for k_max in (1, 8, 12):
             batched = batched_max_gaps(pmfs, k_max, poison)
             assert batched == per_pmf_max_gaps(pmfs, k_max, poison)
             assert {"classic", "hertz", "order_k", "order2_moment"} <= set(batched)

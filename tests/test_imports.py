@@ -63,7 +63,9 @@ WITHOUT_NUMPY = {
                         "support = BoundedSupport(-1.0, 2.0); law = extremal_two_point(support); "
                         "assert exact_log_mgf(law, [0.5, 1.0]) == [exact_log_mgf(law, 0.5), "
                         "exact_log_mgf(law, 1.0)] and moments(law, 2) == 2.0; "
-                        "assert max(validity_gap(law, b) for b in catalog(support, 3)) <= 1e-9"],
+                        "assert max(validity_gap(law, b) for b in catalog(support, 3)) <= 1e-9; "
+                        "assert validity_gap(law, catalog(support, 3)) == "
+                        "[validity_gap(law, b) for b in catalog(support, 3)]"],
                        0),
 }
 WITH_NUMPY = {

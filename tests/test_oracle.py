@@ -695,9 +695,13 @@ class TestTightness:
             curvature = 2.0 * exact_log_mgf(pmf, s) / (s * s)
             assert curvature == pytest.approx(2.0 * bound.rate, rel=1e-3)
 
-    def test_validity_gap_matches_the_list_reference(self):
+    def test_validity_gap_matches_the_list_reference(self, monkeypatch):
         # the table's gap is the list reference's, bit for bit; the law's gap
-        # is its exactly summed log-MGF's, and the table's to within rounding
+        # is its exactly summed log-MGF's, and the table's to within rounding;
+        # a list of bounds gets each bound's own gap from one log-MGF row
+        rows = []
+        monkeypatch.setattr(oracle, "exact_log_mgf",
+                            lambda pmf, s: rows.append(s) or exact_log_mgf(pmf, s))
         tags = (CLASSIC, HERTZ, order_k(1), order_k(3), order_k(8), ORDER2_MOMENT)
         for scale in (1e-6, 1.0, 1e6):
             for pmf in mixed_pmfs(scale, per_count=1):
@@ -714,6 +718,10 @@ class TestTightness:
                     assert law_gap == max(e - (bound.log_multiplier + bound.rate * s * s)
                                           for e, s in zip(reference, S_POINTS))
                     assert law_gap == pytest.approx(gap, rel=1e-14, abs=1e-15)
+                rows.clear()
+                gaps = validity_gap(pmf, bounds)
+                assert len(rows) == 1
+                assert gaps == [validity_gap(pmf, bound) for bound in bounds]
 
     def test_validity_gaps_reject_nonpositive_s(self):
         pmf = extremal_two_point(S11)
